@@ -174,9 +174,9 @@ void threads_sweep(dsnd::bench::JsonWriter& json, bool with_ten_million) {
     // radius-overflow event (max r = 18.78 >= k+1 = 18 at k = 17).
     // Before PR 5 that run truncated the broadcast and was rightly
     // flagged INVALID (the historical pr4 record); the recarve loop now
-    // recovers it — `--recarve-10m` replays exactly that case and is
-    // where the resolved BENCH_engine.json row comes from. Seed 43 is
-    // kept here so the sweep's timings stay comparable across phases.
+    // recovers it, as the resolved pr6 row in BENCH_engine.json records.
+    // Seed 43 is kept here so the sweep's timings stay comparable across
+    // phases.
     const std::uint64_t carve_seed = n >= 10000000 ? 43 : 42;
     const unsigned gen_threads = 0;  // generator: hardware concurrency
     Timer construct;
@@ -330,39 +330,6 @@ int ingest_smoke(dsnd::bench::JsonWriter& json, unsigned threads) {
   }
   table.print(std::cout);
   return failures;
-}
-
-/// E4h — closing the pr4 ledger (`--recarve-10m`): re-runs the rgg
-/// n = 10M, carve-seed-42, grid-bucket case whose Lemma 1 radius
-/// overflow produced the one INVALID record in BENCH_engine.json's pr4
-/// phase. Under the PR 5 Las Vegas recarve loop the identical case must
-/// now come back valid with a nonzero retries field; the emitted record
-/// is the resolved row the pr6 phase stores next to the historical one.
-void recarve_ten_million(dsnd::bench::JsonWriter& json) {
-  bench::print_header(
-      "E4h / 10M seed-42 recarve",
-      "the pr4 radius-overflow case, replayed under the default retry "
-      "policy: expect valid output and retries > 0");
-  Table table({"schedule", "family", "n", "m", "threads", "rounds",
-               "messages", "words", "activations", "wall_ms", "validate_ms",
-               "valid"});
-  const VertexId n = 10000000;
-  Timer construct;
-  const GeometricGraph rgg = make_rgg_geometric(n, rgg_radius(n), 1, 0);
-  const double rgg_ms = construct.elapsed_millis();
-  const LayoutGraph layout = make_layout_graph(
-      rgg.graph,
-      grid_bucket_layout(rgg.x, rgg.y,
-                         static_cast<std::int32_t>(std::max(
-                             1.0, std::floor(1.0 / rgg_radius(n))))));
-  bench::EngineCaseOptions options{1, 0, /*validate=*/true};
-  options.threads = 1;
-  options.construct_ms = rgg_ms;
-  options.seed = 42;
-  options.layout = &layout;
-  options.layout_name = "grid-bucket";
-  bench::engine_scaling_case("rgg-deg8", rgg.graph, table, json, options);
-  table.print(std::cout);
 }
 
 /// E4i — chaos transport smoke (`--chaos`): the Theorem 1 schedule at
@@ -527,7 +494,7 @@ int service_smoke(dsnd::bench::JsonWriter& json, unsigned threads) {
   ServiceOptions service_options;
   service_options.engine.threads = threads;
   DecompositionService service(service_options);
-  for (const Entry& e : graphs) service.register_graph_view(e.id, e.graph);
+  for (const Entry& e : graphs) service.register_graph(e.id, e.graph);
 
   // Per graph: the app deliverables on the big instances, decomposition
   // plus a W=1 cover on the small ring (covers carve G^3, so they stay
@@ -686,7 +653,6 @@ void print_usage(std::ostream& out) {
          "                    --no-large)\n"
          "  --scale-free      E4f hyperbolic + Kronecker engine workloads\n"
          "  --ingest-smoke    E4g on-disk round-trip -> validator -> carve\n"
-         "  --recarve-10m     E4h the pr4 10M radius-overflow case, replayed\n"
          "  --chaos           E4i fault-injection smoke + recovery-cost A/B\n"
          "  --service-smoke   E4j DecompositionService: concurrent mixed\n"
          "                    batches, cold/warm/cached rows, cache stats\n"
@@ -704,8 +670,8 @@ void print_usage(std::ostream& out) {
 bool args_ok(int argc, char** argv) {
   static const char* kModes[] = {
       "--engine-smoke", "--overflow-smoke", "--threads-sweep",
-      "--scale-free",   "--ingest-smoke",   "--recarve-10m",
-      "--chaos",        "--service-smoke",  "--no-large",
+      "--scale-free",   "--ingest-smoke",   "--chaos",
+      "--service-smoke", "--no-large",
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -772,10 +738,6 @@ int main(int argc, char** argv) {
   }
   if (bench::has_flag(argc, argv, "--ingest-smoke")) {
     return ingest_smoke(json, threads);
-  }
-  if (bench::has_flag(argc, argv, "--recarve-10m")) {
-    recarve_ten_million(json);
-    return 0;
   }
   if (bench::has_flag(argc, argv, "--chaos")) {
     return chaos_smoke(json, threads);

@@ -777,16 +777,6 @@ CarveContext::~CarveContext() = default;
 SyncEngine& CarveContext::engine() { return impl_->engine; }
 const SyncEngine& CarveContext::engine() const { return impl_->engine; }
 
-DistributedCarveResult carve_decomposition_distributed(
-    CarveContext& context, const CarveParams& params) {
-  // Single-attempt runs have no recovery loop to act on checkpoints;
-  // detach any arena a prior schedule run left enabled on the shared
-  // protocol so this run's behavior does not depend on context history.
-  context.impl_->protocol.enable_recovery(nullptr);
-  return run_carve_attempt(context.impl_->engine, context.impl_->protocol,
-                           params, /*round_cap=*/0);
-}
-
 DistributedRun run_schedule_distributed(CarveContext& context,
                                         const CarveSchedule& schedule,
                                         std::uint64_t seed) {

@@ -56,12 +56,12 @@ struct DistributedRun {
 /// runs, and whose shard arrays/arenas keep their capacity) plus the
 /// carving protocol's per-vertex arrays and, on lossy layout runs, the
 /// reconstructed original graph used for validation. Construct once,
-/// then feed it to run_schedule_distributed / the theorem entry points
-/// as often as wanted — attempt 2..N of the verify-and-recover loop and
-/// every warm re-run pay zero setup. The borrowed graph (and layout)
-/// and any borrowed transport must outlive the context. Results are
-/// bit-identical to the context-free overloads: a run never observes
-/// whether the engine it ran on was cold or warm (pinned by test).
+/// then feed it to run_schedule_distributed as often as wanted —
+/// attempt 2..N of the verify-and-recover loop and every warm re-run
+/// pay zero setup. The borrowed graph (and layout) and any borrowed
+/// transport must outlive the context. Results are bit-identical to the
+/// context-free overloads: a run never observes whether the engine it
+/// ran on was cold or warm (pinned by test).
 class CarveContext {
  public:
   explicit CarveContext(const Graph& g, const EngineOptions& options = {});
@@ -78,8 +78,6 @@ class CarveContext {
   const SyncEngine& engine() const;
 
  private:
-  friend DistributedCarveResult carve_decomposition_distributed(
-      CarveContext& context, const CarveParams& params);
   friend DistributedRun run_schedule_distributed(
       CarveContext& context, const CarveSchedule& schedule,
       std::uint64_t seed);
@@ -87,11 +85,6 @@ class CarveContext {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// One carve on a reusable context — the warm-path twin of the Graph
-/// overload below, bit-identical to it on the same inputs.
-DistributedCarveResult carve_decomposition_distributed(
-    CarveContext& context, const CarveParams& params);
 
 /// The full schedule (verify-and-recover loop included) on a reusable
 /// context — the warm-path twin of the overloads below. Different

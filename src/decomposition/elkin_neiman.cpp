@@ -3,7 +3,6 @@
 #include <cmath>
 #include <string>
 
-#include "service/decomposition_service.hpp"
 #include "support/assert.hpp"
 
 namespace dsnd {
@@ -57,10 +56,7 @@ CarveSchedule theorem1_schedule(VertexId n, std::int32_t k, double c) {
 DecompositionRun elkin_neiman_decomposition(
     const Graph& g, const ElkinNeimanOptions& options) {
   DSND_REQUIRE(g.num_vertices() >= 1, "graph must be nonempty");
-  // A one-shot service submission (decomposition_service.hpp): same
-  // run_schedule execution, routed through the service layer like every
-  // other entry point.
-  return DecompositionService::run_once_centralized(
+  return run_schedule(
       g,
       with_overflow_policy(
           theorem1_schedule(g.num_vertices(), options.k, options.c),

@@ -1,6 +1,5 @@
 #include "decomposition/elkin_neiman_distributed.hpp"
 
-#include "service/decomposition_service.hpp"
 #include "support/assert.hpp"
 
 namespace dsnd {
@@ -23,9 +22,7 @@ DistributedRun elkin_neiman_distributed(const Graph& g,
   require_protocol_mode(g, options.run_to_completion);
   DSND_REQUIRE(options.margin == 1.0,
                "the distributed protocol implements the paper's margin of 1");
-  // Routed through the service layer (decomposition_service.hpp); the
-  // CarveContext& overload below stays the direct parity ground truth.
-  return DecompositionService::run_once_distributed(
+  return run_schedule_distributed(
       g,
       with_overflow_policy(
           theorem1_schedule(g.num_vertices(), options.k, options.c),
@@ -37,7 +34,7 @@ DistributedRun multistage_distributed(const Graph& g,
                                       const MultistageOptions& options,
                                       const EngineOptions& engine_options) {
   require_protocol_mode(g, options.run_to_completion);
-  return DecompositionService::run_once_distributed(
+  return run_schedule_distributed(
       g,
       with_overflow_policy(
           theorem2_schedule(g.num_vertices(), options.k, options.c),
@@ -49,50 +46,12 @@ DistributedRun high_radius_distributed(const Graph& g,
                                        const HighRadiusOptions& options,
                                        const EngineOptions& engine_options) {
   require_protocol_mode(g, options.run_to_completion);
-  return DecompositionService::run_once_distributed(
+  return run_schedule_distributed(
       g,
       with_overflow_policy(
           theorem3_schedule(g.num_vertices(), options.lambda, options.c),
           options.overflow_policy, options.max_retries_per_phase),
       options.seed, engine_options);
-}
-
-DistributedRun elkin_neiman_distributed(CarveContext& context,
-                                        const ElkinNeimanOptions& options) {
-  const Graph& g = context.engine().graph();
-  require_protocol_mode(g, options.run_to_completion);
-  DSND_REQUIRE(options.margin == 1.0,
-               "the distributed protocol implements the paper's margin of 1");
-  return run_schedule_distributed(
-      context,
-      with_overflow_policy(
-          theorem1_schedule(g.num_vertices(), options.k, options.c),
-          options.overflow_policy, options.max_retries_per_phase),
-      options.seed);
-}
-
-DistributedRun multistage_distributed(CarveContext& context,
-                                      const MultistageOptions& options) {
-  const Graph& g = context.engine().graph();
-  require_protocol_mode(g, options.run_to_completion);
-  return run_schedule_distributed(
-      context,
-      with_overflow_policy(
-          theorem2_schedule(g.num_vertices(), options.k, options.c),
-          options.overflow_policy, options.max_retries_per_phase),
-      options.seed);
-}
-
-DistributedRun high_radius_distributed(CarveContext& context,
-                                       const HighRadiusOptions& options) {
-  const Graph& g = context.engine().graph();
-  require_protocol_mode(g, options.run_to_completion);
-  return run_schedule_distributed(
-      context,
-      with_overflow_policy(
-          theorem3_schedule(g.num_vertices(), options.lambda, options.c),
-          options.overflow_policy, options.max_retries_per_phase),
-      options.seed);
 }
 
 }  // namespace dsnd

@@ -46,18 +46,6 @@ DistributedRun high_radius_distributed(
     const Graph& g, const HighRadiusOptions& options,
     const EngineOptions& engine_options = {});
 
-/// Warm-path twins: the same three theorems on a reusable CarveContext
-/// (carving_protocol.hpp), so repeated runs — different seeds, different
-/// theorems, the verify-and-recover retries — share one engine whose
-/// worker pool stays parked between runs. Bit-identical to the Graph
-/// overloads above on the same inputs (pinned by test_warm_engine).
-DistributedRun elkin_neiman_distributed(CarveContext& context,
-                                        const ElkinNeimanOptions& options);
-DistributedRun multistage_distributed(CarveContext& context,
-                                      const MultistageOptions& options);
-DistributedRun high_radius_distributed(CarveContext& context,
-                                       const HighRadiusOptions& options);
-
 /// Upper bound on words per message the protocol may emit: one entry per
 /// message — [tag, center, radius, dist] — and at most two such messages
 /// per edge per round (the top-2). Exported so tests and the CONGEST

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <string>
 
-#include "service/decomposition_service.hpp"
 #include "support/assert.hpp"
 
 namespace dsnd {
@@ -40,12 +39,12 @@ CarveSchedule theorem3_schedule(VertexId n, std::int32_t lambda, double c) {
 DecompositionRun high_radius_decomposition(const Graph& g,
                                            const HighRadiusOptions& options) {
   DSND_REQUIRE(g.num_vertices() >= 1, "graph must be nonempty");
-  return DecompositionService::run_once_centralized(
+  return run_schedule(
       g,
       with_overflow_policy(
           theorem3_schedule(g.num_vertices(), options.lambda, options.c),
           options.overflow_policy, options.max_retries_per_phase),
-      options.seed, options.run_to_completion, /*margin=*/1.0);
+      options.seed, options.run_to_completion);
 }
 
 }  // namespace dsnd

@@ -1,7 +1,6 @@
 #include "service/decomposition_service.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <thread>
 #include <utility>
 
@@ -49,20 +48,8 @@ DecompositionService::~DecompositionService() = default;
 std::uint64_t DecompositionService::register_graph(
     const std::string& graph_id, Graph graph) {
   auto registered = std::make_shared<RegisteredGraph>();
-  registered->storage = std::move(graph);
-  registered->graph = &*registered->storage;
-  registered->fingerprint = registered->graph->fingerprint();
-  const std::uint64_t fingerprint = registered->fingerprint;
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  graphs_[graph_id] = std::move(registered);
-  return fingerprint;
-}
-
-std::uint64_t DecompositionService::register_graph_view(
-    const std::string& graph_id, const Graph& graph) {
-  auto registered = std::make_shared<RegisteredGraph>();
-  registered->graph = &graph;
   registered->fingerprint = graph.fingerprint();
+  registered->graph = std::move(graph);
   const std::uint64_t fingerprint = registered->fingerprint;
   std::lock_guard<std::mutex> lock(registry_mutex_);
   graphs_[graph_id] = std::move(registered);
@@ -96,7 +83,7 @@ std::shared_ptr<const ServiceResult> DecompositionService::execute(
     const ServiceRequest& request,
     const std::shared_ptr<const RegisteredGraph>& registered,
     bool& valid, std::string& status) {
-  const Graph& g = *registered->graph;
+  const Graph& g = registered->graph;
   auto result = std::make_shared<ServiceResult>();
   // The graph the base clustering lives on (G^{2W+1} for covers).
   const Graph* carved_graph = &g;
@@ -105,22 +92,13 @@ std::shared_ptr<const ServiceResult> DecompositionService::execute(
   if (request.deliverable == Deliverable::kCover) {
     // Covers carve the power graph. Its topology differs from the
     // registered graph, so the pooled context does not apply; the
-    // centralized backend produces the identical clustering (the PR 3
+    // centralized carver produces the identical clustering (the PR 3
     // parity contract) without a throwaway engine build.
     power_storage.emplace(graph_power(g, 2 * request.cover_radius + 1));
     carved_graph = &*power_storage;
-    result->run.run = run_schedule(*carved_graph, request.schedule,
-                                   request.seed, request.run_to_completion,
-                                   request.margin);
-  } else if (request.backend == ServiceBackend::kCentralized) {
-    result->run.run = run_schedule(g, request.schedule, request.seed,
-                                   request.run_to_completion,
-                                   request.margin);
+    result->run.run =
+        run_schedule(*carved_graph, request.schedule, request.seed);
   } else {
-    DSND_REQUIRE(request.run_to_completion && request.margin == 1.0,
-                 "the distributed backend implements the paper's exact "
-                 "rules; use ServiceBackend::kCentralized for the "
-                 "margin/run_to_completion ablations");
     ContextPool::Lease lease =
         pool_.acquire(registered->fingerprint, g, registered);
     result->run =
@@ -129,21 +107,18 @@ std::shared_ptr<const ServiceResult> DecompositionService::execute(
   }
 
   status = carve_status_name(result->run.run.carve.status);
-  if (options_.validate_responses) {
-    const FastDecompositionReport report = validate_decomposition_fast(
-        *carved_graph, result->run.run.clustering());
-    const bool clustering_ok = report.complete &&
-                               report.proper_phase_coloring &&
-                               report.all_clusters_connected;
-    if (result->run.run.carve.status == CarveStatus::kOk &&
-        !clustering_ok) {
-      // The never-silently-invalid contract: a run that claimed ok but
-      // fails external validation is flagged, never served as good and
-      // never cached. (Named failures keep their status string.)
-      valid = false;
-      status = "INVALID";
-      return result;
-    }
+  const FastDecompositionReport report = validate_decomposition_fast(
+      *carved_graph, result->run.run.clustering());
+  const bool clustering_ok = report.complete &&
+                             report.proper_phase_coloring &&
+                             report.all_clusters_connected;
+  if (result->run.run.carve.status == CarveStatus::kOk && !clustering_ok) {
+    // The never-silently-invalid contract: a run that claimed ok but
+    // fails external validation is flagged, never served as good and
+    // never cached. (Named failures keep their status string.)
+    valid = false;
+    status = "INVALID";
+    return result;
   }
   valid = true;
 
@@ -180,32 +155,15 @@ ServiceResponse DecompositionService::submit(const ServiceRequest& request) {
       lookup(request.graph_id);
 
   const bool is_cover = request.deliverable == Deliverable::kCover;
-  if (is_cover) {
-    DSND_REQUIRE(request.cover_radius >= 1, "cover radius must be positive");
-    // Covers always carve centralized (see execute), but a distributed-
-    // backend cover request still promises the paper's exact rules, so
-    // the ablation knobs are rejected exactly as on the non-cover
-    // distributed path instead of being silently accepted.
-    DSND_REQUIRE(request.backend == ServiceBackend::kCentralized ||
-                     (request.run_to_completion && request.margin == 1.0),
-                 "the distributed backend implements the paper's exact "
-                 "rules; use ServiceBackend::kCentralized for the "
-                 "margin/run_to_completion ablations");
-  }
+  DSND_REQUIRE(!is_cover || request.cover_radius >= 1,
+               "cover radius must be positive");
 
   ResultCacheKey key;
   key.graph_fingerprint = registered->fingerprint;
   key.schedule = schedule_signature(request.schedule);
   key.seed = request.seed;
   key.deliverable = static_cast<std::int32_t>(request.deliverable);
-  // The backend does not determine a cover result (covers always carve
-  // centralized), so it is normalized out of the key: identical cover
-  // requests under either backend share one cache entry.
-  key.backend = static_cast<std::int32_t>(
-      is_cover ? ServiceBackend::kCentralized : request.backend);
   key.cover_radius = is_cover ? request.cover_radius : 0;
-  key.run_to_completion = request.run_to_completion;
-  key.margin_bits = std::bit_cast<std::uint64_t>(request.margin);
 
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -284,41 +242,6 @@ std::vector<ServiceResponse> DecompositionService::submit_batch(
     if (error) std::rethrow_exception(error);
   }
   return responses;
-}
-
-DecompositionRun DecompositionService::run_once_centralized(
-    const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
-    bool run_to_completion, double margin) {
-  ServiceOptions options;
-  options.cache_capacity = 0;
-  options.validate_responses = false;
-  DecompositionService service(options);
-  service.register_graph_view("g", g);
-  ServiceRequest request;
-  request.graph_id = "g";
-  request.schedule = schedule;
-  request.seed = seed;
-  request.backend = ServiceBackend::kCentralized;
-  request.run_to_completion = run_to_completion;
-  request.margin = margin;
-  return service.submit(request).result->run.run;
-}
-
-DistributedRun DecompositionService::run_once_distributed(
-    const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
-    const EngineOptions& engine_options) {
-  ServiceOptions options;
-  options.engine = engine_options;
-  options.cache_capacity = 0;
-  options.validate_responses = false;
-  DecompositionService service(options);
-  service.register_graph_view("g", g);
-  ServiceRequest request;
-  request.graph_id = "g";
-  request.schedule = schedule;
-  request.seed = seed;
-  request.backend = ServiceBackend::kDistributed;
-  return service.submit(request).result->run;
 }
 
 ServiceStats DecompositionService::stats() const {

@@ -1,41 +1,40 @@
-// Decomposition-as-a-service: the long-lived front end the ROADMAP's
-// "millions of users" north star asks for, built as a scheduler + cache
-// on top of PR 8's warm CarveContexts (exactly the refactor PR 8 teed
-// up — no engine changes here).
+// Decomposition-as-a-service: a long-lived scheduler + cache on top of
+// the warm CarveContexts of decomposition/carving_protocol.hpp. It is
+// one client of the carving core among several — the theorem entry
+// points, benches and tests call run_schedule / run_schedule_distributed
+// directly — and the layering runs one way: service/ depends on
+// decomposition/, never the reverse.
 //
 // Request lifecycle:
 //
 //   submit(request)
 //     -> registry lookup (graph_id -> Graph + fingerprint)
 //     -> cache probe        key = (fingerprint, schedule signature,
-//                                  seed, deliverable, backend, knobs)
+//                                  seed, deliverable, cover radius)
 //        hit  -> shared_ptr to the cached result, zero recarve
 //        miss -> execute:
-//                  distributed -> ContextPool::acquire(fingerprint):
-//                                 the graph's warm context (same-graph
-//                                 requests serialize on it; distinct
-//                                 graphs run in parallel)
-//                  centralized -> run_schedule (the reference backend;
-//                                 carries the margin/run_to_completion
-//                                 ablation knobs)
-//                  cover       -> carve G^{2W+1} centralized (same
-//                                 clustering as distributed, by the
-//                                 backend parity contract), expand W
-//                                 hops via expand_clusters_to_cover
-//             -> deliverable post-pass (mis/coloring/spanner over the
-//                clustering)
+//                  cover -> carve G^{2W+1} with run_schedule (the same
+//                           clustering as the distributed protocol, by
+//                           the backend parity contract), expand W hops
+//                           via expand_clusters_to_cover
+//                  other -> ContextPool::acquire(fingerprint): the
+//                           graph's warm context (same-graph requests
+//                           serialize on it; distinct graphs run in
+//                           parallel), run_schedule_distributed on it
 //             -> validate_decomposition_fast gate (never-silently-
-//                invalid: a reliable-transport run that fails external
-//                validation is reported "INVALID", never cached)
+//                invalid: a run that fails external validation is
+//                reported "INVALID", never cached)
+//             -> deliverable post-pass (mis/coloring/spanner/cover over
+//                the clustering)
 //             -> cache insert (validated kOk results only)
 //
-// Results are bit-identical to the standalone carve entry points for
-// every (graph, schedule, seed), every thread count, every submission
-// order, and every warm/cold state — that is the existing engine
-// contract, which makes caching and warm scheduling sound in the first
-// place. The six theorem entry points in decomposition/ are thin
-// wrappers over submissions to an ephemeral borrowing service, so every
-// caller in the tree goes through this path.
+// The service serves the paper's exact rules only; the margin and
+// run_to_completion ablations run through run_schedule directly. Results
+// are bit-identical to a standalone run_schedule_distributed (or, for
+// covers, build_neighborhood_cover) for every (graph, schedule, seed),
+// every thread count, every submission order, and every warm/cold state
+// — the engine contract that makes caching and warm scheduling sound in
+// the first place.
 #pragma once
 
 #include <cstdint>
@@ -72,33 +71,19 @@ const char* deliverable_name(Deliverable deliverable);
 /// request parser).
 Deliverable deliverable_by_name(const std::string& name);
 
-/// Which execution backend carves. Bit-identical per seed (the PR 3
-/// parity contract), so this only selects cost/feature tradeoffs: the
-/// distributed backend runs warm on the pooled context and reports sim
-/// metrics; the centralized backend supports the margin /
-/// run_to_completion ablation knobs.
-enum class ServiceBackend : std::int32_t {
-  kDistributed = 0,
-  kCentralized = 1,
-};
-
 struct ServiceRequest {
   std::string graph_id;
   CarveSchedule schedule;
   std::uint64_t seed = 1;
   Deliverable deliverable = Deliverable::kDecomposition;
-  ServiceBackend backend = ServiceBackend::kDistributed;
   /// kCover only: the cover radius W. The schedule is carved on
   /// G^{2W+1} (same vertex count, so schedules derived from n apply).
   std::int32_t cover_radius = 2;
-  /// Centralized backend only (the E9 ablation knobs); the distributed
-  /// protocol requires the defaults.
-  bool run_to_completion = true;
-  double margin = 1.0;
 };
 
 /// The immutable result a response points at (shared: cache hits alias
-/// the original). run.sim is all-zero for centralized-backend requests.
+/// the original). run.sim is all-zero for cover requests, whose carve is
+/// centralized.
 struct ServiceResult {
   DistributedRun run;
   std::optional<MisResult> mis;
@@ -110,8 +95,7 @@ struct ServiceResult {
 struct ServiceResponse {
   std::shared_ptr<const ServiceResult> result;
   bool cache_hit = false;
-  /// False only when the validation gate failed (status "INVALID") —
-  /// with validation disabled the response is trusted and valid=true.
+  /// False only when the validation gate failed (status "INVALID").
   bool valid = true;
   /// "ok", a named CarveStatus, or "INVALID".
   std::string status = "ok";
@@ -119,16 +103,11 @@ struct ServiceResponse {
 };
 
 struct ServiceOptions {
-  /// Forwarded to every pooled context and centralized run; a borrowed
-  /// transport must outlive the service.
+  /// Forwarded to every pooled context; a borrowed transport must
+  /// outlive the service.
   EngineOptions engine;
   /// Result-cache entries to retain (LRU); 0 disables caching.
   std::size_t cache_capacity = 64;
-  /// Gate every executed response through validate_decomposition_fast.
-  /// The theorem wrappers turn this off: their callers validate
-  /// themselves, and ablation requests (margin < 1, kTruncate, no
-  /// run_to_completion) legitimately fail the gate.
-  bool validate_responses = true;
 };
 
 struct ServiceStats {
@@ -156,12 +135,6 @@ class DecompositionService {
   /// built on it lets go, so replacement is race-free). Returns its
   /// fingerprint.
   std::uint64_t register_graph(const std::string& graph_id, Graph graph);
-  /// Borrowing twin for callers that already own the graph (the theorem
-  /// wrappers): no copy; the graph must outlive the service — not just
-  /// the registration, since warm contexts may keep referencing it
-  /// after the id is re-registered.
-  std::uint64_t register_graph_view(const std::string& graph_id,
-                                    const Graph& graph);
 
   bool has_graph(const std::string& graph_id) const;
   /// Fingerprint of a registered graph; throws if unknown.
@@ -171,13 +144,13 @@ class DecompositionService {
   /// thread-safe: any number of threads may submit concurrently;
   /// requests sharing a graph serialize on its warm context, distinct
   /// graphs run in parallel. Throws std::invalid_argument for an
-  /// unknown graph_id or an inapplicable knob combination.
+  /// unknown graph_id or a nonpositive cover radius.
   ServiceResponse submit(const ServiceRequest& request);
 
   /// Submits a batch, scheduling same-graph runs onto one context in
   /// submission order and distinct graphs onto parallel workers.
   /// Responses are returned in request order. A request that fails
-  /// (unknown graph_id, inapplicable knobs) makes the whole call throw
+  /// (unknown graph_id, bad cover radius) makes the whole call throw
   /// that request's exception — the first such in request order, after
   /// the remaining work finishes — matching serial submission instead
   /// of letting it escape a worker thread.
@@ -186,26 +159,9 @@ class DecompositionService {
 
   ServiceStats stats() const;
 
-  /// One-shot submission paths for the theorem entry-point wrappers in
-  /// decomposition/: an ephemeral borrowing service (cache off,
-  /// validation off — the wrappers' callers validate themselves, and
-  /// ablation knobs may legitimately fail the gate) executes a single
-  /// request and returns the run. Bit-identical to the pre-service
-  /// entry points by construction: the service path runs the same
-  /// run_schedule / CarveContext machinery.
-  static DecompositionRun run_once_centralized(const Graph& g,
-                                               const CarveSchedule& schedule,
-                                               std::uint64_t seed,
-                                               bool run_to_completion,
-                                               double margin);
-  static DistributedRun run_once_distributed(
-      const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
-      const EngineOptions& engine_options);
-
  private:
   struct RegisteredGraph {
-    std::optional<Graph> storage;  // empty for register_graph_view
-    const Graph* graph = nullptr;
+    Graph graph;
     std::uint64_t fingerprint = 0;
   };
 

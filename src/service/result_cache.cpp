@@ -47,10 +47,7 @@ std::size_t ResultCache::KeyHash::operator()(
   std::uint64_t h = mix_word(key.graph_fingerprint, key.schedule);
   h = mix_word(h, key.seed);
   h = mix_word(h, static_cast<std::uint64_t>(key.deliverable));
-  h = mix_word(h, static_cast<std::uint64_t>(key.backend));
   h = mix_word(h, static_cast<std::uint64_t>(key.cover_radius));
-  h = mix_word(h, key.run_to_completion ? 1 : 0);
-  h = mix_word(h, key.margin_bits);
   return static_cast<std::size_t>(h);
 }
 

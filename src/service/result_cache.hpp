@@ -3,8 +3,9 @@
 // A cache entry is one completed, validated service result, keyed by
 // everything that determines it bit for bit: the graph's structural
 // fingerprint, a signature hash over every CarveSchedule field, the
-// carve seed, the deliverable, the backend, and the run-time knobs
-// (cover radius, run_to_completion, margin). Because runs are pure
+// carve seed, the deliverable, and the cover radius. There is no backend
+// component: non-cover requests always carve on the distributed
+// protocol, covers always carve centralized. Because runs are pure
 // functions of that tuple — the bit-identity contract the whole tree is
 // built on — a hit can be served as a shared_ptr to the original result
 // with no recarve and no copy.
@@ -32,17 +33,13 @@ struct ServiceResult;  // decomposition_service.hpp
 /// not approximate.
 std::uint64_t schedule_signature(const CarveSchedule& schedule);
 
-/// The full cache key. margin_bits is the raw bit pattern of the margin
-/// knob (exact, like the schedule signature).
+/// The full cache key (cover_radius is 0 for non-cover deliverables).
 struct ResultCacheKey {
   std::uint64_t graph_fingerprint = 0;
   std::uint64_t schedule = 0;  // schedule_signature()
   std::uint64_t seed = 0;
   std::int32_t deliverable = 0;
-  std::int32_t backend = 0;
   std::int32_t cover_radius = 0;
-  bool run_to_completion = true;
-  std::uint64_t margin_bits = 0;
 
   friend bool operator==(const ResultCacheKey&,
                          const ResultCacheKey&) = default;

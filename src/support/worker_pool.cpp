@@ -54,8 +54,11 @@ void WorkerPool::worker_loop(const unsigned w) {
     served = epoch;
     if (stop_.load(std::memory_order_acquire)) return;
     job_(job_ctx_, w);
-    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        driver_parked_.load(std::memory_order_acquire)) {
+    // seq_cst: this is the worker half of the park handshake (see
+    // dispatch); weaker orders let the last worker skip the notify while
+    // the driver goes to sleep.
+    if (outstanding_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+        driver_parked_.load(std::memory_order_seq_cst)) {
       // Last one out wakes a parked driver. Taking the mutex orders the
       // notify after the driver's predicate check, so it cannot be lost;
       // a driver still spinning never sets driver_parked_ and skips this.
@@ -82,9 +85,13 @@ void WorkerPool::dispatch(void (*job)(void*, unsigned), void* ctx) {
       continue;
     }
     std::unique_lock lock(mutex_);
-    driver_parked_.store(true, std::memory_order_release);
+    // Store-then-load against the last worker's decrement-then-load: in
+    // the single seq_cst order either the worker sees the flag (and
+    // notifies under the mutex, after this wait has begun) or this
+    // predicate sees outstanding_ == 0 (and never waits).
+    driver_parked_.store(true, std::memory_order_seq_cst);
     cv_done_.wait(lock, [&] {
-      return outstanding_.load(std::memory_order_relaxed) == 0;
+      return outstanding_.load(std::memory_order_seq_cst) == 0;
     });
     driver_parked_.store(false, std::memory_order_release);
     break;

@@ -18,7 +18,11 @@
 // every worker's decrement (RMWs extend the release sequence), so all
 // shard state written by a job is visible to the driver when run()
 // returns — the same happens-before the old per-run condvar barrier
-// provided, without its two syscalls per stage.
+// provided, without its two syscalls per stage. Parking is the one
+// Dekker-style handshake: the driver stores `driver_parked_` then loads
+// `outstanding_`, the last worker decrements `outstanding_` then loads
+// `driver_parked_`; all four are seq_cst so at least one side sees the
+// other and the wake-up cannot be lost.
 #pragma once
 
 #include <atomic>

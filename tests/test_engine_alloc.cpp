@@ -144,7 +144,7 @@ TEST(EngineAllocations, WarmServiceSubmissionsAllocateOnlyTheResult) {
   ServiceOptions options;
   options.cache_capacity = 0;  // every submission must really carve
   DecompositionService service(options);
-  service.register_graph_view("g", g);
+  service.register_graph("g", g);
   ServiceRequest request;
   request.graph_id = "g";
   request.schedule = theorem1_schedule(n, 0, 4.0);
@@ -170,9 +170,10 @@ TEST(EngineAllocations, WarmServiceSubmissionsAllocateOnlyTheResult) {
 
 // The same warm guarantee under recovery: a faulted context whose first
 // run exercised checkpoint capture, rollback restore, and replay has
-// sized the RecoveryArena's buffers — further faulted carves (same
-// rollbacks, same replays) stay result-sized, allocating nothing per
-// checkpoint, per rollback, or per validated phase.
+// sized the RecoveryArena's buffers — two further faulted carves of one
+// seed (the same rollbacks, the same replays) stay result-sized,
+// allocating nothing per checkpoint, per rollback, or per validated
+// phase.
 TEST(EngineAllocations, WarmFaultedContextRecoveryAllocatesOnlyTheResult) {
   const VertexId n = 128;
   const Graph g = make_gnp(n, 0.05, 1);
@@ -200,8 +201,12 @@ TEST(EngineAllocations, WarmFaultedContextRecoveryAllocatesOnlyTheResult) {
   const DistributedRun warm_b = run_schedule_distributed(context, schedule, 3);
   const std::size_t allocs_b = g_allocations.load() - before_b;
 
-  EXPECT_EQ(warm_a.run.carve.rollbacks, cold.run.carve.rollbacks);
-  EXPECT_EQ(warm_a.run.carve.replayed_phases, cold.run.carve.replayed_phases);
+  // The measured runs must recover too; seeds 1 and 3 are different
+  // runs, so only the two seed-3 runs are compared with each other.
+  ASSERT_GT(warm_a.run.carve.rollbacks, 0);
+  EXPECT_EQ(warm_b.run.carve.rollbacks, warm_a.run.carve.rollbacks);
+  EXPECT_EQ(warm_b.run.carve.replayed_phases,
+            warm_a.run.carve.replayed_phases);
   EXPECT_EQ(warm_b.sim.messages, warm_a.sim.messages);
   EXPECT_LE(allocs_b, allocs_a);
   EXPECT_LE(allocs_b, 4096u);

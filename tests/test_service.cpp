@@ -67,7 +67,7 @@ TEST(Service, SubmitMatchesStandaloneAcrossEngineThreadCounts) {
     ServiceOptions options;
     options.engine = engine;
     DecompositionService service(options);
-    service.register_graph_view("g", g);
+    service.register_graph("g", g);
     const ServiceResponse response =
         service.submit(decomposition_request("g", n, 9));
     ASSERT_TRUE(response.valid);
@@ -109,7 +109,7 @@ TEST(Service, ConcurrentSubmissionSoakIsOrderAndRaceInvariant) {
     options.cache_capacity = 0;
     DecompositionService service(options);
     for (const Entry& e : graphs) {
-      service.register_graph_view(e.id, e.graph);
+      service.register_graph(e.id, e.graph);
     }
     std::vector<std::size_t> order(requests.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -147,8 +147,8 @@ TEST(Service, SubmitBatchMatchesSerialSubmission) {
   DecompositionService serial_service(options);
   DecompositionService batch_service(options);
   for (DecompositionService* s : {&serial_service, &batch_service}) {
-    s->register_graph_view("a", a);
-    s->register_graph_view("b", b);
+    s->register_graph("a", a);
+    s->register_graph("b", b);
   }
 
   std::vector<ServiceRequest> requests;
@@ -172,7 +172,7 @@ TEST(Service, CacheHitsMissesAndEvictionsAreAccountedExactly) {
   ServiceOptions options;
   options.cache_capacity = 2;
   DecompositionService service(options);
-  service.register_graph_view("g", g);
+  service.register_graph("g", g);
 
   const ServiceRequest a = decomposition_request("g", n, 1);
   const ServiceRequest b = decomposition_request("g", n, 2);
@@ -208,8 +208,8 @@ TEST(Service, WarmContextIsCreatedOncePerGraphAndReused) {
   ServiceOptions options;
   options.cache_capacity = 0;  // every submission must reach the pool
   DecompositionService service(options);
-  service.register_graph_view("g", g);
-  service.register_graph_view("h", h);
+  service.register_graph("g", g);
+  service.register_graph("h", h);
 
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     service.submit(decomposition_request("g", n, seed));
@@ -225,7 +225,7 @@ TEST(Service, CachedResponsesAreMuchFasterThanColdOnes) {
   const VertexId n = 5000;
   const Graph g = make_gnp(n, 8.0 / (n - 1), 1);
   DecompositionService service;
-  service.register_graph_view("g", g);
+  service.register_graph("g", g);
   const ServiceRequest request = decomposition_request("g", n, 11);
   const ServiceResponse cold = service.submit(request);
   const ServiceResponse cached = service.submit(request);
@@ -240,7 +240,7 @@ TEST(Service, DeliverablesMatchTheirStandaloneConstructions) {
   const VertexId n = 500;
   const Graph g = make_gnp(n, 8.0 / (n - 1), 2);
   DecompositionService service;
-  service.register_graph_view("g", g);
+  service.register_graph("g", g);
 
   ServiceRequest request = decomposition_request("g", n, 5);
   request.deliverable = Deliverable::kMis;
@@ -254,7 +254,7 @@ TEST(Service, DeliverablesMatchTheirStandaloneConstructions) {
   // for bit: same power-graph carve (the headline k = ln n schedule),
   // same expansion.
   const Graph small = make_gnp(200, 0.04, 3);
-  service.register_graph_view("small", small);
+  service.register_graph("small", small);
   ServiceRequest cover_request;
   cover_request.graph_id = "small";
   cover_request.schedule = theorem1_schedule(200, 0, 4.0);
@@ -342,8 +342,8 @@ TEST(Service, SubmitBatchSurfacesBadRequestsAsExceptions) {
   const Graph a = make_gnp(n, 8.0 / (n - 1), 1);
   const Graph b = make_cycle(n);
   DecompositionService service;
-  service.register_graph_view("a", a);
-  service.register_graph_view("b", b);
+  service.register_graph("a", a);
+  service.register_graph("b", b);
 
   // Three distinct graph ids force the multi-group (worker-thread)
   // path; the unknown id must throw the same std::invalid_argument it
@@ -357,10 +357,10 @@ TEST(Service, SubmitBatchSurfacesBadRequestsAsExceptions) {
   EXPECT_THROW(service.submit_batch(requests), std::invalid_argument);
 }
 
-TEST(Service, CoverRequestsNormalizeTheBackendOutOfTheCacheKey) {
+TEST(Service, IdenticalCoverRequestsHitTheCache) {
   const Graph g = make_gnp(200, 0.04, 1);
   DecompositionService service;
-  service.register_graph_view("g", g);
+  service.register_graph("g", g);
 
   ServiceRequest cover;
   cover.graph_id = "g";
@@ -368,41 +368,21 @@ TEST(Service, CoverRequestsNormalizeTheBackendOutOfTheCacheKey) {
   cover.seed = 5;
   cover.deliverable = Deliverable::kCover;
   cover.cover_radius = 2;
-  cover.backend = ServiceBackend::kDistributed;
   const ServiceResponse cold = service.submit(cover);
   ASSERT_TRUE(cold.valid);
-  // Covers always carve centralized, so the backend does not determine
-  // the result and the same request under the other backend is a hit,
-  // not a second carve of an identical cover.
-  cover.backend = ServiceBackend::kCentralized;
+  // The repeat is served from the cache, not a second carve of G^5.
   const ServiceResponse hot = service.submit(cover);
   EXPECT_TRUE(hot.cache_hit);
   EXPECT_EQ(hot.result.get(), cold.result.get());
-
-  // And distributed-backend covers reject the centralized-only ablation
-  // knobs just like the non-cover distributed path.
-  cover.backend = ServiceBackend::kDistributed;
-  cover.margin = 0.5;
-  EXPECT_THROW(service.submit(cover), std::invalid_argument);
-  cover.backend = ServiceBackend::kCentralized;
-  EXPECT_NO_THROW(service.submit(cover));
 }
 
 TEST(Service, BadRequestsThrowInsteadOfDegrading) {
   const Graph g = make_gnp(200, 0.04, 1);
   DecompositionService service;
-  service.register_graph_view("g", g);
+  service.register_graph("g", g);
 
   EXPECT_THROW(service.submit(decomposition_request("nope", 200, 1)),
                std::invalid_argument);
-
-  // The distributed backend implements the paper's exact rules; the
-  // ablation knobs must be explicitly routed to the centralized backend.
-  ServiceRequest margin = decomposition_request("g", 200, 1);
-  margin.margin = 0.5;
-  EXPECT_THROW(service.submit(margin), std::invalid_argument);
-  margin.backend = ServiceBackend::kCentralized;
-  EXPECT_NO_THROW(service.submit(margin));
 
   ServiceRequest cover = decomposition_request("g", 200, 1);
   cover.deliverable = Deliverable::kCover;
@@ -412,28 +392,6 @@ TEST(Service, BadRequestsThrowInsteadOfDegrading) {
   EXPECT_EQ(deliverable_by_name("spanner"), Deliverable::kSpanner);
   EXPECT_STREQ(deliverable_name(Deliverable::kCover), "cover");
   EXPECT_THROW(deliverable_by_name("nope"), std::invalid_argument);
-}
-
-TEST(Service, CentralizedBackendMatchesDistributedPerSeed) {
-  const VertexId n = 800;
-  const Graph g = make_gnp(n, 8.0 / (n - 1), 1);
-  DecompositionService service;
-  service.register_graph_view("g", g);
-
-  ServiceRequest request = decomposition_request("g", n, 21);
-  const ServiceResponse distributed = service.submit(request);
-  request.backend = ServiceBackend::kCentralized;
-  const ServiceResponse centralized = service.submit(request);
-  // Distinct cache keys (backend is part of the key), same clustering:
-  // the PR 3 parity contract surfaces through the service unchanged.
-  EXPECT_FALSE(centralized.cache_hit);
-  const Clustering& cd = distributed.result->run.run.clustering();
-  const Clustering& cc = centralized.result->run.run.clustering();
-  for (VertexId v = 0; v < n; ++v) {
-    ASSERT_EQ(cd.cluster_of(v), cc.cluster_of(v)) << "v=" << v;
-  }
-  // Centralized responses carry no simulation metrics.
-  EXPECT_EQ(centralized.result->run.sim.messages, 0u);
 }
 
 }  // namespace

@@ -131,8 +131,8 @@ TEST(WarmEngine, WarmRunsMatchColdRunsAcrossThreadsAndSeeds) {
   }
 }
 
-// The theorem wrappers' context overloads are the same runs as their
-// Graph overloads.
+// Each theorem wrapper is the same run as its schedule on one shared
+// warm context, which carries all three theorems back to back.
 TEST(WarmEngine, TheoremWrappersMatchOnContext) {
   const VertexId n = 600;
   const Graph g = make_gnp(n, 6.0 / (n - 1), 9);
@@ -141,16 +141,20 @@ TEST(WarmEngine, TheoremWrappersMatchOnContext) {
   CarveContext context(g, options);
   ElkinNeimanOptions t1;
   t1.seed = 11;
-  expect_identical(elkin_neiman_distributed(context, t1),
+  expect_identical(run_schedule_distributed(
+                       context, theorem1_schedule(n, t1.k, t1.c), t1.seed),
                    elkin_neiman_distributed(g, t1, options), "theorem1");
   MultistageOptions t2;
   t2.seed = 12;
-  expect_identical(multistage_distributed(context, t2),
+  expect_identical(run_schedule_distributed(
+                       context, theorem2_schedule(n, t2.k, t2.c), t2.seed),
                    multistage_distributed(g, t2, options), "theorem2");
   HighRadiusOptions t3;
   t3.seed = 13;
-  expect_identical(high_radius_distributed(context, t3),
-                   high_radius_distributed(g, t3, options), "theorem3");
+  expect_identical(
+      run_schedule_distributed(context, theorem3_schedule(n, t3.lambda, t3.c),
+                               t3.seed),
+      high_radius_distributed(g, t3, options), "theorem3");
 }
 
 // A reused context through the Las Vegas recarve loop: the overflow

@@ -4,7 +4,10 @@
 // line on stdout, and keeps graphs registered and carve contexts warm
 // between requests — the process-boundary face of the service layer
 // (src/service/). A malformed or failing command answers {"ok":0,...}
-// and the daemon keeps serving; it never exits on bad input.
+// and the daemon keeps serving; it never exits on bad input. Numbers
+// are parsed strictly: a non-numeric value, trailing characters, or a
+// value outside the field's type is an error naming the key, never a
+// silent truncation.
 //
 //   graph <id> family <name> n <N> [seed <S>]
 //       generate a standard-family instance and register it
@@ -12,7 +15,7 @@
 //       load an edgelist/metis/dimacs file and register it
 //   carve <id> theorem <1|2|3> [k <K>] [lambda <L>] [c <C>] [seed <S>]
 //         [deliverable decomposition|mis|coloring|spanner|cover]
-//         [radius <W>] [backend distributed|centralized]
+//         [radius <W>]
 //       submit one request; repeated identical requests hit the cache
 //   stats
 //       the service's cache/context-pool/validation accounting
@@ -21,11 +24,16 @@
 //
 // Flags: --threads N (engine workers, default 1), --cache N (result
 // cache capacity, default 64), --help.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -92,6 +100,31 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
+/// Parses the value of `key` as a T. Unlike std::stoll / std::stod it
+/// rejects non-numeric text, trailing characters ("12abc") and values T
+/// cannot hold (a 64-bit parse narrowed into a 32-bit field).
+template <typename T>
+T parse_number(const std::string& key, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if constexpr (std::is_integral_v<T>) {
+    if (ec != std::errc{} || ptr != end) {
+      throw std::invalid_argument(
+          key + ": expected an integer in [" +
+          std::to_string(std::numeric_limits<T>::min()) + ", " +
+          std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+          text + "'");
+    }
+  } else {
+    if (ec != std::errc{} || ptr != end || !std::isfinite(value)) {
+      throw std::invalid_argument(key + ": expected a finite number, got '" +
+                                  text + "'");
+    }
+  }
+  return value;
+}
+
 /// The optional `key value` pairs after a command's fixed prefix.
 class KeyValues {
  public:
@@ -111,18 +144,12 @@ class KeyValues {
     return it->second;
   }
 
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) {
+  template <typename T>
+  T get_number(const std::string& key, T fallback) {
     auto it = pairs_.find(key);
     if (it == pairs_.end()) return fallback;
     consumed_.push_back(key);
-    return std::stoll(it->second);
-  }
-
-  double get_double(const std::string& key, double fallback) {
-    auto it = pairs_.find(key);
-    if (it == pairs_.end()) return fallback;
-    consumed_.push_back(key);
-    return std::stod(it->second);
+    return parse_number<T>(key, it->second);
   }
 
   /// Unknown keys are command errors, not silently ignored knobs.
@@ -178,8 +205,8 @@ class Server {
     } else if (tokens[2] == "family") {
       const std::string family = tokens[3];
       KeyValues kv(tokens, 4);
-      const auto n = static_cast<VertexId>(kv.get_int("n", 1000));
-      const auto seed = static_cast<std::uint64_t>(kv.get_int("seed", 1));
+      const auto n = kv.get_number<VertexId>("n", 1000);
+      const auto seed = kv.get_number<std::uint64_t>("seed", 1);
       kv.require_all_consumed();
       graph = family_by_name(family).make(n, seed);
     } else {
@@ -207,7 +234,7 @@ class Server {
     if (tokens.size() < 4 || tokens[2] != "theorem") {
       throw std::invalid_argument(
           "usage: carve <id> theorem <1|2|3> [k K] [lambda L] [c C] "
-          "[seed S] [deliverable D] [radius W] [backend B]");
+          "[seed S] [deliverable D] [radius W]");
     }
     const std::string& id = tokens[1];
     const auto it = graph_sizes_.find(id);
@@ -215,37 +242,30 @@ class Server {
       throw std::invalid_argument("unknown graph: " + id);
     }
     const VertexId n = it->second;
-    const int theorem = std::stoi(tokens[3]);
+    const int theorem = parse_number<int>("theorem", tokens[3]);
     KeyValues kv(tokens, 4);
 
     ServiceRequest request;
     request.graph_id = id;
     if (theorem == 1) {
-      request.schedule = theorem1_schedule(
-          n, static_cast<std::int32_t>(kv.get_int("k", 0)),
-          kv.get_double("c", 4.0));
+      request.schedule =
+          theorem1_schedule(n, kv.get_number<std::int32_t>("k", 0),
+                            kv.get_number<double>("c", 4.0));
     } else if (theorem == 2) {
-      request.schedule = theorem2_schedule(
-          n, static_cast<std::int32_t>(kv.get_int("k", 0)),
-          kv.get_double("c", 6.0));
+      request.schedule =
+          theorem2_schedule(n, kv.get_number<std::int32_t>("k", 0),
+                            kv.get_number<double>("c", 6.0));
     } else if (theorem == 3) {
-      request.schedule = theorem3_schedule(
-          n, static_cast<std::int32_t>(kv.get_int("lambda", 3)),
-          kv.get_double("c", 4.0));
+      request.schedule =
+          theorem3_schedule(n, kv.get_number<std::int32_t>("lambda", 3),
+                            kv.get_number<double>("c", 4.0));
     } else {
       throw std::invalid_argument("theorem must be 1, 2, or 3");
     }
-    request.seed = static_cast<std::uint64_t>(kv.get_int("seed", 1));
+    request.seed = kv.get_number<std::uint64_t>("seed", 1);
     request.deliverable =
         deliverable_by_name(kv.get("deliverable", "decomposition"));
-    request.cover_radius =
-        static_cast<std::int32_t>(kv.get_int("radius", 2));
-    const std::string backend = kv.get("backend", "distributed");
-    if (backend == "centralized") {
-      request.backend = ServiceBackend::kCentralized;
-    } else if (backend != "distributed") {
-      throw std::invalid_argument("unknown backend: " + backend);
-    }
+    request.cover_radius = kv.get_number<std::int32_t>("radius", 2);
     kv.require_all_consumed();
 
     const ServiceResponse response = service_->submit(request);
@@ -312,7 +332,7 @@ void print_usage(std::ostream& out) {
          "  graph <id> file <path>\n"
          "  carve <id> theorem <1|2|3> [k K] [lambda L] [c C] [seed S]\n"
          "        [deliverable decomposition|mis|coloring|spanner|cover]\n"
-         "        [radius W] [backend distributed|centralized]\n"
+         "        [radius W]\n"
          "  stats\n"
          "  quit\n";
 }
@@ -328,12 +348,16 @@ int main(int argc, char** argv) {
       print_usage(std::cout);
       return 0;
     }
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else {
-      std::cerr << "dsnd_serve: unknown argument '" << arg << "'\n";
+    try {
+      if (arg == "--threads" && i + 1 < argc) {
+        threads = parse_number<unsigned>(arg, argv[++i]);
+      } else if (arg == "--cache" && i + 1 < argc) {
+        cache = parse_number<std::size_t>(arg, argv[++i]);
+      } else {
+        throw std::invalid_argument("unknown argument '" + arg + "'");
+      }
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "dsnd_serve: " << e.what() << "\n";
       print_usage(std::cerr);
       return 2;
     }
