@@ -1,10 +1,17 @@
 // E10 — google-benchmark microbenches for the library's kernels: graph
 // generation, BFS, one carving phase, full decompositions (centralized
-// and distributed), the MPX partition, Luby's MIS, and validation.
+// and distributed), the MPX partition, Luby's MIS, validation, and the
+// service's deliverable kernels at the service's sizes (stretch
+// measurement and the spanner on a 5k G(n, p), the pipeline round cost
+// on a 20k RGG).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
+#include "apps/decomposition_solver.hpp"
 #include "apps/luby.hpp"
 #include "apps/mis.hpp"
+#include "apps/spanner.hpp"
 #include "decomposition/carving.hpp"
 #include "decomposition/elkin_neiman.hpp"
 #include "decomposition/elkin_neiman_distributed.hpp"
@@ -135,5 +142,45 @@ void BM_ValidateDecomposition(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateDecomposition)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
+
+/// A 5k G(n, p) with average degree 8 and its Theorem 1 carve (k = ln n,
+/// c = 4): the spanner requests of the decomposition service.
+struct SpannerInstance {
+  Graph g = make_gnp(5000, 8.0 / 4999.0, 42);
+  DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 0, 4.0), 7);
+};
+
+void BM_MeasureStretch(benchmark::State& state) {
+  const SpannerInstance instance;
+  const Graph spanner =
+      spanner_by_decomposition(instance.g, instance.run.clustering()).spanner;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(measure_stretch(instance.g, spanner));
+  }
+}
+BENCHMARK(BM_MeasureStretch)->Unit(benchmark::kMillisecond);
+
+void BM_SpannerByDecomposition(benchmark::State& state) {
+  const SpannerInstance instance;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        spanner_by_decomposition(instance.g, instance.run.clustering()));
+  }
+}
+BENCHMARK(BM_SpannerByDecomposition)->Unit(benchmark::kMillisecond);
+
+/// A 20k RGG with average degree 8 and its Theorem 1 carve: the MIS and
+/// coloring requests of the decomposition service.
+void BM_PipelineRoundCost(benchmark::State& state) {
+  const Graph g =
+      make_rgg(20000, std::sqrt(8.0 / (3.14159265358979 * 20000)), 42);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 0, 4.0), 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipeline_round_cost(g, run.clustering()));
+  }
+}
+BENCHMARK(BM_PipelineRoundCost)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -22,19 +22,16 @@ PipelineCost pipeline_round_cost(const Graph& g,
   DSND_REQUIRE(clustering.is_complete(),
                "pipeline requires a complete partition");
   const std::vector<std::int32_t> diameters =
-      cluster_strong_diameters(g, clustering);
+      color_class_strong_diameters(g, clustering);
+  const std::vector<std::vector<ClusterId>> classes =
+      clusters_by_color(clustering);
   PipelineCost cost;
-  for (const auto& cluster_ids : clusters_by_color(clustering)) {
-    if (cluster_ids.empty()) continue;
+  for (std::size_t color = 0; color < classes.size(); ++color) {
+    if (classes[color].empty()) continue;
     ++cost.color_classes;
-    std::int32_t class_diameter = 0;
-    for (const ClusterId c : cluster_ids) {
-      const std::int32_t diameter =
-          diameters[static_cast<std::size_t>(c)];
-      DSND_REQUIRE(diameter != kInfiniteDiameter,
-                   "pipeline requires connected (strong-diameter) clusters");
-      class_diameter = std::max(class_diameter, diameter);
-    }
+    const std::int32_t class_diameter = diameters[color];
+    DSND_REQUIRE(class_diameter != kInfiniteDiameter,
+                 "pipeline requires connected (strong-diameter) clusters");
     cost.max_cluster_diameter =
         std::max(cost.max_cluster_diameter, class_diameter);
     cost.rounds += 2 * static_cast<std::int64_t>(class_diameter) + 2;

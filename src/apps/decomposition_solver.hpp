@@ -34,7 +34,13 @@ struct PipelineCost {
 };
 
 /// Round accounting for the naive gather/solve/scatter execution over the
-/// given decomposition. Requires connected clusters (strong diameter).
+/// given decomposition. Requires connected clusters (strong diameter);
+/// throws std::invalid_argument on a disconnected one. Only the largest
+/// diameter of each class counts, so it comes from
+/// color_class_strong_diameters (decomposition/validation.hpp): two BFS
+/// sweeps bound every cluster, and the exact all-source sweep runs only
+/// where the upper bound could raise its class's maximum — O(n + m) plus
+/// those few sweeps.
 PipelineCost pipeline_round_cost(const Graph& g,
                                  const Clustering& clustering);
 

@@ -1,6 +1,7 @@
 #include "decomposition/validation.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "decomposition/supergraph.hpp"
 #include "graph/traversal.hpp"
@@ -227,6 +228,74 @@ std::vector<std::int32_t> cluster_strong_diameters(
             .diameter;
   }
   return diameters;
+}
+
+std::vector<std::int32_t> color_class_strong_diameters(
+    const Graph& g, const Clustering& clustering) {
+  DSND_REQUIRE(clustering.num_vertices() == g.num_vertices(),
+               "clustering does not match graph");
+  const ClusterMembers members = clustering.members_csr();
+  BfsArena arena(static_cast<std::size_t>(g.num_vertices()));
+  const auto num_clusters = static_cast<std::size_t>(clustering.num_clusters());
+  // Two sweeps per cluster bracket its diameter: the root's eccentricity
+  // e gives e <= diam <= 2e = upper, and the sweep from the farthest
+  // vertex found gives lower <= diam.
+  std::vector<std::int32_t> upper(num_clusters, 0);
+  std::vector<std::int32_t> best(
+      static_cast<std::size_t>(clustering.num_colors()), 0);
+  for (ClusterId c = 0; c < clustering.num_clusters(); ++c) {
+    const auto cluster = members.of(c);
+    if (cluster.empty()) continue;
+    const auto in_cluster = [&clustering, c](VertexId v) {
+      return clustering.cluster_of(v) == c;
+    };
+    const VertexId center = clustering.center_of(c);
+    const VertexId root =
+        clustering.cluster_of(center) == c ? center : cluster.front();
+    const SweepResult first = restricted_bfs(g, root, in_cluster, arena);
+    std::int32_t& class_best =
+        best[static_cast<std::size_t>(clustering.color_of(c))];
+    if (first.reached < static_cast<VertexId>(cluster.size())) {
+      class_best = kInfiniteDiameter;
+      continue;
+    }
+    upper[static_cast<std::size_t>(c)] = 2 * first.ecc;
+    fold_max(class_best,
+             restricted_bfs(g, first.farthest, in_cluster, arena).ecc);
+  }
+  // Only a cluster whose upper bound beats its class's best so far can
+  // raise the class maximum. Visit those in descending upper bound, run
+  // the exact all-source sweep, and skip the rest of the class once the
+  // bound no longer beats the best.
+  std::vector<ClusterId> candidates;
+  for (ClusterId c = 0; c < clustering.num_clusters(); ++c) {
+    const std::int32_t class_best =
+        best[static_cast<std::size_t>(clustering.color_of(c))];
+    if (class_best != kInfiniteDiameter &&
+        upper[static_cast<std::size_t>(c)] > class_best) {
+      candidates.push_back(c);
+    }
+  }
+  const auto order = [&](ClusterId c) {
+    return std::tuple(clustering.color_of(c),
+                      -upper[static_cast<std::size_t>(c)], c);
+  };
+  std::sort(candidates.begin(), candidates.end(),
+            [&](ClusterId a, ClusterId b) { return order(a) < order(b); });
+  for (const ClusterId c : candidates) {
+    std::int32_t& class_best =
+        best[static_cast<std::size_t>(clustering.color_of(c))];
+    if (upper[static_cast<std::size_t>(c)] <= class_best) continue;
+    const auto in_cluster = [&clustering, c](VertexId v) {
+      return clustering.cluster_of(v) == c;
+    };
+    class_best = std::max(
+        class_best, exact_strong_stats(g, members.of(c),
+                                       clustering.center_of(c), in_cluster,
+                                       arena)
+                        .diameter);
+  }
+  return best;
 }
 
 bool FastDecompositionReport::is_strong_decomposition(

@@ -90,6 +90,20 @@ DecompositionReport validate_decomposition(const Graph& g,
 std::vector<std::int32_t> cluster_strong_diameters(
     const Graph& g, const Clustering& clustering);
 
+/// Exact max strong diameter per color class, indexed by color: 0 for a
+/// color with no clusters, kInfiniteDiameter for a class with a
+/// disconnected cluster. Equals the per-class maximum of
+/// cluster_strong_diameters without running all-source BFS everywhere:
+/// two restricted sweeps per cluster — from the center (the first member
+/// when the center lies outside the cluster), then from the farthest
+/// vertex found — bracket its diameter as L <= diam <= U = 2 * ecc.
+/// A class starts from its largest L, and only its clusters with U above
+/// the running maximum get the all-source sweep, in descending U, until
+/// the next U no longer beats the maximum. Cost: O(n + m) plus the
+/// all-source sweeps of those few clusters.
+std::vector<std::int32_t> color_class_strong_diameters(
+    const Graph& g, const Clustering& clustering);
+
 /// The O(n + m) report. Exact fields: completeness, coloring, counts,
 /// connectivity, center radius, sizes. The strong diameter is bracketed:
 ///   strong_diameter_lower <= max_C diam(G(C)) <= strong_diameter_upper.

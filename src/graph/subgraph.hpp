@@ -1,12 +1,12 @@
 // Induced subgraphs with an explicit index mapping back to the parent
-// graph. Used by the validators (strong diameter is defined on induced
-// subgraphs) and by the local solvers in apps/.
+// graph. Used by the cover validator and the HST construction; the
+// batch validators and the spanner trees run restricted BFS on the
+// parent graph instead, and the tests check them against copies made
+// here.
 //
 // The sub-vertices are renumbered to a compact 0..k-1 range so the
 // resulting Graph works with every algorithm in the library unchanged;
-// to_parent restores original ids when results are written back (the
-// decomposition_solver pipeline extracts each cluster, solves locally on
-// the compact graph, then maps the solution through to_parent).
+// to_parent restores original ids when results are written back.
 #pragma once
 
 #include <span>

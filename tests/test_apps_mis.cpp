@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "apps/checkers.hpp"
 #include "decomposition/elkin_neiman.hpp"
+#include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
 
 namespace dsnd {
@@ -88,6 +92,94 @@ TEST(MisByDecomposition, SizeComparableToGreedy) {
   }
   EXPECT_GT(dec_size * 3, greedy_size);
   EXPECT_GT(greedy_size * 3, dec_size);
+}
+
+/// Oracle: the per-class maximum of cluster_strong_diameters, which runs
+/// the all-source sweep in every cluster.
+std::vector<std::int32_t> reference_class_diameters(
+    const Graph& g, const Clustering& clustering) {
+  const std::vector<std::int32_t> diameters =
+      cluster_strong_diameters(g, clustering);
+  std::vector<std::int32_t> best(
+      static_cast<std::size_t>(clustering.num_colors()), 0);
+  for (ClusterId c = 0; c < clustering.num_clusters(); ++c) {
+    std::int32_t& b = best[static_cast<std::size_t>(clustering.color_of(c))];
+    const std::int32_t d = diameters[static_cast<std::size_t>(c)];
+    b = b == kInfiniteDiameter || d == kInfiniteDiameter ? kInfiniteDiameter
+                                                         : std::max(b, d);
+  }
+  return best;
+}
+
+TEST(PipelineOracle, ClassDiametersAndRoundCostMatchAllSourceSweep) {
+  for (const char* family : {"grid", "gnp-sparse", "cycle", "small-world",
+                             "rgg", "hyperbolic", "ba", "kronecker"}) {
+    for (const VertexId n : {200, 3000}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const Graph g = family_by_name(family).make(n, seed);
+        for (const std::int32_t k : {0, 3}) {
+          SCOPED_TRACE(std::string(family) + " n=" + std::to_string(n) +
+                       " seed=" + std::to_string(seed) +
+                       " k=" + std::to_string(k));
+          ElkinNeimanOptions options;
+          options.k = k;
+          options.seed = seed;
+          const DecompositionRun run = elkin_neiman_decomposition(g, options);
+          const Clustering& clustering = run.clustering();
+          const std::vector<std::int32_t> expected =
+              reference_class_diameters(g, clustering);
+          EXPECT_EQ(color_class_strong_diameters(g, clustering), expected);
+
+          const PipelineCost cost = pipeline_round_cost(g, clustering);
+          std::int64_t rounds = 0;
+          std::int32_t classes = 0;
+          std::int32_t max_diameter = 0;
+          for (const auto& cluster_ids : clusters_by_color(clustering)) {
+            if (cluster_ids.empty()) continue;
+            const std::int32_t d = expected[static_cast<std::size_t>(
+                clustering.color_of(cluster_ids.front()))];
+            ++classes;
+            rounds += 2 * static_cast<std::int64_t>(d) + 2;
+            max_diameter = std::max(max_diameter, d);
+          }
+          EXPECT_EQ(cost.rounds, rounds);
+          EXPECT_EQ(cost.color_classes, classes);
+          EXPECT_EQ(cost.max_cluster_diameter, max_diameter);
+        }
+      }
+    }
+  }
+}
+
+TEST(PipelineRoundCost, DisconnectedClusterThrows) {
+  // Path 0-1-2 with cluster {0, 2} (disconnected in G) and cluster {1}.
+  const Graph g = make_path(3);
+  Clustering clustering(3);
+  const ClusterId split = clustering.add_cluster(0, 0);
+  const ClusterId middle = clustering.add_cluster(1, 1);
+  clustering.assign(0, split);
+  clustering.assign(2, split);
+  clustering.assign(1, middle);
+  EXPECT_EQ(color_class_strong_diameters(g, clustering),
+            (std::vector<std::int32_t>{kInfiniteDiameter, 0}));
+  EXPECT_THROW(pipeline_round_cost(g, clustering), std::invalid_argument);
+  EXPECT_THROW(mis_by_decomposition(g, clustering), std::invalid_argument);
+}
+
+TEST(ColorClassStrongDiameters, EmptyColorIsZeroAndCenterlessUsesFirstMember) {
+  // Cycle of 6 as one cluster of color 2 whose center is a vertex of the
+  // other cluster (a path 6-7): colors 0 and 1 stay empty.
+  const std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 3}, {3, 4},
+                                   {4, 5}, {0, 5}, {6, 7}};
+  const Graph g = Graph::from_edges(8, edges);
+  Clustering clustering(8);
+  const ClusterId ring = clustering.add_cluster(6, 2);
+  const ClusterId pair = clustering.add_cluster(7, 3);
+  for (VertexId v = 0; v < 6; ++v) clustering.assign(v, ring);
+  clustering.assign(6, pair);
+  clustering.assign(7, pair);
+  EXPECT_EQ(color_class_strong_diameters(g, clustering),
+            (std::vector<std::int32_t>{0, 0, 3, 1}));
 }
 
 }  // namespace

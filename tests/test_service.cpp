@@ -14,7 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "apps/coloring.hpp"
 #include "apps/mis.hpp"
+#include "apps/spanner.hpp"
 #include "decomposition/covers.hpp"
 #include "decomposition/elkin_neiman.hpp"
 #include "decomposition/elkin_neiman_distributed.hpp"
@@ -243,12 +245,35 @@ TEST(Service, DeliverablesMatchTheirStandaloneConstructions) {
   service.register_graph("g", g);
 
   ServiceRequest request = decomposition_request("g", n, 5);
+  const DistributedRun standalone_run =
+      run_schedule_distributed(g, request.schedule, 5);
+  const Clustering& clustering = standalone_run.run.clustering();
+
   request.deliverable = Deliverable::kMis;
   const ServiceResponse mis = service.submit(request);
   ASSERT_TRUE(mis.result->mis.has_value());
-  const MisResult standalone = mis_by_decomposition(
-      g, run_schedule_distributed(g, request.schedule, 5).run.clustering());
+  const MisResult standalone = mis_by_decomposition(g, clustering);
   EXPECT_EQ(mis.result->mis->in_mis, standalone.in_mis);
+  EXPECT_EQ(mis.result->mis->cost.rounds, standalone.cost.rounds);
+
+  request.deliverable = Deliverable::kColoring;
+  const ServiceResponse coloring = service.submit(request);
+  ASSERT_TRUE(coloring.result->coloring.has_value());
+  const ColoringResult standalone_coloring =
+      coloring_by_decomposition(g, clustering);
+  EXPECT_EQ(coloring.result->coloring->colors, standalone_coloring.colors);
+  EXPECT_EQ(coloring.result->coloring->cost.rounds,
+            standalone_coloring.cost.rounds);
+
+  request.deliverable = Deliverable::kSpanner;
+  const ServiceResponse spanner = service.submit(request);
+  ASSERT_TRUE(spanner.result->spanner.has_value());
+  const SpannerResult standalone_spanner =
+      spanner_by_decomposition(g, clustering);
+  EXPECT_EQ(spanner.result->spanner->spanner, standalone_spanner.spanner);
+  EXPECT_EQ(spanner.result->spanner->stretch, standalone_spanner.stretch);
+  EXPECT_EQ(spanner.result->spanner->stretch,
+            measure_stretch(g, spanner.result->spanner->spanner));
 
   // The cover deliverable must reproduce build_neighborhood_cover bit
   // for bit: same power-graph carve (the headline k = ln n schedule),
