@@ -1,4 +1,5 @@
-// E9 — ablations of the design choices DESIGN.md calls out.
+// E9 — ablations of the paper's design choices, run through the two
+// ablation arguments of carve_decomposition() (carve_schedule.hpp).
 //
 // (a) Join margin. The paper's rule joins on m1 - m2 > 1. Weakening the
 //     margin (0.5, 0) speeds up carving (fewer colors) but progressively
@@ -10,6 +11,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "decomposition/carve_schedule.hpp"
 #include "decomposition/elkin_neiman.hpp"
 #include "support/stats.hpp"
 
@@ -32,19 +34,18 @@ void margin_ablation(int seeds) {
     for (int s = 0; s < seeds; ++s) {
       const Graph g = make_gnp(512, 6.0 / 511.0,
                                static_cast<std::uint64_t>(s) + 1);
-      ElkinNeimanOptions options;
-      options.k = k;
-      options.margin = margin;
+      CarveSchedule schedule = theorem1_schedule(g.num_vertices(), k);
       // kTruncate: condition on the no-overflow event as the paper's
       // analysis does, instead of letting the recarve loop resample.
-      options.overflow_policy = OverflowPolicy::kTruncate;
-      options.seed = static_cast<std::uint64_t>(s) * 179424673 + 3;
-      const DecompositionRun run = elkin_neiman_decomposition(g, options);
-      if (run.carve.radius_overflow) continue;  // isolate the margin effect
+      schedule.overflow_policy = OverflowPolicy::kTruncate;
+      const CarveResult carve = carve_decomposition(
+          g, schedule, static_cast<std::uint64_t>(s) * 179424673 + 3,
+          margin);
+      if (carve.radius_overflow) continue;  // isolate the margin effect
       ++runs;
-      colors.add(run.carve.phases_used);
+      colors.add(carve.phases_used);
       const DecompositionReport report = validate_decomposition(
-          g, run.clustering(), /*compute_weak=*/false);
+          g, carve.clustering, /*compute_weak=*/false);
       if (report.proper_phase_coloring) ++proper;
       if (report.all_clusters_connected) ++connected;
       if (report.max_strong_diameter != kInfiniteDiameter &&
@@ -88,19 +89,12 @@ void forwarding_ablation(int seeds) {
   for (int s = 0; s < seeds; ++s) {
     const Graph g = make_gnp(256, 6.0 / 255.0,
                              static_cast<std::uint64_t>(s) + 1);
-    CarveParams params;
-    const double beta = elkin_neiman_beta(256, k, 4.0);
-    params.betas.assign(
-        static_cast<std::size_t>(
-            elkin_neiman_target_phases(256, k, 4.0)),
-        beta);
-    params.phase_rounds = k;
-    params.radius_overflow_at = k + 1.0;
-    params.overflow_policy = OverflowPolicy::kTruncate;  // condition, not retry
-    params.seed = static_cast<std::uint64_t>(s) * 49979687 + 5;
-    const CarveResult top2 = carve_decomposition(g, params);
-    params.forward_policy = ForwardPolicy::kTop1;
-    const CarveResult top1 = carve_decomposition(g, params);
+    CarveSchedule schedule = theorem1_schedule(g.num_vertices(), k);
+    schedule.overflow_policy = OverflowPolicy::kTruncate;  // condition
+    const std::uint64_t seed = static_cast<std::uint64_t>(s) * 49979687 + 5;
+    const CarveResult top2 = carve_decomposition(g, schedule, seed);
+    const CarveResult top1 = carve_decomposition(g, schedule, seed, 1.0,
+                                                 ForwardPolicy::kTop1);
     if (top2.radius_overflow || top1.radius_overflow) continue;
     ++runs;
     top2_colors.add(top2.phases_used);
@@ -158,14 +152,12 @@ void c_sensitivity(int seeds) {
     for (int s = 0; s < seeds; ++s) {
       const Graph g = make_gnp(256, 6.0 / 255.0,
                                static_cast<std::uint64_t>(s) + 1);
-      ElkinNeimanOptions options;
-      options.k = 4;
-      options.c = c;
+      CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 4, c);
       // The sweep measures the raw Lemma 1 event rate against its 2/c
       // bound, so disable the recovery that would otherwise hide it.
-      options.overflow_policy = OverflowPolicy::kTruncate;
-      options.seed = static_cast<std::uint64_t>(s) * 32452843 + 9;
-      const DecompositionRun run = elkin_neiman_decomposition(g, options);
+      schedule.overflow_policy = OverflowPolicy::kTruncate;
+      const DecompositionRun run = run_schedule(
+          g, schedule, static_cast<std::uint64_t>(s) * 32452843 + 9);
       if (run.carve.radius_overflow) ++overflow;
       if (!run.carve.exhausted_within_target) ++miss;
     }

@@ -40,9 +40,10 @@ int main() {
       for (int s = 0; s < seeds; ++s) {
         const Graph g = family_by_name(family).make(
             n, static_cast<std::uint64_t>(s) + 1);
-        ElkinNeimanOptions options;  // headline k = ln n regime
-        options.seed = static_cast<std::uint64_t>(s) * 433494437 + 29;
-        const DecompositionRun run = elkin_neiman_decomposition(g, options);
+        // The headline k = ln n regime.
+        const DecompositionRun run =
+            run_schedule(g, theorem1_schedule(g.num_vertices()),
+                         static_cast<std::uint64_t>(s) * 433494437 + 29);
         decomp_rounds.add(static_cast<double>(run.carve.rounds));
         stats.observe(run.carve);
 

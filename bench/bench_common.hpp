@@ -1,7 +1,8 @@
 // Shared plumbing for the experiment harnesses (bench_theorem1 ... ).
-// Each binary prints the tables promised by the experiment index in
-// DESIGN.md. Setting DSND_BENCH_SCALE=N (integer, default 1) multiplies
-// problem sizes/seed counts for longer, higher-confidence runs.
+// Each binary prints the tables of its experiment in the "Experiment
+// index" of docs/ARCHITECTURE.md. Setting DSND_BENCH_SCALE=N (integer,
+// default 1) multiplies problem sizes/seed counts for longer,
+// higher-confidence runs.
 //
 // Machine-readable output: every bench that constructs a JsonWriter
 // accepts `--json <path>` and then also writes its results as a JSON
@@ -22,7 +23,10 @@
 #include <utility>
 #include <vector>
 
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/carving_protocol.hpp"
+#include "decomposition/elkin_neiman.hpp"
+#include "decomposition/high_radius.hpp"
+#include "decomposition/multistage.hpp"
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
 #include "graph/relabel.hpp"

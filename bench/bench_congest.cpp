@@ -7,9 +7,11 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "decomposition/carving_protocol.hpp"
 #include "decomposition/elkin_neiman.hpp"
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/high_radius.hpp"
 #include "decomposition/linial_saks_distributed.hpp"
+#include "decomposition/multistage.hpp"
 #include "support/stats.hpp"
 
 namespace {
@@ -35,17 +37,16 @@ void protocol_comparison(int seeds) {
   for (int s = 0; s < seeds; ++s) {
     const Graph g = make_gnp(n, 8.0 / (n - 1),
                              static_cast<std::uint64_t>(s) + 1);
-    ElkinNeimanOptions en;
-    en.k = k;
-    en.seed = static_cast<std::uint64_t>(s) * 961748941 + 3;
-    const DistributedRun en_run = elkin_neiman_distributed(g, en);
+    const std::uint64_t seed = static_cast<std::uint64_t>(s) * 961748941 + 3;
+    const DistributedRun en_run =
+        run_schedule_distributed(g, theorem1_schedule(n, k), seed);
     en_rounds.add(static_cast<double>(en_run.sim.rounds));
     en_words.add(static_cast<double>(en_run.sim.words));
     en_width = std::max(en_width, en_run.sim.max_message_words);
 
     LinialSaksOptions ls;
     ls.k = k;
-    ls.seed = en.seed;
+    ls.seed = seed;
     const DistributedLsRun ls_run = linial_saks_distributed(g, ls);
     ls_rounds.add(static_cast<double>(ls_run.sim.rounds));
     ls_words.add(static_cast<double>(ls_run.sim.words));
@@ -77,11 +78,9 @@ void protocol_comparison(int seeds) {
              "identical"});
   {
     const Graph g = make_gnp(192, 6.0 / 191.0, 5);
-    MultistageOptions t2;
-    t2.k = 4;
-    t2.seed = 77;
-    const DistributedRun dist = multistage_distributed(g, t2);
-    const DecompositionRun central = multistage_decomposition(g, t2);
+    const CarveSchedule t2 = theorem2_schedule(g.num_vertices(), 4);
+    const DistributedRun dist = run_schedule_distributed(g, t2, 77);
+    const DecompositionRun central = run_schedule(g, t2, 77);
     bool identical = true;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       if (dist.run.clustering().cluster_of(v) !=
@@ -99,11 +98,9 @@ void protocol_comparison(int seeds) {
   }
   {
     const Graph g = make_gnp(192, 6.0 / 191.0, 5);
-    HighRadiusOptions t3;
-    t3.lambda = 3;
-    t3.seed = 77;
-    const DistributedRun dist = high_radius_distributed(g, t3);
-    const DecompositionRun central = high_radius_decomposition(g, t3);
+    const CarveSchedule t3 = theorem3_schedule(g.num_vertices(), 3);
+    const DistributedRun dist = run_schedule_distributed(g, t3, 77);
+    const DecompositionRun central = run_schedule(g, t3, 77);
     bool identical = true;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       if (dist.run.clustering().cluster_of(v) !=
@@ -169,12 +166,11 @@ int main(int argc, char** argv) {
       for (int s = 0; s < seeds; ++s) {
         const Graph g = family_by_name(family).make(
             n, static_cast<std::uint64_t>(s) + 1);
-        ElkinNeimanOptions options;
-        options.k = k;
-        options.seed = static_cast<std::uint64_t>(s) * 1299709 + 41;
-        const DistributedRun dist = elkin_neiman_distributed(g, options);
-        const DecompositionRun central =
-            elkin_neiman_decomposition(g, options);
+        const CarveSchedule schedule = theorem1_schedule(g.num_vertices(), k);
+        const std::uint64_t seed =
+            static_cast<std::uint64_t>(s) * 1299709 + 41;
+        const DistributedRun dist = run_schedule_distributed(g, schedule, seed);
+        const DecompositionRun central = run_schedule(g, schedule, seed);
         for (VertexId v = 0; v < g.num_vertices(); ++v) {
           if (dist.run.clustering().cluster_of(v) !=
               central.clustering().cluster_of(v)) {
@@ -205,7 +201,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\nmax_msg_words must never exceed "
-            << kMaxProtocolMessageWords
+            << kCarveProtocolMaxWords
             << "; with change-based forwarding, msgs/round/edge stays far "
                "below the 4 (two directions x top-2) worst case.\n";
 

@@ -762,9 +762,10 @@ int main(int argc, char** argv) {
       for (int s = 0; s < seeds; ++s) {
         const Graph g = family_by_name(family).make(
             n, static_cast<std::uint64_t>(s) + 1);
-        ElkinNeimanOptions options;  // k = 0 -> ceil(ln n)
-        options.seed = static_cast<std::uint64_t>(s) * 6700417 + 11;
-        const DecompositionRun run = elkin_neiman_decomposition(g, options);
+        // k = 0 -> ceil(ln n)
+        const DecompositionRun run =
+            run_schedule(g, theorem1_schedule(g.num_vertices()),
+                         static_cast<std::uint64_t>(s) * 6700417 + 11);
         colors.add(run.carve.phases_used);
         rounds.add(static_cast<double>(run.carve.rounds));
         stats.observe(run.carve);

@@ -14,7 +14,7 @@
 #include "apps/spanner.hpp"
 #include "decomposition/carving.hpp"
 #include "decomposition/elkin_neiman.hpp"
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/carving_protocol.hpp"
 #include "decomposition/linial_saks.hpp"
 #include "decomposition/mpx.hpp"
 #include "decomposition/validation.hpp"
@@ -69,10 +69,9 @@ BENCHMARK(BM_CarvePhase)->Arg(1024)->Arg(8192);
 
 void BM_ElkinNeiman(benchmark::State& state) {
   const Graph g = bench_graph(state.range(0));
-  ElkinNeimanOptions options;
-  options.seed = 7;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(elkin_neiman_decomposition(g, options));
+    benchmark::DoNotOptimize(
+        run_schedule(g, theorem1_schedule(g.num_vertices()), 7));
   }
 }
 BENCHMARK(BM_ElkinNeiman)->Arg(1024)->Arg(4096)
@@ -80,11 +79,9 @@ BENCHMARK(BM_ElkinNeiman)->Arg(1024)->Arg(4096)
 
 void BM_ElkinNeimanDistributed(benchmark::State& state) {
   const Graph g = bench_graph(state.range(0));
-  ElkinNeimanOptions options;
-  options.k = 4;
-  options.seed = 7;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(elkin_neiman_distributed(g, options));
+    benchmark::DoNotOptimize(run_schedule_distributed(
+        g, theorem1_schedule(g.num_vertices(), 4), 7));
   }
 }
 BENCHMARK(BM_ElkinNeimanDistributed)->Arg(256)->Arg(1024)
@@ -120,9 +117,8 @@ BENCHMARK(BM_LubyMis)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_MisByDecomposition(benchmark::State& state) {
   const Graph g = bench_graph(state.range(0));
-  ElkinNeimanOptions options;
-  options.seed = 7;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices()), 7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(mis_by_decomposition(g, run.clustering()));
   }
@@ -132,9 +128,8 @@ BENCHMARK(BM_MisByDecomposition)->Arg(1024)->Arg(4096)
 
 void BM_ValidateDecomposition(benchmark::State& state) {
   const Graph g = bench_graph(state.range(0));
-  ElkinNeimanOptions options;
-  options.seed = 7;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices()), 7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(validate_decomposition(
         g, run.clustering(), /*compute_weak=*/false));

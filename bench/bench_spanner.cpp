@@ -39,10 +39,9 @@ int main() {
       const Graph g =
           make_gnp(cell.n, cell.p, static_cast<std::uint64_t>(s) + 1);
       graph_edges.add(static_cast<double>(g.num_edges()));
-      ElkinNeimanOptions options;
-      options.k = k;
-      options.seed = static_cast<std::uint64_t>(s) * 7368787 + 19;
-      const DecompositionRun run = elkin_neiman_decomposition(g, options);
+      const std::uint64_t seed = static_cast<std::uint64_t>(s) * 7368787 + 19;
+      const DecompositionRun run =
+          run_schedule(g, theorem1_schedule(g.num_vertices(), k), seed);
       stats.observe(run.carve);
       if (!bench::accepted_truncated_samples(run.carve)) {
         const SpannerResult spanner =
@@ -58,7 +57,7 @@ int main() {
       CoverOptions cover_options;
       cover_options.radius = 1;
       cover_options.k = k;
-      cover_options.seed = options.seed;
+      cover_options.seed = seed;
       const NeighborhoodCover cover =
           build_neighborhood_cover(g, cover_options);
       stats.observe(cover.base.carve);

@@ -34,11 +34,9 @@ void run_cell(Table& table, const std::string& family, VertexId n,
   for (int s = 0; s < seeds; ++s) {
     const Graph g = family_by_name(family).make(
         n, static_cast<std::uint64_t>(s) + 1);
-    ElkinNeimanOptions options;
-    options.k = k;
-    options.c = c;
-    options.seed = static_cast<std::uint64_t>(s) * 7919 + 17;
-    const DecompositionRun run = elkin_neiman_decomposition(g, options);
+    const DecompositionRun run =
+        run_schedule(g, theorem1_schedule(g.num_vertices(), k, c),
+                     static_cast<std::uint64_t>(s) * 7919 + 17);
     colors.add(run.carve.phases_used);
     rounds.add(static_cast<double>(run.carve.rounds));
     if (run.carve.exhausted_within_target) ++successes;

@@ -45,18 +45,12 @@ int main() {
           const std::uint64_t seed =
               static_cast<std::uint64_t>(s) * 104729 + 3;
 
-          ElkinNeimanOptions t1;
-          t1.k = k;
-          t1.c = c;
-          t1.seed = seed;
           t1_colors.add(
-              elkin_neiman_decomposition(g, t1).carve.phases_used);
+              run_schedule(g, theorem1_schedule(g.num_vertices(), k, c), seed)
+                  .carve.phases_used);
 
-          MultistageOptions t2;
-          t2.k = k;
-          t2.c = c;
-          t2.seed = seed;
-          const DecompositionRun run = multistage_decomposition(g, t2);
+          const DecompositionRun run = run_schedule(
+              g, theorem2_schedule(g.num_vertices(), k, c), seed);
           bounds = run.bounds;
           t2_colors.add(run.carve.phases_used);
           t2_rounds.add(static_cast<double>(run.carve.rounds));

@@ -34,11 +34,9 @@ int main() {
         for (int s = 0; s < seeds; ++s) {
           const Graph g = family_by_name(family).make(
               n, static_cast<std::uint64_t>(s) + 1);
-          HighRadiusOptions options;
-          options.lambda = lambda;
-          options.c = c;
-          options.seed = static_cast<std::uint64_t>(s) * 15485863 + 7;
-          const DecompositionRun run = high_radius_decomposition(g, options);
+          const DecompositionRun run =
+              run_schedule(g, theorem3_schedule(g.num_vertices(), lambda, c),
+                           static_cast<std::uint64_t>(s) * 15485863 + 7);
           bounds = run.bounds;
           colors.add(run.carve.phases_used);
           colors_max = std::max(colors_max,

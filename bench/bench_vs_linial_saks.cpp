@@ -75,11 +75,8 @@ int main() {
           const std::uint64_t seed =
               static_cast<std::uint64_t>(s) * 39916801 + 5;
 
-          ElkinNeimanOptions en_options;
-          en_options.k = k;
-          en_options.seed = seed;
           const DecompositionRun en_run =
-              elkin_neiman_decomposition(g, en_options);
+              run_schedule(g, theorem1_schedule(g.num_vertices(), k), seed);
           stats.observe(en_run.carve);
           if (!bench::accepted_truncated_samples(en_run.carve)) {
             en.fold(validate_decomposition(g, en_run.clustering()),

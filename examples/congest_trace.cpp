@@ -16,7 +16,6 @@
 #include "decomposition/carve_schedule.hpp"
 #include "decomposition/carving_protocol.hpp"
 #include "decomposition/elkin_neiman.hpp"
-#include "decomposition/elkin_neiman_distributed.hpp"
 #include "decomposition/high_radius.hpp"
 #include "decomposition/multistage.hpp"
 #include "graph/generators.hpp"
@@ -62,7 +61,7 @@ int main(int argc, char** argv) {
   std::cout << "protocol finished: " << dist.sim.rounds << " rounds, "
             << dist.sim.messages << " messages, " << dist.sim.words
             << " words, max message width " << dist.sim.max_message_words
-            << " words (CONGEST bound: " << kMaxProtocolMessageWords
+            << " words (CONGEST bound: " << kCarveProtocolMaxWords
             << ")\n\n";
 
   // Per-round traffic, annotated with the phase structure: each phase is

@@ -165,11 +165,8 @@ int main(int argc, char** argv) {
   std::cout << "graph: " << describe(g) << "\n";
 
   if (args.algo == "en") {
-    ElkinNeimanOptions options;
-    options.k = args.k;
-    options.c = args.c;
-    options.seed = args.seed;
-    const DecompositionRun run = elkin_neiman_decomposition(g, options);
+    const DecompositionRun run = run_schedule(
+        g, theorem1_schedule(g.num_vertices(), args.k, args.c), args.seed);
     std::cout << "Elkin–Neiman Theorem 1: k=" << run.k << " phases="
               << run.carve.phases_used << " rounds=" << run.carve.rounds
               << (run.carve.retries > 0
@@ -180,20 +177,17 @@ int main(int argc, char** argv) {
               << "\n";
     report_clustering(g, run.clustering(), args);
   } else if (args.algo == "ms") {
-    MultistageOptions options;
-    options.k = args.k;
-    options.c = std::max(args.c, 6.0);
-    options.seed = args.seed;
-    const DecompositionRun run = multistage_decomposition(g, options);
+    const DecompositionRun run = run_schedule(
+        g,
+        theorem2_schedule(g.num_vertices(), args.k, std::max(args.c, 6.0)),
+        args.seed);
     std::cout << "Elkin–Neiman Theorem 2 (multistage): k=" << run.k
               << " phases=" << run.carve.phases_used << "\n";
     report_clustering(g, run.clustering(), args);
   } else if (args.algo == "hr") {
-    HighRadiusOptions options;
-    options.lambda = args.lambda;
-    options.c = args.c;
-    options.seed = args.seed;
-    const DecompositionRun run = high_radius_decomposition(g, options);
+    const DecompositionRun run = run_schedule(
+        g, theorem3_schedule(g.num_vertices(), args.lambda, args.c),
+        args.seed);
     std::cout << "Elkin–Neiman Theorem 3 (high radius): lambda="
               << args.lambda << " phases=" << run.carve.phases_used << "\n";
     report_clustering(g, run.clustering(), args);

@@ -43,10 +43,8 @@ int main(int argc, char** argv) {
             << "\n";
 
   // --- 2. Spanners ---------------------------------------------------------
-  ElkinNeimanOptions en;
-  en.k = k;
-  en.seed = seed;
-  const DecompositionRun run = elkin_neiman_decomposition(g, en);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), k), seed);
   const SpannerResult dec_spanner =
       spanner_by_decomposition(g, run.clustering());
   CoverOptions w1 = cover_options;

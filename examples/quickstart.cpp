@@ -27,10 +27,8 @@ int main(int argc, char** argv) {
   std::cout << "graph: " << describe(g) << "\n";
 
   // 2. Decompose. k = 0 picks ceil(ln n) — the headline regime.
-  ElkinNeimanOptions options;
-  options.k = k;
-  options.seed = seed;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), k), seed);
 
   // 3. Validate against the paper's bounds (brute-force checkers).
   const DecompositionReport report =

@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
   std::cout << "network: " << side << "x" << side << " torus, "
             << describe(g) << "\n\n";
 
-  ElkinNeimanOptions options;  // k = ceil(ln n)
-  options.seed = seed;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  // Theorem 1 at its default k = ceil(ln n).
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices()), seed);
   std::cout << "decomposition: " << run.clustering().num_clusters()
             << " clusters, " << run.clustering().num_colors()
             << " colors, computed in " << run.carve.rounds

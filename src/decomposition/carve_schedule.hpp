@@ -18,10 +18,11 @@
 //                                                (carving_protocol.hpp)
 //
 // and produce bit-identical clusterings on the same seed, so the bounds
-// and parameters are derived exactly once per theorem — the theorem
-// factories theorem{1,2,3}_schedule() declared next to their centralized
-// drivers (elkin_neiman.hpp, multistage.hpp, high_radius.hpp) are the
-// single source of truth the wrappers, benches, and tests all share.
+// and parameters are derived exactly once per theorem. The theorem
+// factories theorem{1,2,3}_schedule() (elkin_neiman.hpp, multistage.hpp,
+// high_radius.hpp) plus a seed are the one way to ask for a carve; the
+// E9 ablations (join margin, top-1 forwarding) are the only run-time
+// knobs, and only carve_decomposition() accepts them.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +59,10 @@ struct TheoremBounds {
 /// the theorems promise about running them. Seed-independent, so one
 /// schedule can drive many runs (and both backends).
 struct CarveSchedule {
-  /// Human-readable tag ("theorem1(k=4, c=4)") for traces and benches.
+  /// Human-readable tag ("theorem1(k=4)") for traces and benches.
   std::string name;
-  /// beta for phase t; phases beyond the schedule (run_to_completion
-  /// overtime) reuse betas.back().
+  /// beta for phase t; overtime phases past the schedule (a run always
+  /// carves to completion) reuse betas.back().
   std::vector<double> betas;
   /// Broadcast rounds per phase: ceil(k). Together with the membership
   /// announcement each phase occupies phase_rounds + 1 simulated rounds.
@@ -101,33 +102,22 @@ struct CarveSchedule {
     return static_cast<std::int32_t>(betas.size());
   }
 
-  /// Lowers the schedule to the carving core's parameter struct. margin
-  /// and run_to_completion are run-time knobs (the E9 ablation and the
-  /// success-event experiments), not part of the schedule itself.
-  CarveParams params(std::uint64_t seed, bool run_to_completion = true,
-                     double margin = 1.0) const;
+  /// Throws std::invalid_argument unless the schedule is runnable:
+  /// betas nonempty, every beta > 0, phase_rounds >= 1 and every retry
+  /// budget >= 0. Both runners call it on the caller's thread before
+  /// any phase runs.
+  void require_runnable() const;
 
   /// The named-failure round budget run_schedule_distributed derives for
   /// an n-vertex run when EngineOptions::max_rounds is left 0: the
   /// theorem's whp bound with a full per-phase retry budget, plus
-  /// run-to-completion overtime slack (at worst one carved vertex per
-  /// phase). Generous enough that no legitimate run ever hits it; a run
-  /// that does gets RunStatus::kRoundBudgetExhausted instead of
+  /// overtime slack for phases past the schedule (at worst one carved
+  /// vertex per phase). Generous enough that no legitimate run ever hits
+  /// it; a run that does gets RunStatus::kRoundBudgetExhausted instead of
   /// spinning. A schedule-level method so a reusable engine/context can
   /// apply it per run instead of baking it into the engine's options.
   std::size_t round_budget(VertexId num_vertices) const;
 };
-
-/// Applies an entry point's overflow-recovery knobs to a derived
-/// schedule — the one place options-level policy meets the schedule, so
-/// every theorem wrapper (centralized and distributed) stays in sync.
-inline CarveSchedule with_overflow_policy(CarveSchedule schedule,
-                                          OverflowPolicy policy,
-                                          std::int32_t max_retries_per_phase) {
-  schedule.overflow_policy = policy;
-  schedule.max_retries_per_phase = max_retries_per_phase;
-  return schedule;
-}
 
 struct DecompositionRun {
   CarveResult carve;
@@ -139,12 +129,20 @@ struct DecompositionRun {
   const Clustering& clustering() const { return carve.clustering; }
 };
 
-/// Executes the schedule with the centralized carver and attaches the
-/// schedule's bounds. The CONGEST twin is run_schedule_distributed()
+/// The centralized reference: runs the schedule phase by phase until
+/// every vertex is clustered, drawing r_v from the per-(seed, phase,
+/// vertex, retry) streams. margin and forward_policy are the E9
+/// ablations: the paper joins on m1 - m2 > 1 with top-2 forwarding, a
+/// smaller margin or top-1 forwarding voids its guarantees, and the
+/// distributed backend implements the paper's rules only.
+CarveResult carve_decomposition(
+    const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
+    double margin = 1.0, ForwardPolicy forward_policy = ForwardPolicy::kTop2);
+
+/// carve_decomposition() with the paper's rules, plus the schedule's
+/// bounds. The CONGEST twin is run_schedule_distributed()
 /// (carving_protocol.hpp); on the same seed the two are bit-identical.
 DecompositionRun run_schedule(const Graph& g, const CarveSchedule& schedule,
-                              std::uint64_t seed,
-                              bool run_to_completion = true,
-                              double margin = 1.0);
+                              std::uint64_t seed);
 
 }  // namespace dsnd

@@ -144,7 +144,7 @@ PhaseState run_phase_broadcast(const Graph& g, const std::vector<char>& alive,
   // Synchronous top-2 relaxation: in each round every live vertex offers
   // its current top-2 entries (one hop farther) to its live neighbors.
   // This is exactly what the CONGEST protocol transmits; see
-  // elkin_neiman_distributed.cpp. Entries stop propagating once the hop
+  // carving_protocol.cpp. Entries stop propagating once the hop
   // count would exceed ⌊r⌋ (the broadcast range) or the round budget.
   std::vector<CarveEntry> offer_best(n), offer_second(n);
   for (std::int32_t round = 0; round < phase_rounds; ++round) {
@@ -186,111 +186,6 @@ bool phase_join_decision(const CarveEntry& best, const CarveEntry& second,
   const double m1 = best.value();
   const double m2 = second.valid() ? second.value() : 0.0;
   return m1 - m2 > margin;
-}
-
-CarveResult carve_decomposition(const Graph& g, const CarveParams& params) {
-  DSND_REQUIRE(!params.betas.empty(), "carve schedule must be nonempty");
-  DSND_REQUIRE(params.phase_rounds >= 1, "need at least one broadcast round");
-  DSND_REQUIRE(params.max_retries_per_phase >= 0,
-               "retry budget must be nonnegative");
-  for (double beta : params.betas) {
-    DSND_REQUIRE(beta > 0.0, "every beta must be positive");
-  }
-
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  CarveResult result;
-  result.clustering = Clustering(g.num_vertices());
-  result.target_phases = static_cast<std::int32_t>(params.betas.size());
-
-  std::vector<char> alive(n, 1);
-  std::vector<double> radii(n, 0.0);
-  std::vector<double> unit_scratch(n);
-  std::vector<VertexId> live(n);
-  VertexId remaining = g.num_vertices();
-
-  // Cap runaway loops: even beta close to 0 empties the graph in one
-  // phase, so this bound is never hit in practice.
-  const std::int32_t hard_cap =
-      result.target_phases * 16 + g.num_vertices() + 16;
-
-  std::int32_t phase = 0;
-  while (remaining > 0) {
-    if (phase >= result.target_phases && !params.run_to_completion) break;
-    DSND_CHECK(phase < hard_cap, "carving failed to converge");
-    const double beta =
-        phase < result.target_phases
-            ? params.betas[static_cast<std::size_t>(phase)]
-            : params.betas.back();
-
-    // Las Vegas recarve loop: resample the whole phase (fresh per-retry
-    // salt) while Lemma 1's event holds and the budget allows. Both the
-    // overflow flag and the reported max come straight from the sampling
-    // pass — not from the (truncated) broadcast state — so logs always
-    // show the event that actually fired. The batched sampler draws from
-    // the same per-(seed, phase, v, retry) streams the scalar one does.
-    live.clear();
-    for (std::size_t v = 0; v < n; ++v) {
-      if (alive[v]) live.push_back(static_cast<VertexId>(v));
-    }
-    for (std::int32_t retry = 0;; ++retry) {
-      const RadiusBatchStats stats = carve_radius_sample_batch(
-          params.seed, phase, beta, retry, live, /*names=*/{}, unit_scratch,
-          radii, params.radius_overflow_at);
-      result.max_sampled_radius =
-          std::max(result.max_sampled_radius, stats.max_radius);
-      const bool attempt_overflow = stats.overflow;
-      if (attempt_overflow &&
-          params.overflow_policy == OverflowPolicy::kRetry &&
-          retry < params.max_retries_per_phase) {
-        // The aborted attempt still costs one phase of simulated rounds
-        // (the distributed realization spends the phase broadcast
-        // aggregating the overflow bit before it can replay).
-        ++result.retries;
-        continue;
-      }
-      if (attempt_overflow) result.radius_overflow = true;
-      break;
-    }
-
-    PhaseState state = run_phase_broadcast(g, alive, radii,
-                                           params.phase_rounds,
-                                           params.forward_policy);
-
-    // Collect joiners grouped by chosen center; each (phase, center)
-    // group is one cluster (Claim 3 makes it connected).
-    std::vector<VertexId> joiners;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!alive[v]) continue;
-      if (phase_join_decision(state.best[v], state.second[v],
-                              params.margin)) {
-        joiners.push_back(static_cast<VertexId>(v));
-      }
-    }
-
-    std::vector<ClusterId> cluster_of_center(n, kNoCluster);
-    for (VertexId y : joiners) {
-      const VertexId center = state.best[static_cast<std::size_t>(y)].center;
-      ClusterId& c = cluster_of_center[static_cast<std::size_t>(center)];
-      if (c == kNoCluster) {
-        c = result.clustering.add_cluster(center, phase);
-      }
-      result.clustering.assign(y, c);
-      alive[static_cast<std::size_t>(y)] = 0;
-    }
-    remaining -= static_cast<VertexId>(joiners.size());
-    result.carved_per_phase.push_back(
-        static_cast<VertexId>(joiners.size()));
-    ++phase;
-  }
-
-  result.phases_used = phase;
-  result.exhausted_within_target =
-      remaining == 0 && phase <= result.target_phases;
-  const auto phase_len = static_cast<std::int64_t>(params.phase_rounds) + 1;
-  result.extra_rounds = static_cast<std::int64_t>(result.retries) * phase_len;
-  result.rounds =
-      static_cast<std::int64_t>(phase) * phase_len + result.extra_rounds;
-  return result;
 }
 
 }  // namespace dsnd

@@ -13,7 +13,8 @@
 //
 // Clusters are the per-(phase, center) groups; Claim 3 of the paper makes
 // them connected with strong diameter <= 2k-2 provided no sampled radius
-// reached k+1 (Lemma 1's event). The carver runs the broadcast as exactly
+// reached k+1 (Lemma 1's event). The centralized carver
+// (carve_decomposition, carve_schedule.hpp) runs the broadcast as exactly
 // ceil(k) rounds of top-2 relaxation — the same fixed point the CONGEST
 // protocol computes — so the centralized and distributed implementations
 // agree bit-for-bit on the same seed.
@@ -95,40 +96,11 @@ enum class ForwardPolicy { kTop2, kTop1 };
 ///     radius_overflow — the output may contain disconnected clusters.
 enum class OverflowPolicy { kRetry, kTruncate };
 
-/// Default per-phase resample budget under OverflowPolicy::kRetry — the
-/// single source for every options struct and schedule that exposes the
-/// knob. Each retry fails with probability <= 2/c (Lemma 1), so blowing
-/// 16 in a row is astronomically unlikely in the theorem regimes.
+/// Default per-phase resample budget under OverflowPolicy::kRetry
+/// (CarveSchedule::max_retries_per_phase). Each retry fails with
+/// probability <= 2/c (Lemma 1), so blowing 16 in a row is
+/// astronomically unlikely in the theorem regimes.
 inline constexpr std::int32_t kDefaultMaxRetriesPerPhase = 16;
-
-/// Parameters of a full carving run.
-struct CarveParams {
-  /// beta for phase t (0-based); called once per phase.
-  std::vector<double> betas;
-  /// Broadcast rounds per phase: ceil(k). Radii are truncated to this many
-  /// hops, which only matters when Lemma 1's low-probability event occurs.
-  std::int32_t phase_rounds = 1;
-  /// Join margin; the paper's rule is margin = 1. Exposed for the E9
-  /// ablation (margin 0 mimics a Linial–Saks-style non-strict rule).
-  double margin = 1.0;
-  /// E9 ablation knob; the distributed protocol supports kTop2 only.
-  ForwardPolicy forward_policy = ForwardPolicy::kTop2;
-  /// Radius threshold of Lemma 1's bad event: some r_v >= radius_overflow_at
-  /// (the paper's k+1). overflow_policy decides what a run does about it.
-  double radius_overflow_at = 2.0;
-  /// Recovery discipline for Lemma 1's event (see OverflowPolicy).
-  OverflowPolicy overflow_policy = OverflowPolicy::kRetry;
-  /// Retry budget per phase under kRetry; when it is blown anyway the
-  /// phase falls back to truncated samples and the run reports
-  /// radius_overflow.
-  std::int32_t max_retries_per_phase = kDefaultMaxRetriesPerPhase;
-  /// If true, keep carving with the last beta after the schedule is
-  /// exhausted until every vertex is clustered (so the output is always a
-  /// complete partition); the theorem's success event is
-  /// phases_used <= betas.size(), reported separately.
-  bool run_to_completion = true;
-  std::uint64_t seed = 1;
-};
 
 struct CarveResult {
   Clustering clustering;
@@ -235,8 +207,8 @@ RadiusBatchStats carve_radius_sample_batch(
 /// Runs one phase over the vertices with alive[v] != 0. Returns for every
 /// vertex its top-2 entries after `phase_rounds` rounds of truncated
 /// broadcast (entries of dead vertices are invalid). Used by
-/// carve_decomposition and, with the same semantics, by the tests that
-/// cross-check the relaxation against ground-truth BFS.
+/// carve_decomposition (carve_schedule.hpp) and, with the same semantics,
+/// by the tests that cross-check the relaxation against ground-truth BFS.
 struct PhaseState {
   std::vector<CarveEntry> best;    // per vertex
   std::vector<CarveEntry> second;  // per vertex
@@ -251,8 +223,5 @@ PhaseState run_phase_broadcast(
 /// Join rule applied to a vertex's phase state (the m1 - m2 > margin test).
 bool phase_join_decision(const CarveEntry& best, const CarveEntry& second,
                          double margin);
-
-/// Full carving run over a beta schedule; the core of Theorems 1-3.
-CarveResult carve_decomposition(const Graph& g, const CarveParams& params);
 
 }  // namespace dsnd

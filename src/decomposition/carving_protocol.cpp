@@ -35,14 +35,17 @@ class CarvingProtocol final : public Protocol {
   /// empty = identity. A cache-aware relabeling (graph/relabel.hpp)
   /// passes its to_old map here, which is what makes relabeled runs
   /// bit-identical to unrelabeled ones.
-  CarvingProtocol(const CarveParams& params,
-                  std::span<const VertexId> names)
-      : params_(params), names_(names) {}
+  explicit CarvingProtocol(std::span<const VertexId> names)
+      : names_(names) {}
 
-  /// Rebinds the run parameters so one protocol object (and its warmed
-  /// per-vertex arrays) serves many runs — the verify-and-recover loop's
-  /// salted attempts and every CarveContext warm re-run go through here.
-  void set_params(const CarveParams& params) { params_ = params; }
+  /// Binds the caller's schedule (borrowed: it must outlive the run) and
+  /// the attempt seed, so one protocol object (and its warmed per-vertex
+  /// arrays) serves many runs — the verify-and-recover loop's salted
+  /// attempts and every CarveContext warm re-run go through here.
+  void bind(const CarveSchedule& schedule, std::uint64_t seed) {
+    schedule_ = &schedule;
+    seed_ = seed;
+  }
 
   /// Attaches (or detaches, with nullptr) the phase-boundary recovery
   /// arena. With an arena the protocol records each phase's joiners,
@@ -164,8 +167,8 @@ class CarvingProtocol final : public Protocol {
         // overflow bit the batched sampler folded, before any joining
         // can happen.
         abort_attempt_ = sampled_overflow_ &&
-                         params_.overflow_policy == OverflowPolicy::kRetry &&
-                         retry_ < params_.max_retries_per_phase;
+                         schedule_->overflow_policy == OverflowPolicy::kRetry &&
+                         retry_ < schedule_->max_retries_per_phase;
         if (sampled_overflow_ && !abort_attempt_) {
           // Truncated samples are being accepted (kTruncate, or a blown
           // retry budget): the output loses its validity certificate.
@@ -174,7 +177,7 @@ class CarvingProtocol final : public Protocol {
         step_ = 1;
         return;
       }
-      if (step_ < params_.phase_rounds) {
+      if (step_ < schedule_->phase_rounds) {
         ++step_;
         return;
       }
@@ -238,7 +241,7 @@ class CarvingProtocol final : public Protocol {
       // deciding step must run even with an empty inbox. The wake chain
       // survives a replay unchanged: an aborted attempt's deciding step
       // re-arms the next attempt exactly like a surviving vertex does.
-      out.wake_self_in(static_cast<std::size_t>(params_.phase_rounds));
+      out.wake_self_in(static_cast<std::size_t>(schedule_->phase_rounds));
       return;
     }
 
@@ -246,7 +249,7 @@ class CarvingProtocol final : public Protocol {
       // This attempt is already condemned (the overflow bit is global
       // knowledge by now); drop its broadcast on the floor and, at the
       // deciding step, re-arm for the salted replay instead of joining.
-      if (step_ == params_.phase_rounds) out.wake_self_in(1);
+      if (step_ == schedule_->phase_rounds) out.wake_self_in(1);
       return;
     }
 
@@ -260,13 +263,13 @@ class CarvingProtocol final : public Protocol {
       merge(vi, entry);
     }
 
-    if (step_ < params_.phase_rounds) {
+    if (step_ < schedule_->phase_rounds) {
       send_changed(v, out);
       return;
     }
 
-    // Deciding step.
-    if (phase_join_decision(best_[vi], second_[vi], params_.margin)) {
+    // Deciding step: the paper's join rule, margin 1.
+    if (phase_join_decision(best_[vi], second_[vi], 1.0)) {
       chosen_center_[vi] = best_[vi].center;
       chosen_phase_[vi] = phase_;
       alive_[vi] = 0;
@@ -296,14 +299,14 @@ class CarvingProtocol final : public Protocol {
           return std::max(acc, a.phases_used);
         });
     result.clustering = Clustering(graph_->num_vertices());
-    result.target_phases = static_cast<std::int32_t>(params_.betas.size());
+    result.target_phases = schedule_->target_phases();
     result.phases_used = phases_used;
     result.exhausted_within_target =
         remaining() == 0 && phases_used <= result.target_phases;
     result.radius_overflow = accepted_overflow_;
     result.max_sampled_radius = max_sampled_radius_;
     const auto phase_len =
-        static_cast<std::int64_t>(params_.phase_rounds) + 1;
+        static_cast<std::int64_t>(schedule_->phase_rounds) + 1;
     result.retries = retries_total_;
     result.extra_rounds =
         static_cast<std::int64_t>(retries_total_) * phase_len;
@@ -436,20 +439,21 @@ class CarvingProtocol final : public Protocol {
   /// synchronization.
   void sample_attempt(RoundPool& pool) {
     compact_live();
+    const std::vector<double>& betas = schedule_->betas;
     const double beta =
-        phase_ < static_cast<std::int32_t>(params_.betas.size())
-            ? params_.betas[static_cast<std::size_t>(phase_)]
-            : params_.betas.back();
+        phase_ < schedule_->target_phases()
+            ? betas[static_cast<std::size_t>(phase_)]
+            : betas.back();
     for (RadiusBatchStats& stats : chunk_stats_) stats = RadiusBatchStats{};
     const std::span<const VertexId> live(live_);
     const std::span<double> scratch(unit_scratch_);
     pool.for_chunks(live_.size(), [&](std::size_t chunk_begin,
                                       std::size_t chunk_end, unsigned w) {
       chunk_stats_[w] = carve_radius_sample_batch(
-          params_.seed, phase_, beta, retry_,
+          seed_, phase_, beta, retry_,
           live.subspan(chunk_begin, chunk_end - chunk_begin), names_,
           scratch.subspan(chunk_begin, chunk_end - chunk_begin), radii_,
-          params_.radius_overflow_at);
+          schedule_->radius_overflow_at);
     });
     RadiusBatchStats stats;
     for (const RadiusBatchStats& chunk : chunk_stats_) stats.merge(chunk);
@@ -512,7 +516,9 @@ class CarvingProtocol final : public Protocol {
     sent_second_[vi] = second_[vi];
   }
 
-  CarveParams params_;  // rebound between runs via set_params
+  // Rebound between runs via bind(); the schedule is the caller's.
+  const CarveSchedule* schedule_ = nullptr;
+  std::uint64_t seed_ = 0;
   const std::span<const VertexId> names_;
   const Graph* graph_ = nullptr;
   // Shared round plan, advanced only by the serial on_round_begin hook
@@ -553,43 +559,17 @@ class CarvingProtocol final : public Protocol {
   PerWorker<Accum> accum_;
 };
 
-/// One engine run of the protocol with `params`. The shared core behind
-/// the cold Graph overload and the warm CarveContext path: rebinds the
-/// protocol's parameters, derives the safety round cap, and names the
-/// outcome. `round_cap` (0 = none) additionally bounds the run — the
-/// schedule-level budget a reusable engine applies per run instead of
-/// baking it into EngineOptions::max_rounds.
-DistributedCarveResult run_carve_attempt(SyncEngine& engine,
-                                         CarvingProtocol& protocol,
-                                         const CarveParams& params,
-                                         std::size_t round_cap) {
-  const Graph& g = engine.graph();
-  DSND_REQUIRE(g.num_vertices() >= 1, "graph must be nonempty");
-  DSND_REQUIRE(!params.betas.empty(), "carve schedule must be nonempty");
-  DSND_REQUIRE(params.phase_rounds >= 1, "need at least one broadcast round");
-  DSND_REQUIRE(params.max_retries_per_phase >= 0,
-               "retry budget must be nonnegative");
-  DSND_REQUIRE(params.margin == 1.0,
-               "the distributed protocol implements the paper's margin of 1");
-  DSND_REQUIRE(params.forward_policy == ForwardPolicy::kTop2,
-               "the distributed protocol implements top-2 forwarding only");
-  DSND_REQUIRE(params.run_to_completion,
-               "the distributed protocol always carves to completion");
-
-  protocol.set_params(params);
-  // Safety cap only (the run stops at exhaustion): every phase may
-  // additionally be replayed up to max_retries_per_phase times under the
-  // Las Vegas recarve loop, so the attempt budget scales with it.
-  const std::size_t attempts_per_phase =
-      1 + static_cast<std::size_t>(std::max(params.max_retries_per_phase, 0));
-  std::size_t max_rounds =
-      (params.betas.size() * 8 + static_cast<std::size_t>(g.num_vertices()) +
-       64) *
-      attempts_per_phase *
-      (static_cast<std::size_t>(params.phase_rounds) + 1);
-  if (round_cap != 0) max_rounds = std::min(max_rounds, round_cap);
-  DistributedCarveResult result;
-  result.sim = engine.run(protocol, max_rounds);
+/// One engine run of the protocol on `schedule` with the attempt seed,
+/// under `round_budget`, with the outcome named.
+DistributedRun run_carve_attempt(SyncEngine& engine, CarvingProtocol& protocol,
+                                 const CarveSchedule& schedule,
+                                 std::uint64_t seed,
+                                 std::size_t round_budget) {
+  protocol.bind(schedule, seed);
+  DistributedRun result;
+  result.sim = engine.run(protocol, round_budget);
+  CarveResult& carve = result.run.carve;
+  carve = protocol.build_result();
   if (protocol.remaining() != 0) {
     // A reliable run cannot legitimately fall short — that is a bug in
     // this library, so the internal-invariant check stays. Under a lossy
@@ -598,21 +578,17 @@ DistributedCarveResult run_carve_attempt(SyncEngine& engine,
     // for the verify-and-recover loop to act on.
     DSND_CHECK(engine.transport().lossy(),
                "distributed carving failed to exhaust the graph");
-    result.carve = protocol.build_result();
     // An invalid-phase stop ends the engine run via finished() (status
     // kFinished) with the graph not exhausted; name it kRejected — the
     // same verdict whole-run validation would have reached, just caught
     // at the phase boundary.
-    result.carve.status =
-        protocol.recovery_invalid_phase()
-            ? CarveStatus::kRejected
-            : (result.sim.status == RunStatus::kQuiescent
-                   ? CarveStatus::kStalled
-                   : CarveStatus::kRoundBudgetExhausted);
-  } else {
-    result.carve = protocol.build_result();
+    carve.status = protocol.recovery_invalid_phase()
+                       ? CarveStatus::kRejected
+                       : (result.sim.status == RunStatus::kQuiescent
+                              ? CarveStatus::kStalled
+                              : CarveStatus::kRoundBudgetExhausted);
   }
-  result.carve.faults = result.sim.faults;
+  carve.faults = result.sim.faults;
   return result;
 }
 
@@ -644,19 +620,19 @@ DistributedRun run_schedule_distributed_with(SyncEngine& engine,
                                              const CarveSchedule& schedule,
                                              std::uint64_t seed,
                                              RecoveryArena* arena) {
+  DSND_REQUIRE(engine.graph().num_vertices() >= 1, "graph must be nonempty");
+  schedule.require_runnable();
   const bool lossy = engine.transport().lossy();
-  // The schedule-derived named-failure budget applies only when the
-  // caller left EngineOptions::max_rounds at 0 (same precedence the
-  // pre-context code implemented by rewriting the options).
-  const std::size_t schedule_cap =
-      engine.options().max_rounds == 0
-          ? schedule.round_budget(engine.graph().num_vertices())
-          : 0;
+  // One round budget per attempt: the caller's EngineOptions::max_rounds
+  // when set, else the schedule-derived named-failure budget.
+  const std::size_t round_budget =
+      engine.options().max_rounds != 0
+          ? engine.options().max_rounds
+          : schedule.round_budget(engine.graph().num_vertices());
 
-  const std::int32_t run_budget =
-      lossy ? std::max(schedule.max_run_retries, 0) : 0;
+  const std::int32_t run_budget = lossy ? schedule.max_run_retries : 0;
   const std::int32_t rollback_budget =
-      lossy && arena != nullptr ? std::max(schedule.max_rollbacks, 0) : 0;
+      lossy && arena != nullptr ? schedule.max_rollbacks : 0;
   protocol.enable_recovery(rollback_budget > 0 ? arena : nullptr);
   if (rollback_budget > 0) arena->checkpoint.invalidate();
 
@@ -669,18 +645,16 @@ DistributedRun run_schedule_distributed_with(SyncEngine& engine,
   bool recovery_run = false;
   std::uint64_t run_seed = seed;
   for (;;) {
-    DistributedCarveResult result = run_carve_attempt(
-        engine, protocol, schedule.params(run_seed), schedule_cap);
-    total_faults += result.sim.faults;
+    run = run_carve_attempt(engine, protocol, schedule, run_seed,
+                            round_budget);
+    total_faults += run.sim.faults;
     if (recovery_run) {
       // Recovery cost in phases: a rollback bills only the suffix past
       // its restored checkpoint, a whole-run retry bills every phase it
       // ran (restore_base 0) — the A/B metric the benches report.
       replayed += std::max<std::int64_t>(
-          0, result.carve.phases_used - restore_base);
+          0, run.run.carve.phases_used - restore_base);
     }
-    run.sim = result.sim;
-    run.run.carve = std::move(result.carve);
     run.run.carve.run_retries = attempt;
     run.run.carve.rollbacks = rollbacks;
     run.run.carve.replayed_phases = replayed;
@@ -748,7 +722,7 @@ struct CarveContext::Impl {
 
   Impl(const Graph& engine_graph, const EngineOptions& options,
        std::span<const VertexId> names)
-      : engine(engine_graph, options), protocol(CarveParams{}, names) {}
+      : engine(engine_graph, options), protocol(names) {}
 };
 
 CarveContext::CarveContext(const Graph& g, const EngineOptions& options)
@@ -788,15 +762,6 @@ DistributedRun run_schedule_distributed(CarveContext& context,
 // ---------------------------------------------------------------------------
 // Context-free overloads (cold path: one engine per call)
 // ---------------------------------------------------------------------------
-
-DistributedCarveResult carve_decomposition_distributed(
-    const Graph& g, const CarveParams& params,
-    const EngineOptions& engine_options,
-    std::span<const VertexId> vertex_names) {
-  SyncEngine engine(g, engine_options);
-  CarvingProtocol protocol(params, vertex_names);
-  return run_carve_attempt(engine, protocol, params, /*round_cap=*/0);
-}
 
 DistributedRun run_schedule_distributed(const Graph& g,
                                         const CarveSchedule& schedule,

@@ -1,19 +1,33 @@
 // Generic CONGEST carving protocol: the message-passing realization of
 // carve_decomposition() for an arbitrary beta schedule, which makes all
-// three theorems runnable as genuine distributed algorithms:
-//   - Theorem 1: constant beta = ln(cn)/k            (elkin_neiman_distributed)
-//   - Theorem 2: stage-decaying beta_i = ln(cn/e^i)/k (multistage_distributed)
-//   - Theorem 3: beta = (cn)^{-1/lambda}, long phases (high_radius_distributed)
+// three theorems runnable as genuine distributed algorithms on the
+// synchronous simulator, in the CONGEST spirit of Section 2's closing
+// remark — run_schedule_distributed() with the theorem's factory:
+//   - Theorem 1: constant beta = ln(cn)/k             (theorem1_schedule)
+//   - Theorem 2: stage-decaying beta_i = ln(cn/e^i)/k (theorem2_schedule)
+//   - Theorem 3: beta = (cn)^{-1/lambda}, long phases (theorem3_schedule)
+//
+// Each phase occupies phase_rounds + 1 simulated rounds:
+//   step 0:            live vertices sample r_v ~ EXP(beta_t) from the
+//                      shared (seed, phase, vertex) stream and broadcast
+//                      their own entry one hop (if ⌊r_v⌋ >= 1);
+//   steps 1..L-1:      merge incoming entries, forward top-2 improvements
+//                      one hop farther while dist + 1 <= ⌊r⌋;
+//   step L:            final merge, join rule m1 - m2 > 1; joiners
+//                      announce departure so neighbors learn G_{t+1}.
 //
 // Message discipline (the paper's CONGEST observation): each vertex
 // forwards only its top-2 shifted values, one entry per message —
-// [tag, center, radius-bits, dist], 4 words. An entry is (re)sent only
+// [tag, center, radius-bits, dist], 4 words. That loses nothing, because
+// clustering decisions depend only on each vertex's two largest shifted
+// values, and a value that is not in the top-2 anywhere along a shortest
+// path can never enter the top-2 downstream. An entry is (re)sent only
 // when it changed at this vertex, so traffic per phase is proportional
 // to the number of top-2 improvements rather than phase length.
 //
 // On the same seed the protocol is bit-identical to carve_decomposition:
 // both draw r_v from stream (seed, phase, retry, vertex) and both compute
-// the same top-2 fixed point (see the displacement argument in DESIGN.md).
+// the same top-2 fixed point (asserted by the parity tests).
 //
 // Lemma 1 recovery (OverflowPolicy::kRetry, the default): when any live
 // vertex samples r_v >= radius_overflow_at at an attempt's sampling
@@ -27,8 +41,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "decomposition/carve_schedule.hpp"
 #include "decomposition/carving.hpp"
@@ -38,11 +50,6 @@
 #include "simulator/metrics.hpp"
 
 namespace dsnd {
-
-struct DistributedCarveResult {
-  CarveResult carve;
-  SimMetrics sim;
-};
 
 /// A distributed decomposition run: the theorem-level result plus the
 /// simulator's message/round accounting.
@@ -89,31 +96,19 @@ class CarveContext {
 /// The full schedule (verify-and-recover loop included) on a reusable
 /// context — the warm-path twin of the overloads below. Different
 /// schedules and seeds may share one context freely; only the graph is
-/// fixed at construction.
+/// fixed at construction. The schedule is borrowed for the length of the
+/// call and checked with CarveSchedule::require_runnable() before any
+/// round runs. The round budget is EngineOptions::max_rounds when set,
+/// else schedule.round_budget(n).
 DistributedRun run_schedule_distributed(CarveContext& context,
                                         const CarveSchedule& schedule,
                                         std::uint64_t seed);
 
-/// Runs the carving schedule as a distributed protocol on the synchronous
-/// simulator. params.margin must be 1 (the paper's rule); the schedule,
-/// phase length, overflow threshold, and completion semantics match
-/// carve_decomposition exactly. engine_options tunes the simulator
-/// (scheduling, threads); the clustering is identical for every setting.
-/// vertex_names (empty = identity) maps engine vertex ids to the
-/// original ids the algorithm is keyed on — the hook the cache-aware
-/// relabeling uses (see the LayoutGraph overload below): radius streams,
-/// tie-breaks, and the emitted clustering all use names, so a run on a
-/// relabeled graph is bit-identical to the unrelabeled run.
-DistributedCarveResult carve_decomposition_distributed(
-    const Graph& g, const CarveParams& params,
-    const EngineOptions& engine_options = {},
-    std::span<const VertexId> vertex_names = {});
-
 /// The CONGEST twin of run_schedule(): executes the schedule through the
-/// generic carving protocol and attaches the schedule's bounds. All three
-/// theorem wrappers (elkin_neiman_distributed.hpp) are thin calls to this
-/// with their theorem{1,2,3}_schedule(); on the same seed the clustering
-/// is bit-identical to run_schedule(g, schedule, seed).
+/// generic carving protocol and attaches the schedule's bounds; on the
+/// same seed the clustering is bit-identical to run_schedule(g, schedule,
+/// seed). engine_options tunes the simulator (scheduling, threads) without
+/// changing the clustering.
 DistributedRun run_schedule_distributed(
     const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
     const EngineOptions& engine_options = {});
@@ -128,7 +123,10 @@ DistributedRun run_schedule_distributed(
     const LayoutGraph& lg, const CarveSchedule& schedule, std::uint64_t seed,
     const EngineOptions& engine_options = {});
 
-/// Largest message the protocol emits, in 64-bit words.
+/// Upper bound on words per message the protocol may emit: one entry per
+/// message — [tag, center, radius, dist] — and at most two such messages
+/// per edge per round (the top-2). Exported so tests and the CONGEST
+/// bench can assert O(1)-word messages.
 inline constexpr std::size_t kCarveProtocolMaxWords = 4;
 
 }  // namespace dsnd

@@ -22,11 +22,9 @@ NeighborhoodCover build_neighborhood_cover(const Graph& g,
   // 1. Decompose the (2W+1)-th power: same-colored clusters there are at
   //    G-distance >= 2W+2 from each other.
   const Graph power = graph_power(g, 2 * options.radius + 1);
-  ElkinNeimanOptions en;
-  en.k = options.k;
-  en.c = options.c;
-  en.seed = options.seed;
-  cover.base = elkin_neiman_decomposition(power, en);
+  cover.base = run_schedule(
+      power, theorem1_schedule(power.num_vertices(), options.k, options.c),
+      options.seed);
   const Clustering& clustering = cover.base.clustering();
   cover.num_colors = clustering.num_colors();
 

@@ -5,10 +5,10 @@
 // (O(log n), O(log n)) decomposition in O(log^2 n) rounds.
 //
 // theorem1_schedule() derives the constant-beta carve schedule and the
-// promised bounds once; elkin_neiman_decomposition() runs it on the
-// centralized carver and elkin_neiman_distributed() (see
-// elkin_neiman_distributed.hpp) runs the *same* schedule as a CONGEST
-// protocol — bit-identical clusterings on the same seed.
+// promised bounds once; run_schedule() runs it on the centralized carver
+// and run_schedule_distributed() (carving_protocol.hpp) runs the *same*
+// schedule as a CONGEST protocol — bit-identical clusterings on the same
+// seed.
 #pragma once
 
 #include <cstdint>
@@ -20,41 +20,21 @@
 
 namespace dsnd {
 
-struct ElkinNeimanOptions {
-  /// Radius parameter; 0 selects ceil(ln n) (the headline regime).
-  std::int32_t k = 0;
-  /// Failure parameter; success probability is 1 - 3/c. Must exceed 3 for
-  /// the theorem to be nontrivial, but any positive value runs.
-  double c = 4.0;
-  std::uint64_t seed = 1;
-  /// Join margin (paper: 1). Exposed only for the E9 ablation; values
-  /// below 1 void the strong-diameter guarantee.
-  double margin = 1.0;
-  /// Keep carving past lambda phases until the partition is complete
-  /// (success of the theorem = not needing to).
-  bool run_to_completion = true;
-  /// Lemma 1 recovery (see OverflowPolicy): the default Las Vegas
-  /// recarve loop makes the output valid unconditionally; kTruncate is
-  /// the flag-and-proceed ablation escape hatch.
-  OverflowPolicy overflow_policy = OverflowPolicy::kRetry;
-  std::int32_t max_retries_per_phase = kDefaultMaxRetriesPerPhase;
-};
-
 /// The number of phases lambda = ceil((cn)^{1/k} ln(cn)) of Theorem 1.
 std::int32_t elkin_neiman_target_phases(VertexId n, std::int32_t k, double c);
 
 /// beta = ln(cn) / k.
 double elkin_neiman_beta(VertexId n, std::int32_t k, double c);
 
-/// Resolves options.k == 0 to ceil(ln n) (at least 1).
+/// Resolves k == 0 to ceil(ln n) (at least 1).
 std::int32_t resolve_k(VertexId n, std::int32_t k);
 
 /// Theorem 1's schedule: lambda phases at constant beta = ln(cn)/k, k
 /// broadcast rounds per phase, with the theorem's bounds attached.
-/// k == 0 selects ceil(ln n).
-CarveSchedule theorem1_schedule(VertexId n, std::int32_t k, double c);
-
-DecompositionRun elkin_neiman_decomposition(const Graph& g,
-                                            const ElkinNeimanOptions& options);
+/// k == 0 selects ceil(ln n) (the headline regime). c is the failure
+/// parameter: success probability 1 - 3/c, nontrivial for c > 3, though
+/// any c with cn > 1 runs.
+CarveSchedule theorem1_schedule(VertexId n, std::int32_t k = 0,
+                                double c = 4.0);
 
 }  // namespace dsnd

@@ -36,15 +36,4 @@ CarveSchedule theorem3_schedule(VertexId n, std::int32_t lambda, double c) {
   return schedule;
 }
 
-DecompositionRun high_radius_decomposition(const Graph& g,
-                                           const HighRadiusOptions& options) {
-  DSND_REQUIRE(g.num_vertices() >= 1, "graph must be nonempty");
-  return run_schedule(
-      g,
-      with_overflow_policy(
-          theorem3_schedule(g.num_vertices(), options.lambda, options.c),
-          options.overflow_policy, options.max_retries_per_phase),
-      options.seed, options.run_to_completion);
-}
-
 }  // namespace dsnd

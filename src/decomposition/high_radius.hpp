@@ -6,10 +6,9 @@
 // The inverse tradeoff of Theorem 1: fix the number of colors at lambda
 // and pay radius k = (cn)^{1/lambda} ln(cn) instead. Same carving with a
 // real-valued k: theorem3_schedule() derives lambda phases at
-// beta = (cn)^{-1/lambda} with ceil(k) broadcast rounds each;
-// high_radius_decomposition() runs it centralized and
-// high_radius_distributed() (elkin_neiman_distributed.hpp) as a CONGEST
-// protocol.
+// beta = (cn)^{-1/lambda} with ceil(k) broadcast rounds each, which
+// run_schedule() carves centrally and run_schedule_distributed()
+// (carving_protocol.hpp) as a CONGEST protocol.
 #pragma once
 
 #include <cstdint>
@@ -20,25 +19,13 @@
 
 namespace dsnd {
 
-struct HighRadiusOptions {
-  /// Desired number of colors (blocks).
-  std::int32_t lambda = 2;
-  double c = 4.0;
-  std::uint64_t seed = 1;
-  bool run_to_completion = true;
-  /// Lemma 1 recovery (see OverflowPolicy / ElkinNeimanOptions).
-  OverflowPolicy overflow_policy = OverflowPolicy::kRetry;
-  std::int32_t max_retries_per_phase = kDefaultMaxRetriesPerPhase;
-};
-
 /// The derived radius parameter k = (cn)^{1/lambda} ln(cn).
 double high_radius_k(VertexId n, std::int32_t lambda, double c);
 
-/// Theorem 3's schedule: lambda phases at beta = ln(cn)/k = (cn)^{-1/lambda}
-/// with ceil(k) broadcast rounds per phase (real-valued k).
-CarveSchedule theorem3_schedule(VertexId n, std::int32_t lambda, double c);
-
-DecompositionRun high_radius_decomposition(const Graph& g,
-                                           const HighRadiusOptions& options);
+/// Theorem 3's schedule: lambda phases (the desired number of colors) at
+/// beta = ln(cn)/k = (cn)^{-1/lambda} with ceil(k) broadcast rounds per
+/// phase (real-valued k); success probability is 1 - 3/c.
+CarveSchedule theorem3_schedule(VertexId n, std::int32_t lambda,
+                                double c = 4.0);
 
 }  // namespace dsnd

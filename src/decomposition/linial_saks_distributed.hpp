@@ -12,9 +12,11 @@
 // so per-round traffic is O(k) messages per edge instead of O(1): one
 // quantitative reason the shifted-exponential rule is CONGEST-friendlier.
 //
-// Bit-identical to linial_saks_decomposition on the same seed (the
+// Bit-identical to linial_saks_decomposition on the same seed: the
 // min-id winner and its exact distance survive pruning along every
-// shortest path; see the domination argument in DESIGN.md).
+// shortest path, because an entry is dropped only for one with a smaller
+// id and at least as much remaining range, which reaches every vertex
+// the dropped entry could reach and beats it there.
 #pragma once
 
 #include "decomposition/elkin_neiman.hpp"

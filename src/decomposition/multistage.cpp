@@ -50,15 +50,4 @@ CarveSchedule theorem2_schedule(VertexId n, std::int32_t k, double c) {
   return schedule;
 }
 
-DecompositionRun multistage_decomposition(const Graph& g,
-                                          const MultistageOptions& options) {
-  DSND_REQUIRE(g.num_vertices() >= 1, "graph must be nonempty");
-  return run_schedule(
-      g,
-      with_overflow_policy(
-          theorem2_schedule(g.num_vertices(), options.k, options.c),
-          options.overflow_policy, options.max_retries_per_phase),
-      options.seed, options.run_to_completion);
-}
-
 }  // namespace dsnd

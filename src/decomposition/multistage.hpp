@@ -9,10 +9,9 @@
 // phases and the total color count drops from (cn)^{1/k} ln(cn) to
 // 4k (cn)^{1/k}.
 //
-// theorem2_schedule() packages the decaying schedule + bounds;
-// multistage_decomposition() is the centralized run and
-// multistage_distributed() (elkin_neiman_distributed.hpp) the CONGEST
-// run of the same schedule.
+// theorem2_schedule() packages the decaying schedule + bounds, which
+// run_schedule() carves centrally and run_schedule_distributed()
+// (carving_protocol.hpp) as a CONGEST protocol.
 #pragma once
 
 #include <cstdint>
@@ -24,25 +23,14 @@
 
 namespace dsnd {
 
-struct MultistageOptions {
-  std::int32_t k = 0;  // 0 = ceil(ln n)
-  double c = 6.0;      // success probability 1 - 5/c
-  std::uint64_t seed = 1;
-  bool run_to_completion = true;
-  /// Lemma 1 recovery (see OverflowPolicy / ElkinNeimanOptions).
-  OverflowPolicy overflow_policy = OverflowPolicy::kRetry;
-  std::int32_t max_retries_per_phase = kDefaultMaxRetriesPerPhase;
-};
-
 /// The per-phase beta schedule of Theorem 2 (one entry per phase).
 std::vector<double> multistage_beta_schedule(VertexId n, std::int32_t k,
                                              double c);
 
 /// Theorem 2's schedule: the stage-decaying betas above with k broadcast
-/// rounds per phase and the theorem's bounds. k == 0 selects ceil(ln n).
-CarveSchedule theorem2_schedule(VertexId n, std::int32_t k, double c);
-
-DecompositionRun multistage_decomposition(const Graph& g,
-                                          const MultistageOptions& options);
+/// rounds per phase and the theorem's bounds. k == 0 selects ceil(ln n);
+/// success probability is 1 - 5/c.
+CarveSchedule theorem2_schedule(VertexId n, std::int32_t k = 0,
+                                double c = 6.0);
 
 }  // namespace dsnd

@@ -1,9 +1,9 @@
 // Decomposition-as-a-service: a long-lived scheduler + cache on top of
 // the warm CarveContexts of decomposition/carving_protocol.hpp. It is
-// one client of the carving core among several — the theorem entry
-// points, benches and tests call run_schedule / run_schedule_distributed
-// directly — and the layering runs one way: service/ depends on
-// decomposition/, never the reverse.
+// one client of the carving core among several — the examples, benches
+// and tests call run_schedule / run_schedule_distributed directly — and
+// the layering runs one way: service/ depends on decomposition/, never
+// the reverse.
 //
 // Request lifecycle:
 //
@@ -28,8 +28,8 @@
 //                the clustering)
 //             -> cache insert (validated kOk results only)
 //
-// The service serves the paper's exact rules only; the margin and
-// run_to_completion ablations run through run_schedule directly. Results
+// The service serves the paper's exact rules only; the E9 ablations (join
+// margin, top-1 forwarding) run through carve_decomposition. Results
 // are bit-identical to a standalone run_schedule_distributed (or, for
 // covers, build_neighborhood_cover) for every (graph, schedule, seed),
 // every thread count, every submission order, and every warm/cold state

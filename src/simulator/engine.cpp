@@ -23,6 +23,16 @@ constexpr std::size_t kSerialQuietCollect = 2048;
 
 namespace dsnd {
 
+void detail::rethrow_first_error(std::span<std::exception_ptr> errors) {
+  for (std::exception_ptr& error : errors) {
+    if (error) {
+      const std::exception_ptr rethrown = error;
+      std::fill(errors.begin(), errors.end(), nullptr);
+      std::rethrow_exception(rethrown);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Outbox
 // ---------------------------------------------------------------------------
@@ -347,7 +357,8 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t max_rounds) {
   // parked pool — the main thread drives shard 0, the exchange, and the
   // roll-up, exactly as the per-run pool used to, minus the per-run
   // thread spawn/join and the condvar double-barrier per stage.
-  RoundPool round_pool(pool_.has_value() ? &*pool_ : nullptr);
+  RoundPool round_pool(pool_.has_value() ? &*pool_ : nullptr,
+                       worker_errors_);
 
   const auto run_stage = [&](unsigned s, bool collect, unsigned parity,
                              bool use_active, bool deliver) {
@@ -452,13 +463,7 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t max_rounds) {
           run_stage(s, /*collect=*/true, parity, use_active, false);
         });
       }
-      for (std::exception_ptr& error : worker_errors_) {
-        if (error) {
-          const std::exception_ptr rethrown = error;
-          std::fill(worker_errors_.begin(), worker_errors_.end(), nullptr);
-          std::rethrow_exception(rethrown);
-        }
-      }
+      detail::rethrow_first_error(worker_errors_);
     }
 
     // Roll the shard accumulators into the run metrics — O(S) per round

@@ -140,6 +140,12 @@ struct alignas(64) Shard {
   std::size_t round_max_words = 0;
 };
 
+/// Rethrows the first captured worker exception (lowest worker index),
+/// clearing every slot first so the engine stays reusable; no-op when
+/// none was captured. Called on the driving thread once every worker of
+/// a dispatch has finished.
+void rethrow_first_error(std::span<std::exception_ptr> errors);
+
 }  // namespace detail
 
 class SyncEngine;
@@ -209,7 +215,9 @@ class Outbox {
 /// threads of its own.
 class RoundPool {
  public:
-  explicit RoundPool(WorkerPool* pool) : pool_(pool) {}
+  /// `errors` holds one exception slot per worker (the engine's).
+  RoundPool(WorkerPool* pool, std::span<std::exception_ptr> errors)
+      : pool_(pool), errors_(errors) {}
 
   unsigned workers() const { return pool_ != nullptr ? pool_->workers() : 1; }
 
@@ -219,7 +227,9 @@ class RoundPool {
   /// costs more than the work). Chunks are disjoint, so per-index writes
   /// need no synchronization; a per-chunk fold combined with an
   /// associative + commutative operator (max, |=, +) on the caller's
-  /// thread afterwards is bit-identical for every worker count.
+  /// thread afterwards is bit-identical for every worker count. A throw
+  /// from a chunk is captured in its worker's slot; once every chunk has
+  /// finished, the first one is rethrown on the calling thread.
   template <typename F>
   void for_chunks(std::size_t count, F&& fn) const {
     const unsigned workers_now = workers();
@@ -229,10 +239,15 @@ class RoundPool {
     }
     const std::size_t chunk = (count + workers_now - 1) / workers_now;
     pool_->run([&](unsigned w) {
-      const std::size_t begin = std::min(count, w * chunk);
-      const std::size_t end = std::min(count, begin + chunk);
-      if (begin < end) fn(begin, end, w);
+      try {
+        const std::size_t begin = std::min(count, w * chunk);
+        const std::size_t end = std::min(count, begin + chunk);
+        if (begin < end) fn(begin, end, w);
+      } catch (...) {
+        errors_[w] = std::current_exception();
+      }
     });
+    detail::rethrow_first_error(errors_);
   }
 
  private:
@@ -240,6 +255,7 @@ class RoundPool {
   static constexpr std::size_t kMinParallelCount = 2048;
 
   WorkerPool* pool_;
+  std::span<std::exception_ptr> errors_;
 };
 
 /// A distributed algorithm. The engine drives all vertices through

@@ -1,6 +1,6 @@
 // Console table and CSV rendering for the experiment harnesses. Every
-// bench binary prints its results through Table so the output mirrors the
-// row/column layout the experiment index in DESIGN.md promises.
+// bench binary prints its results through Table, one table per experiment
+// of the "Experiment index" in docs/ARCHITECTURE.md.
 #pragma once
 
 #include <cstdint>

@@ -10,10 +10,7 @@ namespace dsnd {
 namespace {
 
 DecompositionRun decompose(const Graph& g, std::uint64_t seed) {
-  ElkinNeimanOptions options;
-  options.k = 4;
-  options.seed = seed;
-  return elkin_neiman_decomposition(g, options);
+  return run_schedule(g, theorem1_schedule(g.num_vertices(), 4), seed);
 }
 
 TEST(Checkers, MatchingBasics) {

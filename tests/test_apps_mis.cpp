@@ -14,10 +14,7 @@ namespace dsnd {
 namespace {
 
 DecompositionRun decompose(const Graph& g, std::uint64_t seed) {
-  ElkinNeimanOptions options;
-  options.k = 4;
-  options.seed = seed;
-  return elkin_neiman_decomposition(g, options);
+  return run_schedule(g, theorem1_schedule(g.num_vertices(), 4), seed);
 }
 
 TEST(Checkers, IndependentSetBasics) {
@@ -121,10 +118,8 @@ TEST(PipelineOracle, ClassDiametersAndRoundCostMatchAllSourceSweep) {
           SCOPED_TRACE(std::string(family) + " n=" + std::to_string(n) +
                        " seed=" + std::to_string(seed) +
                        " k=" + std::to_string(k));
-          ElkinNeimanOptions options;
-          options.k = k;
-          options.seed = seed;
-          const DecompositionRun run = elkin_neiman_decomposition(g, options);
+          const DecompositionRun run =
+              run_schedule(g, theorem1_schedule(g.num_vertices(), k), seed);
           const Clustering& clustering = run.clustering();
           const std::vector<std::int32_t> expected =
               reference_class_diameters(g, clustering);

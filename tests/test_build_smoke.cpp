@@ -1,7 +1,7 @@
 // Build-substrate smoke test: the one test whose job is to prove the
 // CMake wiring itself works — it links against the dsnd library target
 // across all of its layers (graph generators, decomposition, validation)
-// and runs elkin_neiman_decomposition end-to-end on a generator graph,
+// and runs a Theorem 1 schedule end-to-end on a generator graph,
 // checking the result with the brute-force validators. If the library
 // target, include paths, or test registration break, this fails first.
 #include "decomposition/elkin_neiman.hpp"
@@ -18,10 +18,9 @@ TEST(BuildSmoke, ElkinNeimanEndToEndOnGnp) {
   const VertexId n = 512;
   const Graph g = make_gnp(n, 6.0 / (n - 1), /*seed=*/7);
 
-  ElkinNeimanOptions options;
-  options.seed = 7;
-  // options.k stays 0 and resolves to ceil(ln n), the headline regime.
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  // k defaults to 0, which resolves to ceil(ln n): the headline regime.
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices()), 7);
 
   const DecompositionReport report =
       validate_decomposition(g, run.clustering());
@@ -42,10 +41,8 @@ TEST(BuildSmoke, ElkinNeimanEndToEndOnGnp) {
 TEST(BuildSmoke, EndToEndOnStructuredGraph) {
   const Graph g = make_grid2d(16, 16);
 
-  ElkinNeimanOptions options;
-  options.k = 3;
-  options.seed = 11;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 3), 11);
 
   const DecompositionReport report =
       validate_decomposition(g, run.clustering());

@@ -1,6 +1,7 @@
 // The schedule abstraction itself: the theorem factories are the single
-// source of truth for betas/bounds, the wrappers are thin instantiations
-// of run_schedule, and the schedule totals match the paper's formulas.
+// source of truth for betas/bounds, their defaults are the theorems'
+// headline parameters, and the schedule totals match the paper's
+// formulas.
 #include "decomposition/carve_schedule.hpp"
 
 #include <gtest/gtest.h>
@@ -84,58 +85,20 @@ TEST(CarveSchedule, Theorem3RealKRounds) {
   EXPECT_DOUBLE_EQ(s.bounds.rounds, lambda * k);
 }
 
-TEST(CarveSchedule, ParamsLowersScheduleVerbatim) {
-  const CarveSchedule s = theorem2_schedule(128, 3, 6.0);
-  const CarveParams p = s.params(/*seed=*/77, /*run_to_completion=*/false,
-                                 /*margin=*/0.5);
-  EXPECT_EQ(p.betas, s.betas);
-  EXPECT_EQ(p.phase_rounds, s.phase_rounds);
-  EXPECT_DOUBLE_EQ(p.radius_overflow_at, s.radius_overflow_at);
-  EXPECT_EQ(p.seed, 77u);
-  EXPECT_FALSE(p.run_to_completion);
-  EXPECT_DOUBLE_EQ(p.margin, 0.5);
-}
-
-TEST(CarveSchedule, WrappersAreThinScheduleInstantiations) {
-  // The options-struct entry points must behave exactly like building
-  // the schedule and calling run_schedule — no second derivation path.
-  const Graph g = make_gnp(120, 0.06, 9);
-  const std::uint64_t seed = 31;
-  {
-    ElkinNeimanOptions options;
-    options.k = 4;
-    options.seed = seed;
-    const DecompositionRun a = elkin_neiman_decomposition(g, options);
-    const DecompositionRun b = run_schedule(
-        g, theorem1_schedule(g.num_vertices(), 4, options.c), seed);
-    EXPECT_EQ(a.carve.phases_used, b.carve.phases_used);
-    EXPECT_DOUBLE_EQ(a.bounds.colors, b.bounds.colors);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(a.clustering().cluster_of(v), b.clustering().cluster_of(v));
-    }
-  }
-  {
-    MultistageOptions options;
-    options.k = 3;
-    options.seed = seed;
-    const DecompositionRun a = multistage_decomposition(g, options);
-    const DecompositionRun b = run_schedule(
-        g, theorem2_schedule(g.num_vertices(), 3, options.c), seed);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(a.clustering().cluster_of(v), b.clustering().cluster_of(v));
-    }
-  }
-  {
-    HighRadiusOptions options;
-    options.lambda = 3;
-    options.seed = seed;
-    const DecompositionRun a = high_radius_decomposition(g, options);
-    const DecompositionRun b = run_schedule(
-        g, theorem3_schedule(g.num_vertices(), 3, options.c), seed);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(a.clustering().cluster_of(v), b.clustering().cluster_of(v));
-    }
-  }
+TEST(CarveSchedule, FactoryDefaultsAreTheHeadlineParameters) {
+  // k = 0 selects ceil(ln n); c = 4 for Theorems 1 and 3, c = 6 for
+  // Theorem 2 (the smallest integers with nontrivial success bounds).
+  const VertexId n = 500;
+  const CarveSchedule t1 = theorem1_schedule(n);
+  EXPECT_EQ(t1.betas, theorem1_schedule(n, 0, 4.0).betas);
+  EXPECT_DOUBLE_EQ(t1.k, std::ceil(std::log(500.0)));
+  EXPECT_DOUBLE_EQ(t1.c, 4.0);
+  const CarveSchedule t2 = theorem2_schedule(n);
+  EXPECT_EQ(t2.betas, theorem2_schedule(n, 0, 6.0).betas);
+  EXPECT_DOUBLE_EQ(t2.c, 6.0);
+  const CarveSchedule t3 = theorem3_schedule(n, 3);
+  EXPECT_EQ(t3.betas, theorem3_schedule(n, 3, 4.0).betas);
+  EXPECT_DOUBLE_EQ(t3.c, 4.0);
 }
 
 TEST(CarveSchedule, RunScheduleAttachesBounds) {
@@ -155,7 +118,22 @@ TEST(CarveSchedule, RejectsBadParameters) {
   EXPECT_THROW(theorem2_schedule(100, 3, 1.0), std::invalid_argument);
   EXPECT_THROW(theorem3_schedule(100, 0, 4.0), std::invalid_argument);
   CarveSchedule empty;
-  EXPECT_THROW(empty.params(1), std::invalid_argument);
+  EXPECT_THROW(empty.require_runnable(), std::invalid_argument);
+  EXPECT_NO_THROW(theorem1_schedule(100, 3, 4.0).require_runnable());
+  // c * n < 1 makes ln(cn) and so every Theorem 1 beta negative: the
+  // factory builds it, but no runner accepts it.
+  EXPECT_THROW(theorem1_schedule(5000, 0, 0.0001).require_runnable(),
+               std::invalid_argument);
+  CarveSchedule bad = theorem1_schedule(100, 3, 4.0);
+  bad.phase_rounds = 0;
+  EXPECT_THROW(bad.require_runnable(), std::invalid_argument);
+  for (std::int32_t CarveSchedule::*budget :
+       {&CarveSchedule::max_retries_per_phase,
+        &CarveSchedule::max_run_retries, &CarveSchedule::max_rollbacks}) {
+    CarveSchedule negative = theorem1_schedule(100, 3, 4.0);
+    negative.*budget = -1;
+    EXPECT_THROW(negative.require_runnable(), std::invalid_argument);
+  }
 }
 
 }  // namespace

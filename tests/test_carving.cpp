@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "decomposition/carve_schedule.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
 #include "support/rng.hpp"
@@ -184,14 +185,21 @@ TEST(PhaseBroadcast, RangeBoundaryIsFloor) {
 
 // --- Full carving --------------------------------------------------------
 
+/// A constant-beta schedule outside the theorem factories.
+CarveSchedule constant_schedule(std::size_t phases, double beta,
+                                std::int32_t phase_rounds,
+                                double radius_overflow_at) {
+  CarveSchedule schedule;
+  schedule.betas.assign(phases, beta);
+  schedule.phase_rounds = phase_rounds;
+  schedule.radius_overflow_at = radius_overflow_at;
+  return schedule;
+}
+
 TEST(Carve, ProducesCompletePartition) {
   const Graph g = make_grid2d(6, 6);
-  CarveParams params;
-  params.betas.assign(16, 0.9);
-  params.phase_rounds = 4;
-  params.radius_overflow_at = 5.0;
-  params.seed = 5;
-  const CarveResult result = carve_decomposition(g, params);
+  const CarveResult result =
+      carve_decomposition(g, constant_schedule(16, 0.9, 4, 5.0), 5);
   EXPECT_TRUE(result.clustering.is_complete());
   EXPECT_EQ(result.carved_per_phase.size(),
             static_cast<std::size_t>(result.phases_used));
@@ -207,20 +215,15 @@ TEST(Carve, ProducesCompletePartition) {
 
 TEST(Carve, DeterministicInSeed) {
   const Graph g = make_gnp(60, 0.08, 2);
-  CarveParams params;
-  params.betas.assign(32, 1.0);
-  params.phase_rounds = 4;
-  params.radius_overflow_at = 5.0;
-  params.seed = 42;
-  const CarveResult a = carve_decomposition(g, params);
-  const CarveResult b = carve_decomposition(g, params);
+  const CarveSchedule schedule = constant_schedule(32, 1.0, 4, 5.0);
+  const CarveResult a = carve_decomposition(g, schedule, 42);
+  const CarveResult b = carve_decomposition(g, schedule, 42);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(a.clustering.cluster_of(v), b.clustering.cluster_of(v));
   }
   EXPECT_EQ(a.phases_used, b.phases_used);
 
-  params.seed = 43;
-  const CarveResult c = carve_decomposition(g, params);
+  const CarveResult c = carve_decomposition(g, schedule, 43);
   bool any_diff = false;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (a.clustering.cluster_of(v) != c.clustering.cluster_of(v)) {
@@ -232,48 +235,22 @@ TEST(Carve, DeterministicInSeed) {
 
 TEST(Carve, SingleVertexGraph) {
   const Graph g = make_path(1);
-  CarveParams params;
-  params.betas.assign(4, 1.0);
-  params.phase_rounds = 1;
-  params.seed = 1;
-  const CarveResult result = carve_decomposition(g, params);
+  const CarveResult result =
+      carve_decomposition(g, constant_schedule(4, 1.0, 1, 2.0), 1);
   EXPECT_TRUE(result.clustering.is_complete());
   EXPECT_EQ(result.clustering.num_clusters(), 1);
   EXPECT_EQ(result.clustering.center_of(0), 0);
 }
 
-TEST(Carve, RunToCompletionFalseMayLeaveVertices) {
-  const Graph g = make_complete(40);
-  CarveParams params;
-  params.betas.assign(1, 8.0);  // tiny radii: almost nobody joins
-  params.phase_rounds = 2;
-  params.run_to_completion = false;
-  params.seed = 3;
-  const CarveResult result = carve_decomposition(g, params);
-  EXPECT_LE(result.phases_used, 1);
-  // Not asserting incompleteness (random), but the structure must hold:
-  EXPECT_EQ(result.clustering.num_unassigned() +
-                [&] {
-                  VertexId assigned = 0;
-                  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-                    if (result.clustering.cluster_of(v) != kNoCluster) {
-                      ++assigned;
-                    }
-                  }
-                  return assigned;
-                }(),
-            g.num_vertices());
-}
-
 TEST(Carve, RejectsBadParams) {
   const Graph g = make_path(4);
-  CarveParams params;
-  EXPECT_THROW(carve_decomposition(g, params), std::invalid_argument);
-  params.betas = {0.0};
-  EXPECT_THROW(carve_decomposition(g, params), std::invalid_argument);
-  params.betas = {1.0};
-  params.phase_rounds = 0;
-  EXPECT_THROW(carve_decomposition(g, params), std::invalid_argument);
+  CarveSchedule schedule;
+  EXPECT_THROW(carve_decomposition(g, schedule, 1), std::invalid_argument);
+  schedule.betas = {0.0};
+  EXPECT_THROW(carve_decomposition(g, schedule, 1), std::invalid_argument);
+  schedule.betas = {1.0};
+  schedule.phase_rounds = 0;
+  EXPECT_THROW(carve_decomposition(g, schedule, 1), std::invalid_argument);
 }
 
 TEST(PhaseBroadcast, Top1ForwardingIsInexact) {
@@ -332,16 +309,12 @@ TEST(PhaseBroadcast, Top1BestValueNeverBetterThanExact) {
 
 TEST(Carve, OverflowFlagTracksLargeRadii) {
   const Graph g = make_path(8);
-  CarveParams params;
-  params.betas.assign(64, 2.0);
-  params.phase_rounds = 2;
-  params.radius_overflow_at = 1e9;  // never reached
-  params.seed = 9;
-  const CarveResult result = carve_decomposition(g, params);
+  CarveSchedule schedule = constant_schedule(64, 2.0, 2, 1e9);  // never
+  const CarveResult result = carve_decomposition(g, schedule, 9);
   EXPECT_FALSE(result.radius_overflow);
 
-  params.radius_overflow_at = 0.0;  // always "reached"
-  const CarveResult result2 = carve_decomposition(g, params);
+  schedule.radius_overflow_at = 0.0;  // always "reached"
+  const CarveResult result2 = carve_decomposition(g, schedule, 9);
   EXPECT_TRUE(result2.radius_overflow);
   EXPECT_GE(result2.max_sampled_radius, 0.0);
 }

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <utility>
+#include <vector>
 
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/high_radius.hpp"
+#include "decomposition/multistage.hpp"
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
 
@@ -26,51 +28,55 @@ void expect_same_clustering(const Clustering& a, const Clustering& b) {
   }
 }
 
+/// A schedule outside the three theorem factories: `phase_rounds`
+/// broadcast rounds per phase with Lemma 1's threshold one above.
+CarveSchedule hand_rolled(std::vector<double> betas,
+                          std::int32_t phase_rounds) {
+  CarveSchedule schedule;
+  schedule.betas = std::move(betas);
+  schedule.phase_rounds = phase_rounds;
+  schedule.radius_overflow_at = phase_rounds + 1.0;
+  return schedule;
+}
+
 TEST(CarvingProtocol, GenericScheduleMatchesCentralized) {
   const Graph g = make_gnp(80, 0.08, 4);
-  CarveParams params;
   // A hand-rolled decaying schedule distinct from all three theorems.
+  std::vector<double> betas;
   for (int i = 0; i < 40; ++i) {
-    params.betas.push_back(1.5 / (1.0 + 0.1 * i));
+    betas.push_back(1.5 / (1.0 + 0.1 * i));
   }
-  params.phase_rounds = 4;
-  params.radius_overflow_at = 5.0;
-  params.seed = 23;
-  const CarveResult central = carve_decomposition(g, params);
-  const DistributedCarveResult dist =
-      carve_decomposition_distributed(g, params);
-  expect_same_clustering(central.clustering, dist.carve.clustering);
-  EXPECT_EQ(central.phases_used, dist.carve.phases_used);
-  EXPECT_EQ(central.rounds, dist.carve.rounds);
-  EXPECT_EQ(central.radius_overflow, dist.carve.radius_overflow);
-  EXPECT_EQ(central.carved_per_phase, dist.carve.carved_per_phase);
+  const CarveSchedule schedule = hand_rolled(std::move(betas), 4);
+  const CarveResult central = carve_decomposition(g, schedule, 23);
+  const DistributedRun dist = run_schedule_distributed(g, schedule, 23);
+  expect_same_clustering(central.clustering, dist.run.clustering());
+  EXPECT_EQ(central.phases_used, dist.run.carve.phases_used);
+  EXPECT_EQ(central.rounds, dist.run.carve.rounds);
+  EXPECT_EQ(central.radius_overflow, dist.run.carve.radius_overflow);
+  EXPECT_EQ(central.carved_per_phase, dist.run.carve.carved_per_phase);
 }
 
 TEST(CarvingProtocol, MultistageDistributedMatchesCentralized) {
   for (std::uint64_t seed : {1ULL, 2ULL}) {
     const Graph g = make_grid2d(9, 9);
-    MultistageOptions options;
-    options.k = 3;
-    options.seed = seed;
-    const DecompositionRun central = multistage_decomposition(g, options);
-    const DistributedRun dist = multistage_distributed(g, options);
+    const CarveSchedule schedule = theorem2_schedule(g.num_vertices(), 3);
+    const DecompositionRun central = run_schedule(g, schedule, seed);
+    const DistributedRun dist = run_schedule_distributed(g, schedule, seed);
     expect_same_clustering(central.clustering(), dist.run.clustering());
     EXPECT_EQ(central.carve.phases_used, dist.run.carve.phases_used);
-    EXPECT_LE(dist.sim.max_message_words, kMaxProtocolMessageWords);
+    EXPECT_LE(dist.sim.max_message_words, kCarveProtocolMaxWords);
   }
 }
 
 TEST(CarvingProtocol, HighRadiusDistributedMatchesCentralized) {
   for (std::uint64_t seed : {1ULL, 2ULL}) {
     const Graph g = make_gnp(64, 0.1, seed);
-    HighRadiusOptions options;
-    options.lambda = 3;
-    options.seed = seed;
-    const DecompositionRun central = high_radius_decomposition(g, options);
-    const DistributedRun dist = high_radius_distributed(g, options);
+    const CarveSchedule schedule = theorem3_schedule(g.num_vertices(), 3);
+    const DecompositionRun central = run_schedule(g, schedule, seed);
+    const DistributedRun dist = run_schedule_distributed(g, schedule, seed);
     expect_same_clustering(central.clustering(), dist.run.clustering());
     EXPECT_EQ(central.carve.phases_used, dist.run.carve.phases_used);
-    EXPECT_LE(dist.sim.max_message_words, kMaxProtocolMessageWords);
+    EXPECT_LE(dist.sim.max_message_words, kCarveProtocolMaxWords);
   }
 }
 
@@ -79,47 +85,23 @@ TEST(CarvingProtocol, ChangeBasedSendingBoundsTraffic) {
   // most a handful of times; total entry messages stay far below the
   // always-send bound of 2 per edge-direction per broadcast round.
   const Graph g = make_cycle(64);
-  CarveParams params;
-  params.betas.assign(32, 1.0);
-  params.phase_rounds = 6;
-  params.radius_overflow_at = 7.0;
-  params.seed = 3;
-  const DistributedCarveResult dist =
-      carve_decomposition_distributed(g, params);
+  const DistributedRun dist = run_schedule_distributed(
+      g, hand_rolled(std::vector<double>(32, 1.0), 6), 3);
   const std::uint64_t always_send_bound =
-      static_cast<std::uint64_t>(dist.carve.phases_used) * 6 * 2 * 2 *
+      static_cast<std::uint64_t>(dist.run.carve.phases_used) * 6 * 2 * 2 *
       static_cast<std::uint64_t>(g.num_edges());
   EXPECT_LT(dist.sim.messages, always_send_bound / 2);
-}
-
-TEST(CarvingProtocol, RejectsUnsupportedModes) {
-  const Graph g = make_path(8);
-  CarveParams params;
-  params.betas = {1.0};
-  params.phase_rounds = 2;
-  params.margin = 0.5;
-  EXPECT_THROW(carve_decomposition_distributed(g, params),
-               std::invalid_argument);
-  params.margin = 1.0;
-  params.run_to_completion = false;
-  EXPECT_THROW(carve_decomposition_distributed(g, params),
-               std::invalid_argument);
 }
 
 TEST(CarvingProtocol, ValidDecompositionUnderLongPhases) {
   // High-radius style: phases far longer than the graph diameter; the
   // change-based sender must go quiet after the fixed point.
   const Graph g = make_grid2d(7, 7);
-  CarveParams params;
-  params.betas.assign(3, 0.15);
-  params.phase_rounds = 60;
-  params.radius_overflow_at = 61.0;
-  params.seed = 11;
-  const DistributedCarveResult dist =
-      carve_decomposition_distributed(g, params);
-  EXPECT_TRUE(dist.carve.clustering.is_complete());
+  const DistributedRun dist = run_schedule_distributed(
+      g, hand_rolled(std::vector<double>(3, 0.15), 60), 11);
+  EXPECT_TRUE(dist.run.clustering().is_complete());
   const DecompositionReport report = validate_decomposition(
-      g, dist.carve.clustering, /*compute_weak=*/false);
+      g, dist.run.clustering(), /*compute_weak=*/false);
   EXPECT_TRUE(report.complete);
 }
 

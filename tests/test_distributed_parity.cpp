@@ -8,7 +8,10 @@
 #include <cstdint>
 #include <string>
 
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/carving_protocol.hpp"
+#include "decomposition/elkin_neiman.hpp"
+#include "decomposition/high_radius.hpp"
+#include "decomposition/multistage.hpp"
 #include "graph/generators.hpp"
 
 namespace dsnd {
@@ -23,8 +26,11 @@ Graph make_family(const std::string& family, VertexId n,
   return family_by_name("rgg").make(n, seed);
 }
 
-void expect_parity(const DecompositionRun& central,
-                   const DistributedRun& dist, const std::string& label) {
+/// Runs `schedule` on both backends and checks them against each other.
+void expect_parity(const Graph& g, const CarveSchedule& schedule,
+                   std::uint64_t seed, const std::string& label) {
+  const DecompositionRun central = run_schedule(g, schedule, seed);
+  const DistributedRun dist = run_schedule_distributed(g, schedule, seed);
   ASSERT_EQ(dist.run.carve.phases_used, central.carve.phases_used) << label;
   ASSERT_EQ(dist.run.carve.rounds, central.carve.rounds) << label;
   EXPECT_EQ(dist.run.carve.radius_overflow, central.carve.radius_overflow)
@@ -46,7 +52,7 @@ void expect_parity(const DecompositionRun& central,
     ASSERT_EQ(a.color_of(c), b.color_of(c)) << label << " c=" << c;
   }
   // The engine's message metrics certify the CONGEST claim.
-  EXPECT_LE(dist.sim.max_message_words, kMaxProtocolMessageWords) << label;
+  EXPECT_LE(dist.sim.max_message_words, kCarveProtocolMaxWords) << label;
   // Bounds travel with the schedule on both paths.
   EXPECT_DOUBLE_EQ(dist.run.bounds.strong_diameter,
                    central.bounds.strong_diameter)
@@ -58,12 +64,7 @@ TEST(DistributedParity, Theorem2AcrossFamiliesAndSeeds) {
   for (const char* family : {"gnp", "ring", "rgg"}) {
     for (const std::uint64_t seed : kSeeds) {
       const Graph g = make_family(family, 96, seed);
-      MultistageOptions options;
-      options.k = 3;
-      options.seed = seed * 131 + 7;
-      const DecompositionRun central = multistage_decomposition(g, options);
-      const DistributedRun dist = multistage_distributed(g, options);
-      expect_parity(central, dist,
+      expect_parity(g, theorem2_schedule(g.num_vertices(), 3), seed * 131 + 7,
                     std::string("T2 ") + family + " seed=" +
                         std::to_string(seed));
     }
@@ -74,12 +75,7 @@ TEST(DistributedParity, Theorem3AcrossFamiliesAndSeeds) {
   for (const char* family : {"gnp", "ring", "rgg"}) {
     for (const std::uint64_t seed : kSeeds) {
       const Graph g = make_family(family, 96, seed);
-      HighRadiusOptions options;
-      options.lambda = 3;
-      options.seed = seed * 977 + 3;
-      const DecompositionRun central = high_radius_decomposition(g, options);
-      const DistributedRun dist = high_radius_distributed(g, options);
-      expect_parity(central, dist,
+      expect_parity(g, theorem3_schedule(g.num_vertices(), 3), seed * 977 + 3,
                     std::string("T3 ") + family + " seed=" +
                         std::to_string(seed));
     }
@@ -91,12 +87,8 @@ TEST(DistributedParity, Theorem1OnRgg) {
   // the rgg family; cover it here so all three theorems share the grid.
   for (const std::uint64_t seed : kSeeds) {
     const Graph g = make_family("rgg", 96, seed);
-    ElkinNeimanOptions options;
-    options.k = 4;
-    options.seed = seed * 613 + 11;
-    const DecompositionRun central = elkin_neiman_decomposition(g, options);
-    const DistributedRun dist = elkin_neiman_distributed(g, options);
-    expect_parity(central, dist, "T1 rgg seed=" + std::to_string(seed));
+    expect_parity(g, theorem1_schedule(g.num_vertices(), 4), seed * 613 + 11,
+                  "T1 rgg seed=" + std::to_string(seed));
   }
 }
 
@@ -104,15 +96,14 @@ TEST(DistributedParity, ParityHoldsUnderEngineConfigurations) {
   // The schedule core must be execution-invariant: threads and
   // scheduling knobs change nothing observable.
   const Graph g = make_family("gnp", 80, 3);
-  MultistageOptions options;
-  options.k = 3;
-  options.seed = 19;
-  const DistributedRun baseline = multistage_distributed(g, options);
+  const CarveSchedule schedule = theorem2_schedule(g.num_vertices(), 3);
+  const DistributedRun baseline = run_schedule_distributed(g, schedule, 19);
   for (const bool active : {true, false}) {
     EngineOptions engine;
     engine.active_scheduling = active;
     engine.threads = active ? 4 : 2;
-    const DistributedRun run = multistage_distributed(g, options, engine);
+    const DistributedRun run =
+        run_schedule_distributed(g, schedule, 19, engine);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       ASSERT_EQ(run.run.clustering().cluster_of(v),
                 baseline.run.clustering().cluster_of(v));
@@ -130,27 +121,16 @@ TEST(DistributedParity, ShardCountInvarianceAcrossTheoremsAndFamilies) {
     for (const char* family : {"gnp", "ring", "rgg"}) {
       const Graph g = make_family(family, 96, 5);
       const std::uint64_t seed = 31 * static_cast<std::uint64_t>(theorem);
+      const VertexId n = g.num_vertices();
+      const CarveSchedule schedule = theorem == 1   ? theorem1_schedule(n, 4)
+                                     : theorem == 2 ? theorem2_schedule(n, 3)
+                                                    : theorem3_schedule(n, 3);
       DistributedRun runs[4];
       const unsigned thread_counts[] = {1, 2, 4, 7};
       for (std::size_t i = 0; i < 4; ++i) {
         EngineOptions engine;
         engine.threads = thread_counts[i];
-        if (theorem == 1) {
-          ElkinNeimanOptions options;
-          options.k = 4;
-          options.seed = seed;
-          runs[i] = elkin_neiman_distributed(g, options, engine);
-        } else if (theorem == 2) {
-          MultistageOptions options;
-          options.k = 3;
-          options.seed = seed;
-          runs[i] = multistage_distributed(g, options, engine);
-        } else {
-          HighRadiusOptions options;
-          options.lambda = 3;
-          options.seed = seed;
-          runs[i] = high_radius_distributed(g, options, engine);
-        }
+        runs[i] = run_schedule_distributed(g, schedule, seed, engine);
       }
       for (std::size_t i = 1; i < 4; ++i) {
         const std::string label = std::string("T") +

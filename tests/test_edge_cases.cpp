@@ -7,8 +7,8 @@
 #include "apps/checkers.hpp"
 #include "apps/luby.hpp"
 #include "apps/mis.hpp"
+#include "decomposition/carving_protocol.hpp"
 #include "decomposition/elkin_neiman.hpp"
-#include "decomposition/elkin_neiman_distributed.hpp"
 #include "decomposition/linial_saks.hpp"
 #include "decomposition/mpx.hpp"
 #include "decomposition/supergraph.hpp"
@@ -23,10 +23,8 @@ TEST(EdgeCases, ElkinNeimanKLargerThanLogN) {
   // k beyond ln n is allowed (it just wastes radius); the guarantees
   // still hold.
   const Graph g = make_cycle(32);
-  ElkinNeimanOptions options;
-  options.k = 12;  // ln 32 ~ 3.5
-  options.seed = 3;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 12), 3);
   EXPECT_TRUE(run.clustering().is_complete());
   if (!run.carve.radius_overflow) {
     const DecompositionReport report =
@@ -41,11 +39,8 @@ TEST(EdgeCases, ElkinNeimanHugeCRarelyOverflows) {
   int overflows = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Graph g = make_gnp(100, 0.06, seed);
-    ElkinNeimanOptions options;
-    options.k = 4;
-    options.c = 1000.0;
-    options.seed = seed;
-    const DecompositionRun run = elkin_neiman_decomposition(g, options);
+    const DecompositionRun run =
+        run_schedule(g, theorem1_schedule(g.num_vertices(), 4, 1000.0), seed);
     if (run.carve.radius_overflow) ++overflows;
     EXPECT_TRUE(run.clustering().is_complete());
   }
@@ -54,23 +49,18 @@ TEST(EdgeCases, ElkinNeimanHugeCRarelyOverflows) {
 
 TEST(EdgeCases, ElkinNeimanTinyCStillCompletes) {
   // c < 3 voids the success probability statement but not correctness
-  // of the outputs (run_to_completion).
+  // of the outputs (a run always carves to completion).
   const Graph g = make_grid2d(8, 8);
-  ElkinNeimanOptions options;
-  options.k = 3;
-  options.c = 0.5;
-  options.seed = 2;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 3, 0.5), 2);
   EXPECT_TRUE(run.clustering().is_complete());
 }
 
 TEST(EdgeCases, StarGraphDecomposition) {
   // Star: the hub dominates every broadcast comparison.
   const Graph g = make_star(50);
-  ElkinNeimanOptions options;
-  options.k = 3;
-  options.seed = 5;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 3), 5);
   EXPECT_TRUE(run.clustering().is_complete());
   EXPECT_TRUE(phase_coloring_is_proper(g, run.clustering()) ||
               run.carve.radius_overflow);
@@ -80,10 +70,8 @@ TEST(EdgeCases, BarbellBridgesSurviveCarving) {
   // Barbell stresses the case where one long path separates two dense
   // blobs; clusters must never span the bridge beyond their radius.
   const Graph g = make_barbell(12, 9);
-  ElkinNeimanOptions options;
-  options.k = 3;
-  options.seed = 7;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 3), 7);
   EXPECT_TRUE(run.clustering().is_complete());
   if (!run.carve.radius_overflow) {
     const DecompositionReport report =
@@ -96,11 +84,9 @@ TEST(EdgeCases, BarbellBridgesSurviveCarving) {
 TEST(EdgeCases, DistributedOnCompleteGraph) {
   // Dense worst case for message counts; equivalence must still hold.
   const Graph g = make_complete(40);
-  ElkinNeimanOptions options;
-  options.k = 2;
-  options.seed = 9;
-  const DistributedRun dist = elkin_neiman_distributed(g, options);
-  const DecompositionRun central = elkin_neiman_decomposition(g, options);
+  const CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 2);
+  const DistributedRun dist = run_schedule_distributed(g, schedule, 9);
+  const DecompositionRun central = run_schedule(g, schedule, 9);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(dist.run.clustering().cluster_of(v),
               central.clustering().cluster_of(v));
@@ -109,9 +95,8 @@ TEST(EdgeCases, DistributedOnCompleteGraph) {
 
 TEST(EdgeCases, EdgelessGraphEverywhere) {
   const Graph g = Graph::from_edges(16, {});
-  ElkinNeimanOptions en;
-  en.k = 3;
-  const DecompositionRun run = elkin_neiman_decomposition(g, en);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 3), 1);
   EXPECT_TRUE(run.clustering().is_complete());
   // Every vertex is its own component, so all clusters are singletons.
   // Note an isolated vertex still joins only when r_v > 1 (m2 = 0 by
@@ -143,10 +128,8 @@ TEST(EdgeCases, SupergraphOfMpxPartition) {
 
 TEST(EdgeCases, CompleteBipartiteDecomposition) {
   const Graph g = make_complete_bipartite(20, 20);
-  ElkinNeimanOptions options;
-  options.k = 2;
-  options.seed = 11;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 2), 11);
   EXPECT_TRUE(run.clustering().is_complete());
   const MisResult mis = mis_by_decomposition(g, run.clustering());
   EXPECT_TRUE(is_maximal_independent_set(g, mis.in_mis));
@@ -171,10 +154,8 @@ TEST(EdgeCases, LinialSaksOnDisconnectedGraph) {
 
 TEST(EdgeCases, SeedZeroIsValid) {
   const Graph g = make_gnp(50, 0.1, 0);
-  ElkinNeimanOptions options;
-  options.k = 3;
-  options.seed = 0;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 3), 0);
   EXPECT_TRUE(run.clustering().is_complete());
 }
 

@@ -33,10 +33,8 @@ TEST(ElkinNeiman, BetaAndLambdaFormulas) {
 TEST(ElkinNeiman, CompletePartitionAndProperColoring) {
   for (const char* family : {"grid", "gnp-sparse", "random-tree", "cycle"}) {
     const Graph g = family_by_name(family).make(128, 7);
-    ElkinNeimanOptions options;
-    options.k = 4;
-    options.seed = 1;
-    const DecompositionRun run = elkin_neiman_decomposition(g, options);
+    const DecompositionRun run =
+        run_schedule(g, theorem1_schedule(g.num_vertices(), 4), 1);
     EXPECT_TRUE(run.clustering().is_complete()) << family;
     EXPECT_TRUE(phase_coloring_is_proper(g, run.clustering())) << family;
   }
@@ -48,10 +46,8 @@ TEST(ElkinNeiman, StrongDiameterWithinBoundWithoutOverflow) {
   int checked = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const Graph g = make_gnp(150, 0.04, seed);
-    ElkinNeimanOptions options;
-    options.k = 4;
-    options.seed = seed;
-    const DecompositionRun run = elkin_neiman_decomposition(g, options);
+    const DecompositionRun run =
+        run_schedule(g, theorem1_schedule(g.num_vertices(), 4), seed);
     if (run.carve.radius_overflow) continue;  // conditioned out, as in paper
     ++checked;
     const DecompositionReport report =
@@ -67,10 +63,8 @@ TEST(ElkinNeiman, CenterRadiusWithinKMinus1) {
   // Observation 2: members lie within distance ⌊r⌋ - 1 <= k - 1 of their
   // center inside the cluster.
   const Graph g = make_grid2d(12, 12);
-  ElkinNeimanOptions options;
-  options.k = 5;
-  options.seed = 3;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 5), 3);
   if (!run.carve.radius_overflow) {
     const DecompositionReport report =
         validate_decomposition(g, run.clustering());
@@ -80,11 +74,9 @@ TEST(ElkinNeiman, CenterRadiusWithinKMinus1) {
 
 TEST(ElkinNeiman, DeterministicInSeed) {
   const Graph g = make_gnp(100, 0.06, 5);
-  ElkinNeimanOptions options;
-  options.k = 4;
-  options.seed = 77;
-  const DecompositionRun a = elkin_neiman_decomposition(g, options);
-  const DecompositionRun b = elkin_neiman_decomposition(g, options);
+  const CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 4);
+  const DecompositionRun a = run_schedule(g, schedule, 77);
+  const DecompositionRun b = run_schedule(g, schedule, 77);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(a.clustering().cluster_of(v), b.clustering().cluster_of(v));
   }
@@ -94,10 +86,8 @@ TEST(ElkinNeiman, DeterministicInSeed) {
 TEST(ElkinNeiman, KEqualsOneGivesSingletonClusters) {
   // D = 2k-2 = 0: every cluster is one vertex.
   const Graph g = make_complete(30);
-  ElkinNeimanOptions options;
-  options.k = 1;
-  options.seed = 2;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 1), 2);
   EXPECT_TRUE(run.clustering().is_complete());
   if (!run.carve.radius_overflow) {
     for (const VertexId size : run.clustering().cluster_sizes()) {
@@ -108,10 +98,8 @@ TEST(ElkinNeiman, KEqualsOneGivesSingletonClusters) {
 
 TEST(ElkinNeiman, BoundsFieldsPopulated) {
   const Graph g = make_path(64);
-  ElkinNeimanOptions options;
-  options.k = 3;
-  options.c = 4.0;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 3, 4.0), 1);
   EXPECT_DOUBLE_EQ(run.bounds.strong_diameter, 4.0);
   EXPECT_DOUBLE_EQ(run.bounds.success_probability, 1.0 - 3.0 / 4.0);
   EXPECT_EQ(run.bounds.colors,
@@ -121,10 +109,8 @@ TEST(ElkinNeiman, BoundsFieldsPopulated) {
 
 TEST(ElkinNeiman, RoundAccountingMatchesPhases) {
   const Graph g = make_cycle(80);
-  ElkinNeimanOptions options;
-  options.k = 4;
-  options.seed = 6;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 4), 6);
   EXPECT_EQ(run.carve.rounds,
             static_cast<std::int64_t>(run.carve.phases_used) * (4 + 1));
 }
@@ -135,29 +121,24 @@ TEST(ElkinNeiman, HandlesDisconnectedGraphs) {
   for (VertexId v = 0; v + 1 < 20; ++v) builder.add_edge(v, v + 1);
   for (VertexId v = 20; v + 1 < 40; ++v) builder.add_edge(v, v + 1);
   const Graph g = std::move(builder).build();
-  ElkinNeimanOptions options;
-  options.k = 3;
-  options.seed = 4;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 3), 4);
   EXPECT_TRUE(run.clustering().is_complete());
   EXPECT_TRUE(phase_coloring_is_proper(g, run.clustering()));
 }
 
 TEST(ElkinNeiman, SingleVertex) {
   const Graph g = make_path(1);
-  const DecompositionRun run =
-      elkin_neiman_decomposition(g, ElkinNeimanOptions{});
+  const DecompositionRun run = run_schedule(g, theorem1_schedule(1), 1);
   EXPECT_TRUE(run.clustering().is_complete());
   EXPECT_EQ(run.clustering().num_clusters(), 1);
 }
 
 TEST(ElkinNeiman, RejectsEmptyGraphAndBadC) {
-  EXPECT_THROW(elkin_neiman_decomposition(Graph(), ElkinNeimanOptions{}),
+  EXPECT_THROW(run_schedule(Graph(), theorem1_schedule(1), 1),
                std::invalid_argument);
-  ElkinNeimanOptions options;
-  options.c = 0.0;
-  EXPECT_THROW(elkin_neiman_decomposition(make_path(4), options),
-               std::invalid_argument);
+  EXPECT_THROW(theorem1_schedule(0), std::invalid_argument);
+  EXPECT_THROW(theorem1_schedule(4, 0, 0.0), std::invalid_argument);
 }
 
 TEST(ElkinNeiman, MarginZeroAblationBreaksLemma4) {
@@ -169,27 +150,21 @@ TEST(ElkinNeiman, MarginZeroAblationBreaksLemma4) {
   bool improper_seen = false;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Graph g = make_gnp(100, 0.08, seed);
-    ElkinNeimanOptions options;
-    options.k = 4;
-    options.margin = 0.0;
-    options.seed = seed;
-    const DecompositionRun run = elkin_neiman_decomposition(g, options);
-    EXPECT_TRUE(run.clustering().is_complete());
-    if (!phase_coloring_is_proper(g, run.clustering())) improper_seen = true;
+    const CarveResult carve = carve_decomposition(
+        g, theorem1_schedule(g.num_vertices(), 4), seed, /*margin=*/0.0);
+    EXPECT_TRUE(carve.clustering.is_complete());
+    if (!phase_coloring_is_proper(g, carve.clustering)) improper_seen = true;
   }
   EXPECT_TRUE(improper_seen);
 }
 
 TEST(ElkinNeiman, FewerPhasesWithSmallerMargin) {
   const Graph g = make_gnp(200, 0.05, 10);
-  ElkinNeimanOptions strict;
-  strict.k = 4;
-  strict.seed = 21;
-  ElkinNeimanOptions loose = strict;
-  loose.margin = 0.0;
-  const auto run_strict = elkin_neiman_decomposition(g, strict);
-  const auto run_loose = elkin_neiman_decomposition(g, loose);
-  EXPECT_LE(run_loose.carve.phases_used, run_strict.carve.phases_used);
+  const CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 4);
+  const CarveResult strict = carve_decomposition(g, schedule, 21);
+  const CarveResult loose =
+      carve_decomposition(g, schedule, 21, /*margin=*/0.0);
+  EXPECT_LE(loose.phases_used, strict.phases_used);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-#include "decomposition/elkin_neiman_distributed.hpp"
-
+// Theorem 1 as a CONGEST protocol: run_schedule_distributed on
+// theorem1_schedule against the centralized reference.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
+#include "decomposition/carving_protocol.hpp"
+#include "decomposition/elkin_neiman.hpp"
 #include "decomposition/supergraph.hpp"
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
@@ -20,12 +20,10 @@ TEST(Distributed, BitIdenticalToCentralizedReference) {
        {"grid", "cycle", "gnp-sparse", "random-tree", "ring-of-cliques"}) {
     for (std::uint64_t seed : {1ULL, 2ULL}) {
       const Graph g = family_by_name(family).make(96, seed);
-      ElkinNeimanOptions options;
-      options.k = 4;
-      options.seed = seed;
-      const DecompositionRun central =
-          elkin_neiman_decomposition(g, options);
-      const DistributedRun dist = elkin_neiman_distributed(g, options);
+      const CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 4);
+      const DecompositionRun central = run_schedule(g, schedule, seed);
+      const DistributedRun dist =
+          run_schedule_distributed(g, schedule, seed);
       ASSERT_EQ(dist.run.carve.phases_used, central.carve.phases_used)
           << family << " seed=" << seed;
       ASSERT_EQ(dist.run.carve.rounds, central.carve.rounds)
@@ -49,20 +47,16 @@ TEST(Distributed, BitIdenticalToCentralizedReference) {
 
 TEST(Distributed, MessagesAreCongestWidth) {
   const Graph g = make_gnp(80, 0.08, 3);
-  ElkinNeimanOptions options;
-  options.k = 4;
-  options.seed = 3;
-  const DistributedRun dist = elkin_neiman_distributed(g, options);
-  EXPECT_LE(dist.sim.max_message_words, kMaxProtocolMessageWords);
+  const DistributedRun dist =
+      run_schedule_distributed(g, theorem1_schedule(g.num_vertices(), 4), 3);
+  EXPECT_LE(dist.sim.max_message_words, kCarveProtocolMaxWords);
   EXPECT_GT(dist.sim.messages, 0u);
 }
 
 TEST(Distributed, SimRoundsMatchAccounting) {
   const Graph g = make_grid2d(8, 8);
-  ElkinNeimanOptions options;
-  options.k = 3;
-  options.seed = 5;
-  const DistributedRun dist = elkin_neiman_distributed(g, options);
+  const DistributedRun dist =
+      run_schedule_distributed(g, theorem1_schedule(g.num_vertices(), 3), 5);
   // The engine stops in the deciding step of the last phase.
   EXPECT_EQ(static_cast<std::int64_t>(dist.sim.rounds),
             dist.run.carve.rounds);
@@ -70,10 +64,8 @@ TEST(Distributed, SimRoundsMatchAccounting) {
 
 TEST(Distributed, ValidStrongDecompositionWithoutOverflow) {
   const Graph g = make_torus2d(8, 8);
-  ElkinNeimanOptions options;
-  options.k = 4;
-  options.seed = 11;
-  const DistributedRun dist = elkin_neiman_distributed(g, options);
+  const DistributedRun dist = run_schedule_distributed(
+      g, theorem1_schedule(g.num_vertices(), 4), 11);
   EXPECT_TRUE(dist.run.clustering().is_complete());
   EXPECT_TRUE(phase_coloring_is_proper(g, dist.run.clustering()));
   if (!dist.run.carve.radius_overflow) {
@@ -84,18 +76,10 @@ TEST(Distributed, ValidStrongDecompositionWithoutOverflow) {
   }
 }
 
-TEST(Distributed, RejectsNonUnitMargin) {
-  ElkinNeimanOptions options;
-  options.margin = 0.5;
-  EXPECT_THROW(elkin_neiman_distributed(make_path(4), options),
-               std::invalid_argument);
-}
-
 TEST(Distributed, SingleVertexTerminatesImmediately) {
   const Graph g = make_path(1);
-  ElkinNeimanOptions options;
-  options.k = 2;
-  const DistributedRun dist = elkin_neiman_distributed(g, options);
+  const DistributedRun dist =
+      run_schedule_distributed(g, theorem1_schedule(1, 2), 1);
   EXPECT_TRUE(dist.run.clustering().is_complete());
   EXPECT_EQ(dist.sim.messages, 0u);  // no neighbors to talk to
 }
@@ -104,10 +88,8 @@ TEST(Distributed, MessageVolumeScalesWithPhases) {
   // Sanity bound: at most 2 entry messages per directed edge per
   // broadcast round, plus one departure per vertex.
   const Graph g = make_cycle(64);
-  ElkinNeimanOptions options;
-  options.k = 3;
-  options.seed = 7;
-  const DistributedRun dist = elkin_neiman_distributed(g, options);
+  const DistributedRun dist =
+      run_schedule_distributed(g, theorem1_schedule(g.num_vertices(), 3), 7);
   const auto broadcast_rounds =
       static_cast<std::uint64_t>(dist.run.carve.phases_used) * 3;
   const std::uint64_t upper =

@@ -23,10 +23,8 @@ TEST(HighRadius, ColorCountAtMostLambdaOnSuccess) {
   for (std::int32_t lambda : {2, 3, 4}) {
     for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
       const Graph g = make_gnp(100, 0.05, seed);
-      HighRadiusOptions options;
-      options.lambda = lambda;
-      options.seed = seed;
-      const DecompositionRun run = high_radius_decomposition(g, options);
+      const DecompositionRun run =
+          run_schedule(g, theorem3_schedule(g.num_vertices(), lambda), seed);
       EXPECT_TRUE(run.clustering().is_complete());
       if (run.carve.exhausted_within_target) {
         EXPECT_LE(run.clustering().num_colors(), lambda);
@@ -41,11 +39,9 @@ TEST(HighRadius, UsuallyExhaustsWithinLambdaPhases) {
   const int trials = 10;
   for (int t = 0; t < trials; ++t) {
     const Graph g = make_gnp(80, 0.06, static_cast<std::uint64_t>(t));
-    HighRadiusOptions options;
-    options.lambda = 3;
-    options.c = 16.0;
-    options.seed = static_cast<std::uint64_t>(t) + 100;
-    const DecompositionRun run = high_radius_decomposition(g, options);
+    const DecompositionRun run =
+        run_schedule(g, theorem3_schedule(g.num_vertices(), 3, 16.0),
+                     static_cast<std::uint64_t>(t) + 100);
     if (run.carve.exhausted_within_target) ++successes;
   }
   EXPECT_GE(successes, 7);
@@ -53,10 +49,8 @@ TEST(HighRadius, UsuallyExhaustsWithinLambdaPhases) {
 
 TEST(HighRadius, StrongDiameterWithinBound) {
   const Graph g = make_grid2d(10, 10);
-  HighRadiusOptions options;
-  options.lambda = 2;
-  options.seed = 9;
-  const DecompositionRun run = high_radius_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem3_schedule(g.num_vertices(), 2), 9);
   if (!run.carve.radius_overflow) {
     const DecompositionReport report =
         validate_decomposition(g, run.clustering());
@@ -71,11 +65,8 @@ TEST(HighRadius, LambdaOneYieldsWholeComponentClusters) {
   // With one color every vertex must be clustered in a single phase, so
   // clusters are unions of whole components (here: the one component).
   const Graph g = make_cycle(32);
-  HighRadiusOptions options;
-  options.lambda = 1;
-  options.c = 8.0;
-  options.seed = 4;
-  const DecompositionRun run = high_radius_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem3_schedule(g.num_vertices(), 1, 8.0), 4);
   EXPECT_TRUE(run.clustering().is_complete());
   if (run.carve.exhausted_within_target) {
     EXPECT_EQ(run.clustering().num_clusters(), 1);
@@ -88,18 +79,15 @@ TEST(HighRadius, InverseTradeoffAgainstTheorem1) {
   // graph, lambda = 2 must use far fewer colors than Theorem 1 with
   // k = ln n, at the cost of larger clusters.
   const Graph g = make_gnp(200, 0.04, 6);
-  HighRadiusOptions t3;
-  t3.lambda = 2;
-  t3.seed = 6;
-  const DecompositionRun run3 = high_radius_decomposition(g, t3);
-  ElkinNeimanOptions t1;
-  t1.seed = 6;
-  const DecompositionRun run1 = elkin_neiman_decomposition(g, t1);
+  const DecompositionRun run3 =
+      run_schedule(g, theorem3_schedule(g.num_vertices(), 2), 6);
+  const DecompositionRun run1 =
+      run_schedule(g, theorem1_schedule(g.num_vertices()), 6);
   EXPECT_LT(run3.clustering().num_colors(), run1.clustering().num_colors());
 }
 
 TEST(HighRadius, RejectsBadParameters) {
-  EXPECT_THROW(high_radius_decomposition(Graph(), HighRadiusOptions{}),
+  EXPECT_THROW(run_schedule(Graph(), theorem3_schedule(1, 2), 1),
                std::invalid_argument);
   EXPECT_THROW(high_radius_k(100, 0, 4.0), std::invalid_argument);
   EXPECT_THROW(high_radius_k(0, 2, 4.0), std::invalid_argument);

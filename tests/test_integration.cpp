@@ -12,8 +12,8 @@
 #include "apps/luby.hpp"
 #include "apps/matching.hpp"
 #include "apps/mis.hpp"
+#include "decomposition/carving_protocol.hpp"
 #include "decomposition/elkin_neiman.hpp"
-#include "decomposition/elkin_neiman_distributed.hpp"
 #include "decomposition/high_radius.hpp"
 #include "decomposition/linial_saks.hpp"
 #include "decomposition/multistage.hpp"
@@ -28,10 +28,8 @@ namespace {
 
 TEST(Integration, FullPipelineOnGrid) {
   const Graph g = make_grid2d(12, 12);
-  ElkinNeimanOptions options;
-  options.k = 4;
-  options.seed = 2026;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 4), 2026);
 
   const DecompositionReport report =
       validate_decomposition(g, run.clustering());
@@ -55,19 +53,10 @@ TEST(Integration, FullPipelineOnGrid) {
 
 TEST(Integration, AllThreeTheoremsOnSameGraph) {
   const Graph g = make_gnp(200, 0.035, 77);
-  ElkinNeimanOptions t1;
-  t1.k = 4;
-  t1.seed = 1;
-  MultistageOptions t2;
-  t2.k = 4;
-  t2.seed = 1;
-  HighRadiusOptions t3;
-  t3.lambda = 3;
-  t3.seed = 1;
-
-  const DecompositionRun r1 = elkin_neiman_decomposition(g, t1);
-  const DecompositionRun r2 = multistage_decomposition(g, t2);
-  const DecompositionRun r3 = high_radius_decomposition(g, t3);
+  const VertexId n = g.num_vertices();
+  const DecompositionRun r1 = run_schedule(g, theorem1_schedule(n, 4), 1);
+  const DecompositionRun r2 = run_schedule(g, theorem2_schedule(n, 4), 1);
+  const DecompositionRun r3 = run_schedule(g, theorem3_schedule(n, 3), 1);
 
   for (const DecompositionRun* run : {&r1, &r2, &r3}) {
     EXPECT_TRUE(run->clustering().is_complete());
@@ -88,10 +77,8 @@ TEST(Integration, StrongVsWeakHeadToHead) {
   const std::int32_t k = 4;
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     const Graph g = make_gnp(180, 0.035, seed);
-    ElkinNeimanOptions en;
-    en.k = k;
-    en.seed = seed;
-    const DecompositionRun en_run = elkin_neiman_decomposition(g, en);
+    const DecompositionRun en_run =
+        run_schedule(g, theorem1_schedule(g.num_vertices(), k), seed);
     if (!en_run.carve.radius_overflow) {
       ++en_checked;
       const DecompositionReport report =
@@ -120,10 +107,8 @@ TEST(Integration, StrongVsWeakHeadToHead) {
 
 TEST(Integration, DistributedAndLubySolveSameProblem) {
   const Graph g = make_torus2d(10, 10);
-  ElkinNeimanOptions options;
-  options.k = 3;
-  options.seed = 5;
-  const DistributedRun dist = elkin_neiman_distributed(g, options);
+  const DistributedRun dist =
+      run_schedule_distributed(g, theorem1_schedule(g.num_vertices(), 3), 5);
   const MisResult dec_mis = mis_by_decomposition(g, dist.run.clustering());
   const LubyResult luby = luby_mis(g, 5);
   EXPECT_TRUE(is_maximal_independent_set(g, dec_mis.in_mis));
@@ -137,11 +122,9 @@ TEST(Integration, IoRoundTripPreservesDecompositionBehavior) {
   std::stringstream buffer;
   write_edge_list(buffer, g);
   const Graph g2 = read_edge_list(buffer);
-  ElkinNeimanOptions options;
-  options.k = 4;
-  options.seed = 31;
-  const DecompositionRun a = elkin_neiman_decomposition(g, options);
-  const DecompositionRun b = elkin_neiman_decomposition(g2, options);
+  const CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 4);
+  const DecompositionRun a = run_schedule(g, schedule, 31);
+  const DecompositionRun b = run_schedule(g2, schedule, 31);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(a.clustering().cluster_of(v), b.clustering().cluster_of(v));
   }
@@ -151,9 +134,8 @@ TEST(Integration, HeadlineRegimeSmallScale) {
   // k = ceil(ln n): the (O(log n), O(log n)) regime. Verify the measured
   // quantities against the theorem's own bounds on one medium graph.
   const Graph g = make_gnp(256, 0.025, 13);
-  ElkinNeimanOptions options;  // k = 0 -> auto
-  options.seed = 13;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices()), 13);
   EXPECT_TRUE(run.clustering().is_complete());
   EXPECT_LE(run.carve.phases_used,
             4 * static_cast<std::int32_t>(run.bounds.colors));

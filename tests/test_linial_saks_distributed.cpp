@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/carving_protocol.hpp"
+#include "decomposition/elkin_neiman.hpp"
 #include "graph/generators.hpp"
 
 namespace dsnd {
@@ -72,10 +73,8 @@ TEST(LsDistributed, HigherTrafficThanElkinNeiman) {
     const DistributedLsRun ls_run = linial_saks_distributed(g, ls);
     ls_words_per_round += static_cast<double>(ls_run.sim.words) /
                           static_cast<double>(ls_run.sim.rounds);
-    ElkinNeimanOptions en;
-    en.k = 5;
-    en.seed = seed;
-    const DistributedRun en_run = elkin_neiman_distributed(g, en);
+    const DistributedRun en_run = run_schedule_distributed(
+        g, theorem1_schedule(g.num_vertices(), 5), seed);
     en_words_per_round += static_cast<double>(en_run.sim.words) /
                           static_cast<double>(en_run.sim.rounds);
   }

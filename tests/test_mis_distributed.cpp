@@ -18,10 +18,8 @@ namespace {
 DecompositionRun usable_run(const Graph& g, std::int32_t k,
                             std::uint64_t base_seed) {
   for (std::uint64_t seed = base_seed; seed < base_seed + 50; ++seed) {
-    ElkinNeimanOptions options;
-    options.k = k;
-    options.seed = seed;
-    DecompositionRun run = elkin_neiman_decomposition(g, options);
+    DecompositionRun run =
+        run_schedule(g, theorem1_schedule(g.num_vertices(), k), seed);
     if (!run.carve.radius_overflow) return run;
   }
   throw std::runtime_error("no overflow-free run found");

@@ -45,10 +45,8 @@ TEST(Multistage, BetasAllPositive) {
 TEST(Multistage, CompleteAndProper) {
   for (const char* family : {"grid", "gnp-sparse", "small-world"}) {
     const Graph g = family_by_name(family).make(128, 5);
-    MultistageOptions options;
-    options.k = 4;
-    options.seed = 5;
-    const DecompositionRun run = multistage_decomposition(g, options);
+    const DecompositionRun run =
+        run_schedule(g, theorem2_schedule(g.num_vertices(), 4), 5);
     EXPECT_TRUE(run.clustering().is_complete()) << family;
     EXPECT_TRUE(phase_coloring_is_proper(g, run.clustering())) << family;
   }
@@ -57,10 +55,8 @@ TEST(Multistage, CompleteAndProper) {
 TEST(Multistage, StrongDiameterBoundHolds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Graph g = make_gnp(120, 0.05, seed);
-    MultistageOptions options;
-    options.k = 4;
-    options.seed = seed;
-    const DecompositionRun run = multistage_decomposition(g, options);
+    const DecompositionRun run =
+        run_schedule(g, theorem2_schedule(g.num_vertices(), 4), seed);
     if (run.carve.radius_overflow) continue;
     const DecompositionReport report =
         validate_decomposition(g, run.clustering());
@@ -76,26 +72,19 @@ TEST(Multistage, UsesFewerOrEqualColorsThanTheorem1OnAverage) {
   double colors_t2 = 0.0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const Graph g = make_gnp(300, 0.02, seed);
-    ElkinNeimanOptions t1;
-    t1.k = 1;
-    t1.c = 6.0;
-    t1.seed = seed;
-    MultistageOptions t2;
-    t2.k = 1;
-    t2.c = 6.0;
-    t2.seed = seed;
-    colors_t1 += elkin_neiman_decomposition(g, t1).carve.phases_used;
-    colors_t2 += multistage_decomposition(g, t2).carve.phases_used;
+    const VertexId n = g.num_vertices();
+    colors_t1 +=
+        run_schedule(g, theorem1_schedule(n, 1, 6.0), seed).carve.phases_used;
+    colors_t2 +=
+        run_schedule(g, theorem2_schedule(n, 1, 6.0), seed).carve.phases_used;
   }
   EXPECT_LT(colors_t2, colors_t1);
 }
 
 TEST(Multistage, BoundsPopulated) {
   const Graph g = make_path(100);
-  MultistageOptions options;
-  options.k = 3;
-  options.c = 6.0;
-  const DecompositionRun run = multistage_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem2_schedule(g.num_vertices(), 3, 6.0), 1);
   EXPECT_DOUBLE_EQ(run.bounds.strong_diameter, 4.0);
   EXPECT_NEAR(run.bounds.colors, 4.0 * 3 * std::pow(600.0, 1.0 / 3.0),
               1e-9);
@@ -103,7 +92,7 @@ TEST(Multistage, BoundsPopulated) {
 }
 
 TEST(Multistage, RejectsBadParameters) {
-  EXPECT_THROW(multistage_decomposition(Graph(), MultistageOptions{}),
+  EXPECT_THROW(run_schedule(Graph(), theorem2_schedule(1), 1),
                std::invalid_argument);
   EXPECT_THROW(multistage_beta_schedule(100, 0, 6.0),
                std::invalid_argument);
@@ -113,11 +102,9 @@ TEST(Multistage, RejectsBadParameters) {
 
 TEST(Multistage, DeterministicInSeed) {
   const Graph g = make_gnp(90, 0.07, 2);
-  MultistageOptions options;
-  options.k = 3;
-  options.seed = 13;
-  const DecompositionRun a = multistage_decomposition(g, options);
-  const DecompositionRun b = multistage_decomposition(g, options);
+  const CarveSchedule schedule = theorem2_schedule(g.num_vertices(), 3);
+  const DecompositionRun a = run_schedule(g, schedule, 13);
+  const DecompositionRun b = run_schedule(g, schedule, 13);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(a.clustering().cluster_of(v), b.clustering().cluster_of(v));
   }

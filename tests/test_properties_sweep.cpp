@@ -51,10 +51,8 @@ TEST_P(DecompositionSweep, ElkinNeimanTheorem1Invariants) {
   (void)family;
   (void)n;
   const Graph g = graph();
-  ElkinNeimanOptions options;
-  options.k = k;
-  options.seed = seed;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), k), seed);
 
   // Always: complete partition.
   ASSERT_TRUE(run.clustering().is_complete());
@@ -80,10 +78,8 @@ TEST_P(DecompositionSweep, MultistageTheorem2Invariants) {
   (void)family;
   (void)n;
   const Graph g = graph();
-  MultistageOptions options;
-  options.k = k;
-  options.seed = seed;
-  const DecompositionRun run = multistage_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem2_schedule(g.num_vertices(), k), seed);
   ASSERT_TRUE(run.clustering().is_complete());
   if (!run.carve.radius_overflow) {
     ASSERT_TRUE(phase_coloring_is_proper(g, run.clustering()));
@@ -117,10 +113,8 @@ TEST_P(DecompositionSweep, ApplicationsAreValid) {
   (void)family;
   (void)n;
   const Graph g = graph();
-  ElkinNeimanOptions options;
-  options.k = k;
-  options.seed = seed;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), k), seed);
 
   const MisResult mis = mis_by_decomposition(g, run.clustering());
   EXPECT_TRUE(is_maximal_independent_set(g, mis.in_mis));

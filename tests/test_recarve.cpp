@@ -13,7 +13,7 @@
 #include <stdexcept>
 
 #include "decomposition/carving_protocol.hpp"
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/elkin_neiman.hpp"
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
 
@@ -25,14 +25,14 @@ namespace {
 /// phases; truncated it disconnects a cluster, recarved it stays valid.
 Graph repro_graph() { return make_gnp(64, 3.0 / 63.0, 1); }
 
-CarveParams repro_params(OverflowPolicy policy) {
-  CarveParams params;
-  params.betas.assign(32, 1.4);
-  params.phase_rounds = 2;
-  params.radius_overflow_at = 3.0;
-  params.overflow_policy = policy;
-  params.seed = 1;
-  return params;
+/// Carved with seed 1.
+CarveSchedule repro_schedule(OverflowPolicy policy) {
+  CarveSchedule schedule;
+  schedule.betas.assign(32, 1.4);
+  schedule.phase_rounds = 2;
+  schedule.radius_overflow_at = 3.0;
+  schedule.overflow_policy = policy;
+  return schedule;
 }
 
 bool fast_valid(const Graph& g, const Clustering& clustering) {
@@ -68,7 +68,7 @@ TEST(Recarve, TruncatePinsLegacyFlaggedInvalidBehavior) {
   // record this PR fixes.
   const Graph g = repro_graph();
   const CarveResult result =
-      carve_decomposition(g, repro_params(OverflowPolicy::kTruncate));
+      carve_decomposition(g, repro_schedule(OverflowPolicy::kTruncate), 1);
   EXPECT_TRUE(result.radius_overflow);
   EXPECT_EQ(result.retries, 0);
   EXPECT_EQ(result.extra_rounds, 0);
@@ -88,7 +88,7 @@ TEST(Recarve, RetryRecoversThePreviouslyDisconnectedRun) {
   // accounted.
   const Graph g = repro_graph();
   const CarveResult result =
-      carve_decomposition(g, repro_params(OverflowPolicy::kRetry));
+      carve_decomposition(g, repro_schedule(OverflowPolicy::kRetry), 1);
   EXPECT_FALSE(result.radius_overflow);
   EXPECT_GE(result.retries, 1);
   EXPECT_EQ(result.extra_rounds,
@@ -109,15 +109,15 @@ TEST(Recarve, BackendsAgreeBitForBitAcrossThreadCounts) {
   const Graph g = repro_graph();
   for (const OverflowPolicy policy :
        {OverflowPolicy::kRetry, OverflowPolicy::kTruncate}) {
-    const CarveParams params = repro_params(policy);
-    const CarveResult central = carve_decomposition(g, params);
+    const CarveSchedule schedule = repro_schedule(policy);
+    const CarveResult central = carve_decomposition(g, schedule, 1);
     for (const unsigned threads : {1u, 2u, 4u, 7u}) {
       EngineOptions engine;
       engine.threads = threads;
-      const DistributedCarveResult dist =
-          carve_decomposition_distributed(g, params, engine);
+      const DistributedRun dist =
+          run_schedule_distributed(g, schedule, 1, engine);
       SCOPED_TRACE(std::string("threads=") + std::to_string(threads));
-      expect_same_run(central, dist.carve);
+      expect_same_run(central, dist.run.carve);
       // The simulator really ran the replayed attempts: its round count
       // is the carve accounting (quiescence may trim the trailing
       // announce round, never more).
@@ -128,8 +128,8 @@ TEST(Recarve, BackendsAgreeBitForBitAcrossThreadCounts) {
 }
 
 TEST(Recarve, TheoremEntryPointsThreadThePolicy) {
-  // The options-level knobs reach the schedule in both backends: a
-  // lowered threshold forces retries through the Theorem 1 wrappers.
+  // The schedule-level knobs reach both backends: a lowered threshold
+  // forces retries through the Theorem 1 schedule.
   const Graph g = make_gnp(96, 6.0 / 95.0, 5);
   CarveSchedule schedule = theorem1_schedule(96, 4, 4.0);
   schedule.radius_overflow_at = 3.0;
@@ -161,29 +161,45 @@ TEST(Recarve, ExhaustedBudgetFallsBackToTruncation) {
   // exactly max_retries_per_phase retries per phase, then accepts the
   // truncated samples and reports the flag — in both backends alike.
   const Graph g = make_path(12);
-  CarveParams params;
-  params.betas.assign(16, 1.0);
-  params.phase_rounds = 2;
-  params.radius_overflow_at = 0.0;
-  params.max_retries_per_phase = 2;
-  params.seed = 7;
-  const CarveResult central = carve_decomposition(g, params);
+  CarveSchedule schedule;
+  schedule.betas.assign(16, 1.0);
+  schedule.phase_rounds = 2;
+  schedule.radius_overflow_at = 0.0;
+  schedule.max_retries_per_phase = 2;
+  const CarveResult central = carve_decomposition(g, schedule, 7);
   EXPECT_TRUE(central.radius_overflow);
   EXPECT_EQ(central.retries, central.phases_used * 2);
-  const DistributedCarveResult dist =
-      carve_decomposition_distributed(g, params);
-  expect_same_run(central, dist.carve);
+  const DistributedRun dist = run_schedule_distributed(g, schedule, 7);
+  expect_same_run(central, dist.run.carve);
 }
 
 TEST(Recarve, BothBackendsRejectNegativeRetryBudgets) {
   const Graph g = make_path(4);
-  CarveParams params;
-  params.betas = {1.0};
-  params.phase_rounds = 1;
-  params.max_retries_per_phase = -1;
-  EXPECT_THROW(carve_decomposition(g, params), std::invalid_argument);
-  EXPECT_THROW(carve_decomposition_distributed(g, params),
+  CarveSchedule schedule;
+  schedule.betas = {1.0};
+  schedule.phase_rounds = 1;
+  schedule.max_retries_per_phase = -1;
+  EXPECT_THROW(carve_decomposition(g, schedule, 1), std::invalid_argument);
+  EXPECT_THROW(run_schedule_distributed(g, schedule, 1),
                std::invalid_argument);
+  // The same single check rejects a beta <= 0 on both backends, before
+  // any round: c * n < 1 makes every Theorem 1 beta = ln(cn)/k negative.
+  // n = 5000 puts the distributed sampling pass above the parallel
+  // threshold, so at two threads a missing check would surface on a
+  // worker thread instead of the caller's.
+  const Graph big = make_cycle(5000);
+  const CarveSchedule negative = theorem1_schedule(5000, 0, 0.0001);
+  ASSERT_LT(negative.betas.front(), 0.0);
+  EXPECT_THROW(carve_decomposition(big, negative, 1), std::invalid_argument);
+  EngineOptions engine;
+  engine.threads = 2;
+  EXPECT_THROW(run_schedule_distributed(big, negative, 1, engine),
+               std::invalid_argument);
+  CarveSchedule zero = schedule;
+  zero.max_retries_per_phase = 0;
+  zero.betas = {0.0};
+  EXPECT_THROW(carve_decomposition(g, zero, 1), std::invalid_argument);
+  EXPECT_THROW(run_schedule_distributed(g, zero, 1), std::invalid_argument);
 }
 
 TEST(Recarve, RetrySaltYieldsIndependentDeterministicStreams) {

@@ -12,7 +12,10 @@
 #include <stdexcept>
 #include <string>
 
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/carving_protocol.hpp"
+#include "decomposition/elkin_neiman.hpp"
+#include "decomposition/high_radius.hpp"
+#include "decomposition/multistage.hpp"
 #include "graph/generators.hpp"
 
 namespace dsnd {

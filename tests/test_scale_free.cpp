@@ -12,7 +12,10 @@
 #include <set>
 #include <string>
 
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/carving_protocol.hpp"
+#include "decomposition/elkin_neiman.hpp"
+#include "decomposition/high_radius.hpp"
+#include "decomposition/multistage.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
 #include "graph/validator.hpp"
@@ -179,27 +182,16 @@ TEST(ScaleFree, CarvesAreEngineThreadInvariant) {
     for (const char* family : {"hyperbolic", "kronecker"}) {
       const Graph g = family_by_name(family).make(1024, 5);
       const std::uint64_t seed = 17 * static_cast<std::uint64_t>(theorem);
+      const VertexId n = g.num_vertices();
+      const CarveSchedule schedule = theorem == 1   ? theorem1_schedule(n, 4)
+                                     : theorem == 2 ? theorem2_schedule(n, 3)
+                                                    : theorem3_schedule(n, 3);
       DistributedRun runs[4];
       const unsigned thread_counts[] = {1, 2, 4, 7};
       for (std::size_t i = 0; i < 4; ++i) {
         EngineOptions engine;
         engine.threads = thread_counts[i];
-        if (theorem == 1) {
-          ElkinNeimanOptions options;
-          options.k = 4;
-          options.seed = seed;
-          runs[i] = elkin_neiman_distributed(g, options, engine);
-        } else if (theorem == 2) {
-          MultistageOptions options;
-          options.k = 3;
-          options.seed = seed;
-          runs[i] = multistage_distributed(g, options, engine);
-        } else {
-          HighRadiusOptions options;
-          options.lambda = 3;
-          options.seed = seed;
-          runs[i] = high_radius_distributed(g, options, engine);
-        }
+        runs[i] = run_schedule_distributed(g, schedule, seed, engine);
       }
       for (std::size_t i = 1; i < 4; ++i) {
         const std::string label = std::string("T") +
@@ -225,12 +217,11 @@ TEST(ScaleFree, DistributedMatchesCentralizedOnScaleFreeFamilies) {
   for (const char* family : {"hyperbolic", "kronecker"}) {
     for (const std::uint64_t seed : kSeeds) {
       const Graph g = family_by_name(family).make(1024, seed);
-      ElkinNeimanOptions options;
-      options.k = 4;
-      options.seed = seed * 613 + 11;
+      const CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 4);
       const DecompositionRun central =
-          elkin_neiman_decomposition(g, options);
-      const DistributedRun dist = elkin_neiman_distributed(g, options);
+          run_schedule(g, schedule, seed * 613 + 11);
+      const DistributedRun dist =
+          run_schedule_distributed(g, schedule, seed * 613 + 11);
       const std::string label =
           std::string(family) + " seed=" + std::to_string(seed);
       ASSERT_EQ(dist.run.carve.phases_used, central.carve.phases_used)
@@ -241,7 +232,7 @@ TEST(ScaleFree, DistributedMatchesCentralizedOnScaleFreeFamilies) {
                   central.clustering().cluster_of(v))
             << label << " v=" << v;
       }
-      EXPECT_LE(dist.sim.max_message_words, kMaxProtocolMessageWords)
+      EXPECT_LE(dist.sim.max_message_words, kCarveProtocolMaxWords)
           << label;
     }
   }

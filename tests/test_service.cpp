@@ -17,9 +17,9 @@
 #include "apps/coloring.hpp"
 #include "apps/mis.hpp"
 #include "apps/spanner.hpp"
+#include "decomposition/carving_protocol.hpp"
 #include "decomposition/covers.hpp"
 #include "decomposition/elkin_neiman.hpp"
-#include "decomposition/elkin_neiman_distributed.hpp"
 #include "graph/generators.hpp"
 #include "service/decomposition_service.hpp"
 

@@ -6,7 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/carving_protocol.hpp"
+#include "decomposition/elkin_neiman.hpp"
 #include "graph/generators.hpp"
 
 namespace dsnd {
@@ -313,13 +314,11 @@ TEST(Simulator, WakeSelfRequiresPositiveDelay) {
 /// parallelism pure optimizations.
 TEST(Simulator, DeterministicAcrossSchedulingAndThreads) {
   const Graph g = make_gnp(400, 8.0 / 399.0, 11);
-  ElkinNeimanOptions options;
-  options.k = 4;
-  options.seed = 99;
+  const CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 4);
 
   EngineOptions baseline;  // scheduled, serial
   const DistributedRun reference =
-      elkin_neiman_distributed(g, options, baseline);
+      run_schedule_distributed(g, schedule, 99, baseline);
 
   std::vector<EngineOptions> variants;
   EngineOptions unscheduled;
@@ -340,7 +339,8 @@ TEST(Simulator, DeterministicAcrossSchedulingAndThreads) {
   variants.push_back(unscheduled_parallel);
 
   for (const EngineOptions& variant : variants) {
-    const DistributedRun run = elkin_neiman_distributed(g, options, variant);
+    const DistributedRun run =
+        run_schedule_distributed(g, schedule, 99, variant);
     EXPECT_EQ(run.sim.rounds, reference.sim.rounds);
     EXPECT_EQ(run.sim.messages, reference.sim.messages);
     EXPECT_EQ(run.sim.words, reference.sim.words);
@@ -355,7 +355,7 @@ TEST(Simulator, DeterministicAcrossSchedulingAndThreads) {
   // Scheduling is the whole point: the default configuration must do
   // strictly less vertex work than run-every-vertex mode.
   const DistributedRun every_vertex =
-      elkin_neiman_distributed(g, options, unscheduled);
+      run_schedule_distributed(g, schedule, 99, unscheduled);
   EXPECT_LT(reference.sim.vertex_activations,
             every_vertex.sim.vertex_activations);
 }

@@ -97,10 +97,7 @@ constexpr const char* kOracleFamilies[] = {
 
 DecompositionRun decompose(const Graph& g, std::int32_t k,
                            std::uint64_t seed) {
-  ElkinNeimanOptions options;
-  options.k = k;
-  options.seed = seed;
-  return elkin_neiman_decomposition(g, options);
+  return run_schedule(g, theorem1_schedule(g.num_vertices(), k), seed);
 }
 
 TEST(MeasureStretch, IdentityAndTree) {

@@ -99,10 +99,8 @@ TEST(GreedyColoring, CompleteUsesAllColors) {
 
 TEST(GreedyRecoloring, NeverWorseThanPhaseCount) {
   const Graph g = make_gnp(150, 0.05, 3);
-  ElkinNeimanOptions options;
-  options.k = 4;
-  options.seed = 3;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 4), 3);
   const std::int32_t greedy = greedy_supergraph_colors(g, run.clustering());
   EXPECT_LE(greedy, run.clustering().num_colors());
   EXPECT_GE(greedy, 1);

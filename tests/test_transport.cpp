@@ -20,7 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/carving_protocol.hpp"
+#include "decomposition/elkin_neiman.hpp"
+#include "decomposition/high_radius.hpp"
+#include "decomposition/multistage.hpp"
 #include "graph/generators.hpp"
 #include "simulator/engine.hpp"
 
@@ -36,22 +39,11 @@ Graph make_family(const std::string& family, VertexId n,
 
 DistributedRun run_theorem(int theorem, const Graph& g, std::uint64_t seed,
                            const EngineOptions& engine) {
-  if (theorem == 1) {
-    ElkinNeimanOptions options;
-    options.k = 4;
-    options.seed = seed;
-    return elkin_neiman_distributed(g, options, engine);
-  }
-  if (theorem == 2) {
-    MultistageOptions options;
-    options.k = 3;
-    options.seed = seed;
-    return multistage_distributed(g, options, engine);
-  }
-  HighRadiusOptions options;
-  options.lambda = 3;
-  options.seed = seed;
-  return high_radius_distributed(g, options, engine);
+  const VertexId n = g.num_vertices();
+  const CarveSchedule schedule = theorem == 1   ? theorem1_schedule(n, 4)
+                                 : theorem == 2 ? theorem2_schedule(n, 3)
+                                                : theorem3_schedule(n, 3);
+  return run_schedule_distributed(g, schedule, seed, engine);
 }
 
 void expect_identical(const DistributedRun& a, const DistributedRun& b,

@@ -52,10 +52,8 @@ TEST(ValidateFast, AgreesWithBruteForceOnTheoremRuns) {
        {"gnp-sparse", "grid", "random-tree", "cycle", "rgg"}) {
     for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
       const Graph g = family_by_name(family).make(96, seed);
-      ElkinNeimanOptions options;
-      options.k = 4;
-      options.seed = seed;
-      const DecompositionRun run = elkin_neiman_decomposition(g, options);
+      const DecompositionRun run =
+          run_schedule(g, theorem1_schedule(g.num_vertices(), 4), seed);
       expect_agrees(g, run.clustering(),
                     std::string(family) + " seed=" + std::to_string(seed));
     }
@@ -65,18 +63,16 @@ TEST(ValidateFast, AgreesWithBruteForceOnTheoremRuns) {
 TEST(ValidateFast, AgreesAcrossAllThreeTheorems) {
   const Graph g = family_by_name("gnp-sparse").make(120, 5);
   {
-    MultistageOptions options;
-    options.k = 3;
-    options.seed = 5;
-    expect_agrees(g, multistage_decomposition(g, options).clustering(),
-                  "theorem2");
+    expect_agrees(
+        g,
+        run_schedule(g, theorem2_schedule(g.num_vertices(), 3), 5).clustering(),
+        "theorem2");
   }
   {
-    HighRadiusOptions options;
-    options.lambda = 3;
-    options.seed = 5;
-    expect_agrees(g, high_radius_decomposition(g, options).clustering(),
-                  "theorem3");
+    expect_agrees(
+        g,
+        run_schedule(g, theorem3_schedule(g.num_vertices(), 3), 5).clustering(),
+        "theorem3");
   }
 }
 
@@ -172,10 +168,8 @@ TEST(ValidateFast, DoubleSweepExactOnTreeClusters) {
   // Clusters that induce trees: the double-sweep lower bound equals the
   // exact strong diameter, so the bracket pins the true value.
   const Graph g = make_random_tree(64, 7);
-  ElkinNeimanOptions options;
-  options.k = 3;
-  options.seed = 7;
-  const DecompositionRun run = elkin_neiman_decomposition(g, options);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(g.num_vertices(), 3), 7);
   const DecompositionReport brute =
       validate_decomposition(g, run.clustering());
   const FastDecompositionReport fast =

@@ -5,18 +5,24 @@
 // seeds, across Lemma 1 recarves, and with the quiet-round barrier
 // elision on or off (reliable and faulty transports alike). Also pins
 // the batched radius sampler to the scalar stream bit for bit — the
-// equality every chunk-parallel sampling pass rests on.
+// equality every chunk-parallel sampling pass rests on — and that a
+// throw inside a chunk-parallel pass reaches the caller and leaves the
+// engine reusable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "decomposition/carving.hpp"
+#include "decomposition/carving_protocol.hpp"
 #include "decomposition/elkin_neiman.hpp"
-#include "decomposition/elkin_neiman_distributed.hpp"
+#include "decomposition/high_radius.hpp"
+#include "decomposition/multistage.hpp"
 #include "graph/generators.hpp"
+#include "simulator/engine.hpp"
 #include "simulator/transport.hpp"
 
 namespace dsnd {
@@ -131,30 +137,23 @@ TEST(WarmEngine, WarmRunsMatchColdRunsAcrossThreadsAndSeeds) {
   }
 }
 
-// Each theorem wrapper is the same run as its schedule on one shared
-// warm context, which carries all three theorems back to back.
-TEST(WarmEngine, TheoremWrappersMatchOnContext) {
+// Each theorem's schedule on one shared warm context, which carries all
+// three theorems back to back, is the same run as on a cold engine.
+TEST(WarmEngine, TheoremSchedulesMatchOnContext) {
   const VertexId n = 600;
   const Graph g = make_gnp(n, 6.0 / (n - 1), 9);
   EngineOptions options;
   options.threads = 2;
   CarveContext context(g, options);
-  ElkinNeimanOptions t1;
-  t1.seed = 11;
-  expect_identical(run_schedule_distributed(
-                       context, theorem1_schedule(n, t1.k, t1.c), t1.seed),
-                   elkin_neiman_distributed(g, t1, options), "theorem1");
-  MultistageOptions t2;
-  t2.seed = 12;
-  expect_identical(run_schedule_distributed(
-                       context, theorem2_schedule(n, t2.k, t2.c), t2.seed),
-                   multistage_distributed(g, t2, options), "theorem2");
-  HighRadiusOptions t3;
-  t3.seed = 13;
-  expect_identical(
-      run_schedule_distributed(context, theorem3_schedule(n, t3.lambda, t3.c),
-                               t3.seed),
-      high_radius_distributed(g, t3, options), "theorem3");
+  const CarveSchedule t1 = theorem1_schedule(n);
+  expect_identical(run_schedule_distributed(context, t1, 11),
+                   run_schedule_distributed(g, t1, 11, options), "theorem1");
+  const CarveSchedule t2 = theorem2_schedule(n);
+  expect_identical(run_schedule_distributed(context, t2, 12),
+                   run_schedule_distributed(g, t2, 12, options), "theorem2");
+  const CarveSchedule t3 = theorem3_schedule(n, 2);
+  expect_identical(run_schedule_distributed(context, t3, 13),
+                   run_schedule_distributed(g, t3, 13, options), "theorem3");
 }
 
 // A reused context through the Las Vegas recarve loop: the overflow
@@ -222,6 +221,56 @@ TEST(WarmEngine, ElisionOnOffParity) {
               faulty_off.run.carve.faults.delayed);
     EXPECT_GT(faulty_on.run.carve.faults.delayed, 0u);
   }
+}
+
+/// Fills a per-vertex array chunk-parallel in every pre-round hook and,
+/// while armed, throws from worker 1's chunk.
+class ChunkThrowProtocol final : public Protocol {
+ public:
+  bool armed = true;
+  std::vector<int> filled;
+
+  void begin(const Graph& g) override {
+    filled.assign(static_cast<std::size_t>(g.num_vertices()), 0);
+    rounds_ = 0;
+  }
+  void on_round_begin(std::size_t /*round*/, RoundPool& pool) override {
+    ++rounds_;
+    pool.for_chunks(filled.size(), [&](std::size_t begin, std::size_t end,
+                                       unsigned worker) {
+      if (armed && worker == 1) throw std::runtime_error("chunk of worker 1");
+      for (std::size_t i = begin; i < end; ++i) ++filled[i];
+    });
+  }
+  void on_round(VertexId, std::size_t, std::span<const MessageView>,
+                Outbox& out) override {
+    out.wake_self_in(1);
+  }
+  bool finished() const override { return rounds_ >= 3; }
+
+ private:
+  int rounds_ = 0;
+};
+
+// A chunk that throws on a worker thread must surface on the caller once
+// every chunk has finished (not escape its thread and terminate the
+// process), and the same engine must then complete a normal run.
+TEST(WarmEngine, ChunkExceptionReachesCallerAndEngineRecovers) {
+  const Graph g = make_cycle(4096);  // above the chunk-parallel threshold
+  EngineOptions options;
+  options.threads = 2;
+  SyncEngine engine(g, options);
+  ChunkThrowProtocol protocol;
+  try {
+    engine.run(protocol, 8);
+    ADD_FAILURE() << "the worker's exception was swallowed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "chunk of worker 1");
+  }
+  protocol.armed = false;
+  const SimMetrics sim = engine.run(protocol, 8);
+  EXPECT_EQ(sim.rounds, 3u);
+  for (const int count : protocol.filled) ASSERT_EQ(count, 3);
 }
 
 // Rapid run churn on one context: the parked pool must wake and park
