@@ -272,9 +272,6 @@ struct EngineCaseOptions {
   /// -1 keeps the schedule default, 0 disables rollback recovery (the
   /// whole-run-retry-only baseline of the recovery-cost A/B rows).
   std::int32_t max_rollbacks = -1;
-  /// Engine round budget override (EngineOptions::max_rounds); 0 keeps
-  /// the schedule-derived default.
-  std::size_t max_rounds = 0;
   /// When non-null, filled with the row's outcome so sweep drivers can
   /// aggregate validity rates without re-validating.
   struct EngineCaseOutcome* outcome = nullptr;
@@ -339,7 +336,6 @@ inline double engine_scaling_case(const std::string& family, const Graph& g,
   }
   EngineOptions engine;
   engine.threads = options.threads;
-  engine.max_rounds = options.max_rounds;
   engine.elide_quiet_rounds = options.elide_quiet_rounds;
   std::optional<FaultyTransport> chaos;
   if (options.faults) {

@@ -32,102 +32,120 @@ std::size_t CarveSchedule::round_budget(VertexId num_vertices) const {
          overtime + 64;
 }
 
+CarveResult carve_result(const CarveSchedule& schedule,
+                         const CarveProgress& progress,
+                         std::span<const VertexId> names,
+                         bool radius_overflow) {
+  const std::size_t n = progress.chosen_phase.size();
+  const std::int32_t phases = progress.phases_used;
+  CarveResult result;
+  result.clustering = Clustering(static_cast<VertexId>(n));
+  result.target_phases = schedule.target_phases();
+  result.phases_used = phases;
+  result.radius_overflow = radius_overflow;
+  result.max_sampled_radius = progress.max_sampled_radius;
+  result.retries = progress.retries;
+  // Every attempt, replays included, is phase_rounds broadcast rounds
+  // plus one membership (or overflow-bit) round.
+  const auto phase_len = static_cast<std::int64_t>(schedule.phase_rounds) + 1;
+  result.extra_rounds = static_cast<std::int64_t>(progress.retries) * phase_len;
+  result.rounds = static_cast<std::int64_t>(phases) * phase_len +
+                  result.extra_rounds;
+
+  // Walk the vertices in name order (through the inverse name map on a
+  // relabeled run), so a relabeled run builds the exact same clustering
+  // object. O(n + phases).
+  std::vector<VertexId> by_name;
+  if (!names.empty()) {
+    by_name.resize(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      by_name[static_cast<std::size_t>(names[v])] = static_cast<VertexId>(v);
+    }
+  }
+  const auto vertex_named = [&](std::size_t o) {
+    return names.empty() ? o : static_cast<std::size_t>(by_name[o]);
+  };
+  std::vector<std::vector<VertexId>> members_per_phase(
+      static_cast<std::size_t>(phases));
+  for (std::size_t o = 0; o < n; ++o) {
+    const std::int32_t phase = progress.chosen_phase[vertex_named(o)];
+    if (phase >= 0) {
+      members_per_phase[static_cast<std::size_t>(phase)].push_back(
+          static_cast<VertexId>(o));
+    }
+  }
+  std::vector<ClusterId> cluster_of_center(n, kNoCluster);
+  std::size_t carved = 0;
+  for (std::int32_t phase = 0; phase < phases; ++phase) {
+    const std::vector<VertexId>& members =
+        members_per_phase[static_cast<std::size_t>(phase)];
+    result.carved_per_phase.push_back(static_cast<VertexId>(members.size()));
+    carved += members.size();
+    for (const VertexId o : members) {
+      const VertexId center = progress.chosen_center[vertex_named(
+          static_cast<std::size_t>(o))];
+      ClusterId& c = cluster_of_center[static_cast<std::size_t>(center)];
+      if (c == kNoCluster || result.clustering.color_of(c) != phase) {
+        c = result.clustering.add_cluster(center, phase);
+      }
+      result.clustering.assign(o, c);
+    }
+  }
+  result.exhausted_within_target =
+      carved == n && phases <= result.target_phases;
+  return result;
+}
+
 CarveResult carve_decomposition(const Graph& g, const CarveSchedule& schedule,
                                 std::uint64_t seed, double margin,
                                 ForwardPolicy forward_policy) {
   schedule.require_runnable();
 
   const auto n = static_cast<std::size_t>(g.num_vertices());
-  CarveResult result;
-  result.clustering = Clustering(g.num_vertices());
-  result.target_phases = schedule.target_phases();
-
-  std::vector<char> alive(n, 1);
+  CarveProgress progress;
+  progress.reset(g.num_vertices());
   std::vector<double> radii(n, 0.0);
   std::vector<double> unit_scratch(n);
-  std::vector<VertexId> live(n);
-  VertexId remaining = g.num_vertices();
+  bool radius_overflow = false;
 
   // Cap runaway loops: even beta close to 0 empties the graph in one
   // phase, so this bound is never hit in practice.
   const std::int32_t hard_cap =
-      result.target_phases * 16 + g.num_vertices() + 16;
+      schedule.target_phases() * 16 + g.num_vertices() + 16;
 
-  std::int32_t phase = 0;
-  while (remaining > 0) {
-    DSND_CHECK(phase < hard_cap, "carving failed to converge");
-    const double beta =
-        phase < result.target_phases
-            ? schedule.betas[static_cast<std::size_t>(phase)]
-            : schedule.betas.back();
-
+  while (!progress.live.empty()) {
+    DSND_CHECK(progress.phase < hard_cap, "carving failed to converge");
     // Las Vegas recarve loop: resample the whole phase (fresh per-retry
-    // salt) while Lemma 1's event holds and the budget allows. Both the
-    // overflow flag and the reported max come straight from the sampling
-    // pass — not from the (truncated) broadcast state — so logs always
-    // show the event that actually fired. The batched sampler draws from
-    // the same per-(seed, phase, v, retry) streams the scalar one does.
-    live.clear();
-    for (std::size_t v = 0; v < n; ++v) {
-      if (alive[v]) live.push_back(static_cast<VertexId>(v));
-    }
+    // salt) while Lemma 1's event holds and the schedule replays it. The
+    // batched sampler draws from the same per-(seed, phase, v, retry)
+    // streams the scalar one does.
+    progress.phases_used = progress.phase + 1;
     for (std::int32_t retry = 0;; ++retry) {
       const RadiusBatchStats stats = carve_radius_sample_batch(
-          seed, phase, beta, retry, live, /*names=*/{}, unit_scratch, radii,
+          seed, progress.phase, schedule.beta_at(progress.phase), retry,
+          progress.live, /*names=*/{}, unit_scratch, radii,
           schedule.radius_overflow_at);
-      result.max_sampled_radius =
-          std::max(result.max_sampled_radius, stats.max_radius);
-      const bool attempt_overflow = stats.overflow;
-      if (attempt_overflow &&
-          schedule.overflow_policy == OverflowPolicy::kRetry &&
-          retry < schedule.max_retries_per_phase) {
-        // The aborted attempt still costs one phase of simulated rounds
-        // (the distributed realization spends the phase broadcast
-        // aggregating the overflow bit before it can replay).
-        ++result.retries;
-        continue;
+      progress.max_sampled_radius =
+          std::max(progress.max_sampled_radius, stats.max_radius);
+      if (!stats.overflow) break;
+      if (!schedule.replays(retry)) {
+        radius_overflow = true;
+        break;
       }
-      if (attempt_overflow) result.radius_overflow = true;
-      break;
+      ++progress.retries;
     }
 
-    PhaseState state = run_phase_broadcast(g, alive, radii,
-                                           schedule.phase_rounds,
-                                           forward_policy);
-
-    // Collect joiners grouped by chosen center; each (phase, center)
-    // group is one cluster (Claim 3 makes it connected).
-    std::vector<VertexId> joiners;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!alive[v]) continue;
-      if (phase_join_decision(state.best[v], state.second[v], margin)) {
-        joiners.push_back(static_cast<VertexId>(v));
+    const PhaseState state = run_phase_broadcast(
+        g, progress.alive, radii, schedule.phase_rounds, forward_policy);
+    for (const VertexId v : progress.live) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (phase_join_decision(state.best[vi], state.second[vi], margin)) {
+        progress.join(v, state.best[vi].center);
       }
     }
-
-    std::vector<ClusterId> cluster_of_center(n, kNoCluster);
-    for (VertexId y : joiners) {
-      const VertexId center = state.best[static_cast<std::size_t>(y)].center;
-      ClusterId& c = cluster_of_center[static_cast<std::size_t>(center)];
-      if (c == kNoCluster) {
-        c = result.clustering.add_cluster(center, phase);
-      }
-      result.clustering.assign(y, c);
-      alive[static_cast<std::size_t>(y)] = 0;
-    }
-    remaining -= static_cast<VertexId>(joiners.size());
-    result.carved_per_phase.push_back(
-        static_cast<VertexId>(joiners.size()));
-    ++phase;
+    progress.advance_phase();
   }
-
-  result.phases_used = phase;
-  result.exhausted_within_target = phase <= result.target_phases;
-  const auto phase_len = static_cast<std::int64_t>(schedule.phase_rounds) + 1;
-  result.extra_rounds = static_cast<std::int64_t>(result.retries) * phase_len;
-  result.rounds =
-      static_cast<std::int64_t>(phase) * phase_len + result.extra_rounds;
-  return result;
+  return carve_result(schedule, progress, /*names=*/{}, radius_overflow);
 }
 
 DecompositionRun run_schedule(const Graph& g, const CarveSchedule& schedule,

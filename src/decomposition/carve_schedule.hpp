@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,20 +103,31 @@ struct CarveSchedule {
     return static_cast<std::int32_t>(betas.size());
   }
 
+  /// beta for `phase`; overtime phases reuse the last one.
+  double beta_at(std::int32_t phase) const {
+    return phase < target_phases() ? betas[static_cast<std::size_t>(phase)]
+                                   : betas.back();
+  }
+
+  /// Lemma 1's replay rule: an attempt whose samples overflowed, at
+  /// per-phase retry index `retry`, is resampled rather than accepted.
+  bool replays(std::int32_t retry) const {
+    return overflow_policy == OverflowPolicy::kRetry &&
+           retry < max_retries_per_phase;
+  }
+
   /// Throws std::invalid_argument unless the schedule is runnable:
   /// betas nonempty, every beta > 0, phase_rounds >= 1 and every retry
   /// budget >= 0. Both runners call it on the caller's thread before
   /// any phase runs.
   void require_runnable() const;
 
-  /// The named-failure round budget run_schedule_distributed derives for
-  /// an n-vertex run when EngineOptions::max_rounds is left 0: the
-  /// theorem's whp bound with a full per-phase retry budget, plus
-  /// overtime slack for phases past the schedule (at worst one carved
-  /// vertex per phase). Generous enough that no legitimate run ever hits
-  /// it; a run that does gets RunStatus::kRoundBudgetExhausted instead of
-  /// spinning. A schedule-level method so a reusable engine/context can
-  /// apply it per run instead of baking it into the engine's options.
+  /// The round budget run_schedule_distributed gives each attempt of an
+  /// n-vertex run: the theorem's whp bound with a full per-phase retry
+  /// budget, plus overtime slack for phases past the schedule (at worst
+  /// one carved vertex per phase). Generous enough that no legitimate run
+  /// ever hits it; a run that does gets RunStatus::kRoundBudgetExhausted
+  /// instead of spinning.
   std::size_t round_budget(VertexId num_vertices) const;
 };
 
@@ -138,6 +150,15 @@ struct DecompositionRun {
 CarveResult carve_decomposition(
     const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
     double margin = 1.0, ForwardPolicy forward_policy = ForwardPolicy::kTop2);
+
+/// The CarveResult of a run whose state is `progress`, for either
+/// backend: clusters ordered by phase, then by first member in name order
+/// (`names` maps vertex ids to names; empty = identity), plus the round
+/// accounting. radius_overflow: the run accepted overflowed samples.
+CarveResult carve_result(const CarveSchedule& schedule,
+                         const CarveProgress& progress,
+                         std::span<const VertexId> names,
+                         bool radius_overflow);
 
 /// carve_decomposition() with the paper's rules, plus the schedule's
 /// bounds. The CONGEST twin is run_schedule_distributed()

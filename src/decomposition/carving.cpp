@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "support/assert.hpp"
 #include "support/distributions.hpp"
@@ -82,45 +83,6 @@ RadiusBatchStats carve_radius_sample_batch(
   return stats;
 }
 
-namespace {
-
-/// Inserts `candidate` into the (best, second) slots of vertex y,
-/// deduplicating by center: a later entry for the same center only
-/// replaces the stored one if it carries a larger shifted value.
-/// Returns true if the stored state changed.
-bool merge_entry(CarveEntry& best, CarveEntry& second,
-                 const CarveEntry& candidate) {
-  if (!candidate.valid()) return false;
-  if (best.valid() && best.center == candidate.center) {
-    if (candidate.beats(best)) {
-      best = candidate;
-      return true;
-    }
-    return false;
-  }
-  if (second.valid() && second.center == candidate.center) {
-    if (candidate.beats(second)) {
-      second = candidate;
-      // The improved second entry may now beat the best.
-      if (second.beats(best)) std::swap(best, second);
-      return true;
-    }
-    return false;
-  }
-  if (candidate.beats(best)) {
-    second = best;
-    best = candidate;
-    return true;
-  }
-  if (candidate.beats(second)) {
-    second = candidate;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 PhaseState run_phase_broadcast(const Graph& g, const std::vector<char>& alive,
                                const std::vector<double>& radii,
                                std::int32_t phase_rounds,
@@ -136,7 +98,6 @@ PhaseState run_phase_broadcast(const Graph& g, const std::vector<char>& alive,
 
   for (std::size_t v = 0; v < n; ++v) {
     if (!alive[v]) continue;
-    state.max_radius = std::max(state.max_radius, radii[v]);
     // Every live vertex hears its own broadcast at distance 0.
     state.best[v] = CarveEntry{radii[v], 0, static_cast<VertexId>(v)};
   }
@@ -186,6 +147,28 @@ bool phase_join_decision(const CarveEntry& best, const CarveEntry& second,
   const double m1 = best.value();
   const double m2 = second.valid() ? second.value() : 0.0;
   return m1 - m2 > margin;
+}
+
+void CarveProgress::reset(VertexId num_vertices) {
+  const auto n = static_cast<std::size_t>(num_vertices);
+  alive.assign(n, 1);
+  live.resize(n);
+  std::iota(live.begin(), live.end(), VertexId{0});
+  chosen_center.assign(n, -1);
+  chosen_phase.assign(n, -1);
+  phase = 0;
+  phases_used = 0;
+  retries = 0;
+  max_sampled_radius = 0.0;
+}
+
+void CarveProgress::advance_phase() {
+  live.erase(std::remove_if(live.begin(), live.end(),
+                            [this](VertexId v) {
+                              return alive[static_cast<std::size_t>(v)] == 0;
+                            }),
+             live.end());
+  ++phase;
 }
 
 }  // namespace dsnd

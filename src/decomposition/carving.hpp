@@ -13,17 +13,21 @@
 //
 // Clusters are the per-(phase, center) groups; Claim 3 of the paper makes
 // them connected with strong diameter <= 2k-2 provided no sampled radius
-// reached k+1 (Lemma 1's event). The centralized carver
-// (carve_decomposition, carve_schedule.hpp) runs the broadcast as exactly
-// ceil(k) rounds of top-2 relaxation — the same fixed point the CONGEST
-// protocol computes — so the centralized and distributed implementations
-// agree bit-for-bit on the same seed.
+// reached k+1 (Lemma 1's event).
+//
+// Both backends share everything here except how entries travel: the
+// centralized carver (carve_decomposition, carve_schedule.hpp) relaxes
+// ceil(k) rounds of top-2 merges in memory, the CONGEST protocol
+// (carving_protocol.hpp) sends the same entries as messages. Both feed
+// them through one merge_entry, decide with one phase_join_decision,
+// advance one CarveProgress record, and assemble the result with one
+// carve_result — so they agree bit for bit on the same seed.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "decomposition/partition.hpp"
@@ -72,6 +76,35 @@ struct CarveEntry {
 
   bool valid() const { return center >= 0; }
 };
+
+/// Inserts `candidate` into a vertex's (best, second) slots, keeping one
+/// entry per center: a later entry for a stored center replaces it only
+/// if it carries a larger shifted value. Returns true if the slots
+/// changed. The one top-2 merge both backends run.
+inline bool merge_entry(CarveEntry& best, CarveEntry& second,
+                        const CarveEntry& candidate) {
+  if (!candidate.valid()) return false;
+  if (best.valid() && best.center == candidate.center) {
+    if (!candidate.beats(best)) return false;
+    best = candidate;
+    return true;
+  }
+  if (second.valid() && second.center == candidate.center) {
+    if (!candidate.beats(second)) return false;
+    second = candidate;
+    // The improved second entry may now beat the best.
+    if (second.beats(best)) std::swap(best, second);
+    return true;
+  }
+  if (candidate.beats(best)) {
+    second = best;
+    best = candidate;
+    return true;
+  }
+  if (!candidate.beats(second)) return false;
+  second = candidate;
+  return true;
+}
 
 /// What each vertex forwards during the broadcast. The paper's CONGEST
 /// observation is that the top-2 suffices for exact decisions; kTop1 is
@@ -212,7 +245,6 @@ RadiusBatchStats carve_radius_sample_batch(
 struct PhaseState {
   std::vector<CarveEntry> best;    // per vertex
   std::vector<CarveEntry> second;  // per vertex
-  double max_radius = 0.0;
 };
 
 PhaseState run_phase_broadcast(
@@ -223,5 +255,43 @@ PhaseState run_phase_broadcast(
 /// Join rule applied to a vertex's phase state (the m1 - m2 > margin test).
 bool phase_join_decision(const CarveEntry& best, const CarveEntry& second,
                          double margin);
+
+/// The carving state both backends advance: who is still live, what each
+/// carved vertex chose, and the run-level counters. carve_result
+/// (carve_schedule.hpp) assembles a CarveResult from it, and the
+/// protocol's phase-boundary checkpoint (checkpoint.hpp) is a copy of it.
+/// Indexed by the backend's vertex ids; the chosen centers are names
+/// (original ids on a relabeled run), as entries carry them.
+struct CarveProgress {
+  std::vector<char> alive;
+  /// The live vertices, ascending; compacted at each phase advance.
+  std::vector<VertexId> live;
+  std::vector<VertexId> chosen_center;     // -1 while live
+  std::vector<std::int32_t> chosen_phase;  // -1 while live
+  /// The phase being carved.
+  std::int32_t phase = 0;
+  /// Phases that sampled radii: phase + 1 once the phase has sampled.
+  std::int32_t phases_used = 0;
+  /// Lemma 1 replays over all phases.
+  std::int32_t retries = 0;
+  /// Over every attempt, the replayed ones included, so logs show the
+  /// Lemma 1 event that actually fired.
+  double max_sampled_radius = 0.0;
+
+  /// Every vertex live, nothing chosen, counters zero. Reuses capacity.
+  void reset(VertexId num_vertices);
+
+  /// v joins the cluster of `center` in the current phase. Touches only
+  /// v's slots, so workers may join their own vertices concurrently.
+  void join(VertexId v, VertexId center) {
+    const auto vi = static_cast<std::size_t>(v);
+    alive[vi] = 0;
+    chosen_center[vi] = center;
+    chosen_phase[vi] = phase;
+  }
+
+  /// Drops the phase's joiners from `live` and moves to the next phase.
+  void advance_phase();
+};
 
 }  // namespace dsnd

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "decomposition/checkpoint.hpp"
@@ -60,8 +59,8 @@ class CarvingProtocol final : public Protocol {
 
   /// Makes the NEXT begin() restore from the arena's checkpoint instead
   /// of starting fresh: the validated prefix phases are reinstated and
-  /// the run resumes at checkpoint.next_phase (one-shot; cleared by
-  /// begin()). Requires an enabled arena with a restorable checkpoint.
+  /// the run resumes at the checkpoint's phase (one-shot; cleared by
+  /// begin()). Requires an enabled arena with a captured checkpoint.
   void arm_restore() { restore_armed_ = true; }
 
   /// True when the last run stopped because a finalized phase failed
@@ -74,76 +73,45 @@ class CarvingProtocol final : public Protocol {
     DSND_REQUIRE(names_.empty() || names_.size() == n,
                  "vertex-name map must cover the graph");
     graph_ = &g;
-    alive_.assign(n, 1);
     best_.assign(n, CarveEntry{});
     second_.assign(n, CarveEntry{});
     sent_best_.assign(n, CarveEntry{});
     sent_second_.assign(n, CarveEntry{});
-    chosen_center_.assign(n, -1);
-    chosen_phase_.assign(n, -1);
     radii_.resize(n);
     unit_scratch_.resize(n);
-    live_.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      live_[v] = static_cast<VertexId>(v);
-    }
-    live_dirty_ = false;
-    phase_ = 0;
     step_ = 0;
     retry_ = 0;
-    retries_total_ = 0;
     abort_attempt_ = false;
     accepted_overflow_ = false;
     sampled_overflow_ = false;
-    max_sampled_radius_ = 0.0;
     invalid_phase_ = false;
-    restored_carved_ = 0;
-    restored_phases_used_ = 0;
+    if (restore_armed_) {
+      // Rollback: resume from the last validated checkpoint, a copy of
+      // the record into retained buffers. Nothing else needs restoring —
+      // best_/second_/sent_* are rewritten at the attempt's step 0 and
+      // never read for carved vertices, and round 0 runs EVERY vertex in
+      // scheduled mode, so no wake-calendar snapshot is needed: carved
+      // vertices return early via alive, live ones re-arm their own wake
+      // chain.
+      DSND_CHECK(arena_ != nullptr && arena_->checkpoint.captured &&
+                     arena_->checkpoint.progress.alive.size() == n,
+                 "restore armed without a matching checkpoint");
+      progress_ = arena_->checkpoint.progress;
+      restore_armed_ = false;
+    } else {
+      progress_.reset(g.num_vertices());
+    }
     if (arena_ != nullptr) {
-      if (arena_->joiners.empty()) arena_->joiners.resize(1);
       for (std::vector<VertexId>& per_worker : arena_->joiners) {
         per_worker.clear();
       }
-      arena_->joined.clear();
-      if (restore_armed_) {
-        // Rollback: overwrite the freshly initialized per-vertex arrays
-        // with the last validated checkpoint and resume at its phase.
-        // Nothing else needs restoring — best_/second_/sent_* are
-        // rewritten at the attempt's step 0 and never read for carved
-        // vertices, and round 0 runs EVERY vertex in scheduled mode, so
-        // no wake-calendar snapshot is needed: carved vertices return
-        // early via alive_, live ones re-arm their own wake chain.
-        const PhaseCheckpoint& cp = arena_->checkpoint;
-        DSND_CHECK(cp.restorable() && cp.alive.size() == n,
-                   "restore armed without a matching checkpoint");
-        std::copy(cp.alive.begin(), cp.alive.end(), alive_.begin());
-        std::copy(cp.chosen_center.begin(), cp.chosen_center.end(),
-                  chosen_center_.begin());
-        std::copy(cp.chosen_phase.begin(), cp.chosen_phase.end(),
-                  chosen_phase_.begin());
-        live_.assign(cp.live.begin(), cp.live.end());
-        phase_ = cp.next_phase;
-        retries_total_ = cp.retries_total;
-        max_sampled_radius_ = cp.max_sampled_radius;
-        restored_carved_ = cp.carved;
-        restored_phases_used_ = cp.phases_used;
-      }
     }
-    restore_armed_ = false;
-    workers_ = 1;
-    accum_.reset(1);
-    accum_[0].carved = restored_carved_;
-    accum_[0].phases_used = restored_phases_used_;
-    chunk_stats_.assign(1, RadiusBatchStats{});
+    begin_workers(1);
   }
 
   void begin_workers(unsigned workers) override {
     workers_ = workers == 0 ? 1 : workers;
-    accum_.reset(workers);
-    // The restored prefix's totals ride in worker slot 0, which exists
-    // for every worker count — the fold stays shard-count invariant.
-    accum_[0].carved = restored_carved_;
-    accum_[0].phases_used = restored_phases_used_;
+    joined_.reset(workers_);
     chunk_stats_.assign(workers_, RadiusBatchStats{});
     if (arena_ != nullptr && arena_->joiners.size() < workers_) {
       arena_->joiners.resize(workers_);
@@ -166,14 +134,10 @@ class CarvingProtocol final : public Protocol {
         // The sampling round just ran: fix this attempt's fate from the
         // overflow bit the batched sampler folded, before any joining
         // can happen.
-        abort_attempt_ = sampled_overflow_ &&
-                         schedule_->overflow_policy == OverflowPolicy::kRetry &&
-                         retry_ < schedule_->max_retries_per_phase;
-        if (sampled_overflow_ && !abort_attempt_) {
-          // Truncated samples are being accepted (kTruncate, or a blown
-          // retry budget): the output loses its validity certificate.
-          accepted_overflow_ = true;
-        }
+        abort_attempt_ = sampled_overflow_ && schedule_->replays(retry_);
+        // Accepted overflowed samples void the output's validity
+        // certificate (kTruncate, or a blown retry budget).
+        if (sampled_overflow_ && !abort_attempt_) accepted_overflow_ = true;
         step_ = 1;
         return;
       }
@@ -186,12 +150,9 @@ class CarvingProtocol final : public Protocol {
       // otherwise.
       if (abort_attempt_) {
         ++retry_;
-        ++retries_total_;
+        ++progress_.retries;
       } else {
-        // Joiners left the live set; compact it lazily at the next
-        // sampling pass (a replayed attempt keeps the set unchanged).
-        live_dirty_ = true;
-        if (arena_ != nullptr && !finalize_phase_boundary()) {
+        if (arena_ != nullptr && !phase_validates()) {
           // The finalized phase failed incremental validation: a fault
           // corrupted its join decisions. Stop the run here — finished()
           // now fires and the recovery loop rolls back to the last
@@ -200,18 +161,22 @@ class CarvingProtocol final : public Protocol {
           invalid_phase_ = true;
           return;
         }
-        ++phase_;
+        progress_.advance_phase();
+        joined_.reset(workers_);
         retry_ = 0;
+        if (arena_ != nullptr && !accepted_overflow_) {
+          // Checkpoint the validated prefix. An overflow-tainted run is
+          // not checkpointed: restoring it would silently launder the
+          // voided validity certificate into a later attempt.
+          arena_->checkpoint.progress = progress_;
+          arena_->checkpoint.captured = true;
+        }
       }
       step_ = 0;
       abort_attempt_ = false;
     }
     // The round about to run is an attempt's sampling step (round 0
-    // included): batch-fill the live radii chunk-parallel on the parked
-    // pool. Every value comes from the same per-(seed, phase, name,
-    // retry) stream the scalar sampler draws, and the max/overflow fold
-    // over chunks is order-independent, so the round's outputs are
-    // bit-identical to per-vertex sampling for every worker count.
+    // included).
     if (step_ == 0) sample_attempt(pool);
   }
 
@@ -222,17 +187,12 @@ class CarvingProtocol final : public Protocol {
     // make it a no-op so the run's metrics stay deterministic.
     if (invalid_phase_) return;
     const auto vi = static_cast<std::size_t>(v);
-    if (!alive_[vi]) return;
-    Accum& accum = accum_[out.worker()];
+    if (!progress_.alive[vi]) return;
 
     if (step_ == 0) {
-      // Instrumentation only: the worker remembers the deepest phase any
-      // of its vertices reached; the fold takes the max.
-      accum.phases_used = std::max(accum.phases_used, phase_ + 1);
       // The radius was batch-sampled by on_round_begin (sample_attempt);
       // the vertex just reads its slot.
-      const double r = radii_[vi];
-      best_[vi] = CarveEntry{r, 0, name(v)};
+      best_[vi] = CarveEntry{radii_[vi], 0, name(v)};
       second_[vi] = CarveEntry{};
       sent_best_[vi] = CarveEntry{};
       sent_second_[vi] = CarveEntry{};
@@ -256,11 +216,10 @@ class CarvingProtocol final : public Protocol {
     for (const MessageView& msg : inbox) {
       if (msg.words.empty() || msg.words[0] != kTagEntry) continue;
       DSND_CHECK(msg.words.size() == 4, "malformed entry message");
-      CarveEntry entry;
-      entry.center = static_cast<VertexId>(msg.words[1]);
-      entry.radius = unpack_double(msg.words[2]);
-      entry.dist = static_cast<std::int32_t>(msg.words[3]);
-      merge(vi, entry);
+      merge_entry(best_[vi], second_[vi],
+                  CarveEntry{unpack_double(msg.words[2]),
+                             static_cast<std::int32_t>(msg.words[3]),
+                             static_cast<VertexId>(msg.words[1])});
     }
 
     if (step_ < schedule_->phase_rounds) {
@@ -270,10 +229,8 @@ class CarvingProtocol final : public Protocol {
 
     // Deciding step: the paper's join rule, margin 1.
     if (phase_join_decision(best_[vi], second_[vi], 1.0)) {
-      chosen_center_[vi] = best_[vi].center;
-      chosen_phase_[vi] = phase_;
-      alive_[vi] = 0;
-      ++accum.carved;
+      progress_.join(v, best_[vi].center);
+      ++joined_[out.worker()];
       if (arena_ != nullptr) {
         // Record the joiner for the boundary validation. Per-worker
         // lists in shard execution (= ascending vertex id) order, so the
@@ -291,166 +248,58 @@ class CarvingProtocol final : public Protocol {
     return invalid_phase_ || remaining() == 0;
   }
 
-  CarveResult build_result() const {
-    CarveResult result;
-    const auto n = static_cast<std::size_t>(graph_->num_vertices());
-    const std::int32_t phases_used = accum_.fold(
-        0, [](std::int32_t acc, const Accum& a) {
-          return std::max(acc, a.phases_used);
-        });
-    result.clustering = Clustering(graph_->num_vertices());
-    result.target_phases = schedule_->target_phases();
-    result.phases_used = phases_used;
-    result.exhausted_within_target =
-        remaining() == 0 && phases_used <= result.target_phases;
-    result.radius_overflow = accepted_overflow_;
-    result.max_sampled_radius = max_sampled_radius_;
-    const auto phase_len =
-        static_cast<std::int64_t>(schedule_->phase_rounds) + 1;
-    result.retries = retries_total_;
-    result.extra_rounds =
-        static_cast<std::int64_t>(retries_total_) * phase_len;
-    result.rounds = static_cast<std::int64_t>(phases_used) * phase_len +
-                    result.extra_rounds;
-
-    result.carved_per_phase.assign(
-        static_cast<std::size_t>(phases_used), 0);
-    // Clusters in the same deterministic order as carve_decomposition:
-    // by phase, then by member ORIGINAL id at first appearance. The
-    // members are walked in original-id order (via the inverse name map
-    // when a relabeling is active), so a relabeled run builds the exact
-    // same clustering object. O(n + phases) total.
-    std::vector<VertexId> by_name;
-    if (!names_.empty()) {
-      by_name.resize(n);
-      for (std::size_t v = 0; v < n; ++v) {
-        by_name[static_cast<std::size_t>(names_[v])] =
-            static_cast<VertexId>(v);
-      }
-    }
-    std::vector<std::vector<VertexId>> members_per_phase(
-        static_cast<std::size_t>(phases_used));
-    for (std::size_t o = 0; o < n; ++o) {
-      const std::size_t v =
-          names_.empty() ? o : static_cast<std::size_t>(by_name[o]);
-      if (chosen_phase_[v] >= 0) {
-        members_per_phase[static_cast<std::size_t>(chosen_phase_[v])]
-            .push_back(static_cast<VertexId>(o));
-      }
-    }
-    // chosen_center_ already holds original ids (entries carry names).
-    std::vector<ClusterId> cluster_of_center(n, kNoCluster);
-    for (std::int32_t phase = 0; phase < phases_used; ++phase) {
-      for (const VertexId o : members_per_phase[static_cast<std::size_t>(
-               phase)]) {
-        ++result.carved_per_phase[static_cast<std::size_t>(phase)];
-        const std::size_t v =
-            names_.empty() ? static_cast<std::size_t>(o)
-                           : static_cast<std::size_t>(
-                                 by_name[static_cast<std::size_t>(o)]);
-        const auto center = static_cast<std::size_t>(chosen_center_[v]);
-        if (cluster_of_center[center] == kNoCluster ||
-            result.clustering.color_of(cluster_of_center[center]) !=
-                phase) {
-          cluster_of_center[center] = result.clustering.add_cluster(
-              static_cast<VertexId>(center), phase);
-        }
-        result.clustering.assign(o, cluster_of_center[center]);
-      }
-    }
-    return result;
+  CarveResult result() const {
+    return carve_result(*schedule_, progress_, names_, accepted_overflow_);
   }
 
+  /// The live list, less this phase's joiners (the list is compacted only
+  /// at the phase advance).
   VertexId remaining() const {
-    const VertexId carved = accum_.fold(
-        VertexId{0},
-        [](VertexId acc, const Accum& a) { return acc + a.carved; });
-    return graph_->num_vertices() - carved;
+    return joined_.fold(static_cast<VertexId>(progress_.live.size()),
+                        [](VertexId acc, VertexId joined) {
+                          return acc - joined;
+                        });
   }
 
  private:
-  /// Per-worker aggregate slice; all fields monotone under the fold, so
-  /// totals are independent of which worker ran which vertex. (The
-  /// overflow bit and radius max moved out: they are folded serially by
-  /// the batched sampler in on_round_begin, which owns sampling now.)
-  struct Accum {
-    VertexId carved = 0;
-    std::int32_t phases_used = 0;
-  };
-
   VertexId name(VertexId v) const {
     return names_.empty() ? v : names_[static_cast<std::size_t>(v)];
   }
 
-  /// Drops carved vertices from the live list when it is stale.
-  void compact_live() {
-    if (!live_dirty_) return;
-    live_.erase(
-        std::remove_if(live_.begin(), live_.end(),
-                       [&](VertexId v) {
-                         return alive_[static_cast<std::size_t>(v)] == 0;
-                       }),
-        live_.end());
-    live_dirty_ = false;
-  }
-
-  /// Runs at the boundary of a completed (non-aborted) phase, before the
-  /// plan advances: validates the phase's clusters incrementally and, on
-  /// success, captures the post-phase state as the rollback checkpoint.
-  /// Returns false when the phase is invalid (the caller stops the run).
-  /// Serial — called from the pre-round hook only.
-  bool finalize_phase_boundary() {
+  /// Validates the clusters the just-decided phase finalized (serial —
+  /// called from the pre-round hook only).
+  bool phase_validates() {
     arena_->joined.clear();
     for (std::vector<VertexId>& per_worker : arena_->joiners) {
       arena_->joined.insert(arena_->joined.end(), per_worker.begin(),
                             per_worker.end());
       per_worker.clear();
     }
-    if (!arena_->joined.empty() &&
-        !arena_->validator.validate_phase(*graph_, arena_->joined,
-                                          chosen_center_, chosen_phase_,
-                                          phase_)) {
-      return false;
-    }
-    if (!accepted_overflow_) {
-      // Checkpoint the validated prefix. An overflow-tainted run is not
-      // checkpointed: restoring it would silently launder the voided
-      // validity certificate into a later attempt.
-      compact_live();
-      const VertexId carved = accum_.fold(
-          VertexId{0},
-          [](VertexId acc, const Accum& a) { return acc + a.carved; });
-      const std::int32_t phases_used = accum_.fold(
-          0, [](std::int32_t acc, const Accum& a) {
-            return std::max(acc, a.phases_used);
-          });
-      arena_->checkpoint.capture(alive_, live_, chosen_center_,
-                                 chosen_phase_, phase_ + 1, retries_total_,
-                                 max_sampled_radius_, carved, phases_used);
-    }
-    return true;
+    return arena_->joined.empty() ||
+           arena_->validator.validate_phase(
+               *graph_, arena_->joined, progress_.chosen_center,
+               progress_.chosen_phase, progress_.phase);
   }
 
-  /// Fills radii_ for every live vertex for attempt (phase_, retry_) in
-  /// one chunk-parallel batched pass and folds the Lemma 1 overflow bit
-  /// and the radius max. Runs on the serial pre-round hook, so the live
-  /// list (compacted here after a phase advance — alive_ flips happened
-  /// under the previous round's barrier) and the per-chunk stats need no
+  /// Fills radii_ for every live vertex for attempt (phase, retry_) in
+  /// one chunk-parallel batched pass on the parked pool and folds the
+  /// Lemma 1 overflow bit and the radius max. Every value comes from the
+  /// same per-(seed, phase, name, retry) stream the scalar sampler
+  /// draws, and the max/overflow fold over chunks is order-independent,
+  /// so the outputs are bit-identical for every worker count. Serial
+  /// (the pre-round hook), so the per-chunk stats need no
   /// synchronization.
   void sample_attempt(RoundPool& pool) {
-    compact_live();
-    const std::vector<double>& betas = schedule_->betas;
-    const double beta =
-        phase_ < schedule_->target_phases()
-            ? betas[static_cast<std::size_t>(phase_)]
-            : betas.back();
+    const std::int32_t phase = progress_.phase;
+    const double beta = schedule_->beta_at(phase);
+    progress_.phases_used = phase + 1;
     for (RadiusBatchStats& stats : chunk_stats_) stats = RadiusBatchStats{};
-    const std::span<const VertexId> live(live_);
+    const std::span<const VertexId> live(progress_.live);
     const std::span<double> scratch(unit_scratch_);
-    pool.for_chunks(live_.size(), [&](std::size_t chunk_begin,
-                                      std::size_t chunk_end, unsigned w) {
+    pool.for_chunks(live.size(), [&](std::size_t chunk_begin,
+                                     std::size_t chunk_end, unsigned w) {
       chunk_stats_[w] = carve_radius_sample_batch(
-          seed_, phase_, beta, retry_,
+          seed_, phase, beta, retry_,
           live.subspan(chunk_begin, chunk_end - chunk_begin), names_,
           scratch.subspan(chunk_begin, chunk_end - chunk_begin), radii_,
           schedule_->radius_overflow_at);
@@ -458,29 +307,8 @@ class CarvingProtocol final : public Protocol {
     RadiusBatchStats stats;
     for (const RadiusBatchStats& chunk : chunk_stats_) stats.merge(chunk);
     sampled_overflow_ = stats.overflow;
-    max_sampled_radius_ = std::max(max_sampled_radius_, stats.max_radius);
-  }
-
-  void merge(std::size_t vi, const CarveEntry& entry) {
-    CarveEntry& best = best_[vi];
-    CarveEntry& second = second_[vi];
-    if (best.valid() && best.center == entry.center) {
-      if (entry.beats(best)) best = entry;
-      return;
-    }
-    if (second.valid() && second.center == entry.center) {
-      if (entry.beats(second)) {
-        second = entry;
-        if (second.beats(best)) std::swap(best, second);
-      }
-      return;
-    }
-    if (entry.beats(best)) {
-      second = best;
-      best = entry;
-    } else if (entry.beats(second)) {
-      second = entry;
-    }
+    progress_.max_sampled_radius =
+        std::max(progress_.max_sampled_radius, stats.max_radius);
   }
 
   /// Forwards each of the current top-2 entries that (a) still has
@@ -521,42 +349,35 @@ class CarvingProtocol final : public Protocol {
   std::uint64_t seed_ = 0;
   const std::span<const VertexId> names_;
   const Graph* graph_ = nullptr;
+  // The run's record: workers write their own vertices' slots during the
+  // deciding step; everything else moves only in the serial pre-round
+  // hook.
+  CarveProgress progress_;
   // Shared round plan, advanced only by the serial on_round_begin hook
   // and read-only during rounds (so every worker sees one consistent
   // (phase, step, retry, abort) view per round).
-  std::int32_t phase_ = 0;
   std::int32_t step_ = 0;
   std::int32_t retry_ = 0;
-  std::int32_t retries_total_ = 0;
   bool abort_attempt_ = false;
   bool accepted_overflow_ = false;
-  // Fold of the batched sampling passes (serial state: sampling happens
-  // in the pre-round hook).
+  // Fold of the batched sampling pass (serial state).
   bool sampled_overflow_ = false;
-  double max_sampled_radius_ = 0.0;
-  bool live_dirty_ = false;
   // Phase-boundary recovery (null = disabled): the arena is owned by the
   // CarveContext so its buffers outlive and warm across runs.
   RecoveryArena* arena_ = nullptr;
   bool restore_armed_ = false;
   bool invalid_phase_ = false;
-  // Totals of the restored prefix, folded into worker slot 0's accum so
-  // build_result()/remaining() see the whole run, not just the suffix.
-  VertexId restored_carved_ = 0;
-  std::int32_t restored_phases_used_ = 0;
   unsigned workers_ = 1;
-  std::vector<char> alive_;
+  // This phase's joiners per worker; folded by remaining(), zeroed at
+  // the phase advance.
+  PerWorker<VertexId> joined_;
   std::vector<double> radii_;
   std::vector<double> unit_scratch_;
-  std::vector<VertexId> live_;
   std::vector<RadiusBatchStats> chunk_stats_;
   std::vector<CarveEntry> best_;
   std::vector<CarveEntry> second_;
   std::vector<CarveEntry> sent_best_;
   std::vector<CarveEntry> sent_second_;
-  std::vector<VertexId> chosen_center_;
-  std::vector<std::int32_t> chosen_phase_;
-  PerWorker<Accum> accum_;
 };
 
 /// One engine run of the protocol on `schedule` with the attempt seed,
@@ -569,7 +390,7 @@ DistributedRun run_carve_attempt(SyncEngine& engine, CarvingProtocol& protocol,
   DistributedRun result;
   result.sim = engine.run(protocol, round_budget);
   CarveResult& carve = result.run.carve;
-  carve = protocol.build_result();
+  carve = protocol.result();
   if (protocol.remaining() != 0) {
     // A reliable run cannot legitimately fall short — that is a bug in
     // this library, so the internal-invariant check stays. Under a lossy
@@ -600,8 +421,9 @@ DistributedRun run_carve_attempt(SyncEngine& engine, CarvingProtocol& protocol,
 ///
 /// Reliable transports take the single-attempt fast path unchanged.
 /// Lossy transports get the verify-and-recover loop, now phase-granular:
-/// every attempt that claims success is checked with
-/// validate_decomposition_fast; a failed attempt (rejected clustering,
+/// every attempt that claims success must pass the library gate —
+/// FastDecompositionReport::is_strong_decomposition at the schedule's
+/// diameter bound; a failed attempt (rejected clustering,
 /// invalid phase caught at its boundary, or a named engine failure)
 /// first ROLLS BACK to the last validated phase-boundary checkpoint and
 /// replays only the suffix phases on a rollback-salted seed —
@@ -623,18 +445,14 @@ DistributedRun run_schedule_distributed_with(SyncEngine& engine,
   DSND_REQUIRE(engine.graph().num_vertices() >= 1, "graph must be nonempty");
   schedule.require_runnable();
   const bool lossy = engine.transport().lossy();
-  // One round budget per attempt: the caller's EngineOptions::max_rounds
-  // when set, else the schedule-derived named-failure budget.
   const std::size_t round_budget =
-      engine.options().max_rounds != 0
-          ? engine.options().max_rounds
-          : schedule.round_budget(engine.graph().num_vertices());
+      schedule.round_budget(engine.graph().num_vertices());
 
   const std::int32_t run_budget = lossy ? schedule.max_run_retries : 0;
   const std::int32_t rollback_budget =
       lossy && arena != nullptr ? schedule.max_rollbacks : 0;
   protocol.enable_recovery(rollback_budget > 0 ? arena : nullptr);
-  if (rollback_budget > 0) arena->checkpoint.invalidate();
+  if (rollback_budget > 0) arena->checkpoint.captured = false;
 
   DistributedRun run;
   FaultCounters total_faults;
@@ -665,10 +483,9 @@ DistributedRun run_schedule_distributed_with(SyncEngine& engine,
         // validity certificate is void, treat like a failed validation.
         run.run.carve.status = CarveStatus::kRejected;
       } else {
-        const FastDecompositionReport report = validate_decomposition_fast(
-            original_graph, run.run.carve.clustering);
-        if (report.complete && report.proper_phase_coloring &&
-            report.all_clusters_connected) {
+        if (validate_decomposition_fast(original_graph,
+                                        run.run.carve.clustering)
+                .is_strong_decomposition(schedule.bounds.strong_diameter)) {
           break;  // validated under faults: genuinely kOk
         }
         run.run.carve.status = CarveStatus::kRejected;
@@ -678,10 +495,10 @@ DistributedRun run_schedule_distributed_with(SyncEngine& engine,
     // The checkpoint survives across attempts — last-validated-wins is
     // sound because a validated prefix stays valid regardless of which
     // seed lineage produced it.
-    if (rollbacks < rollback_budget && arena->checkpoint.restorable()) {
+    if (rollbacks < rollback_budget && arena->checkpoint.captured) {
       ++rollbacks;
       protocol.arm_restore();
-      restore_base = arena->checkpoint.next_phase;
+      restore_base = arena->checkpoint.progress.phase;
       recovery_run = true;
       run_seed = stream_seed(seed, 2, static_cast<std::uint64_t>(rollbacks));
       continue;

@@ -26,8 +26,11 @@
 // to the number of top-2 improvements rather than phase length.
 //
 // On the same seed the protocol is bit-identical to carve_decomposition:
-// both draw r_v from stream (seed, phase, retry, vertex) and both compute
-// the same top-2 fixed point (asserted by the parity tests).
+// both draw r_v from stream (seed, phase, retry, vertex), merge entries
+// with the same merge_entry, advance the same CarveProgress record and
+// assemble the result with the same carve_result (carving.hpp,
+// carve_schedule.hpp); only how entries travel differs (asserted by the
+// parity tests).
 //
 // Lemma 1 recovery (OverflowPolicy::kRetry, the default): when any live
 // vertex samples r_v >= radius_overflow_at at an attempt's sampling
@@ -98,8 +101,7 @@ class CarveContext {
 /// schedules and seeds may share one context freely; only the graph is
 /// fixed at construction. The schedule is borrowed for the length of the
 /// call and checked with CarveSchedule::require_runnable() before any
-/// round runs. The round budget is EngineOptions::max_rounds when set,
-/// else schedule.round_budget(n).
+/// round runs. Each attempt's round budget is schedule.round_budget(n).
 DistributedRun run_schedule_distributed(CarveContext& context,
                                         const CarveSchedule& schedule,
                                         std::uint64_t seed);

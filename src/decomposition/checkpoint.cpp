@@ -4,26 +4,6 @@
 
 namespace dsnd {
 
-void PhaseCheckpoint::capture(std::span<const char> alive_now,
-                              std::span<const VertexId> live_now,
-                              std::span<const VertexId> centers_now,
-                              std::span<const std::int32_t> phases_now,
-                              const std::int32_t next_phase_now,
-                              const std::int32_t retries_total_now,
-                              const double max_sampled_radius_now,
-                              const VertexId carved_now,
-                              const std::int32_t phases_used_now) {
-  alive.assign(alive_now.begin(), alive_now.end());
-  live.assign(live_now.begin(), live_now.end());
-  chosen_center.assign(centers_now.begin(), centers_now.end());
-  chosen_phase.assign(phases_now.begin(), phases_now.end());
-  next_phase = next_phase_now;
-  retries_total = retries_total_now;
-  max_sampled_radius = max_sampled_radius_now;
-  carved = carved_now;
-  phases_used = phases_used_now;
-}
-
 bool PhaseValidator::validate_phase(const Graph& g,
                                     std::span<const VertexId> joiners,
                                     std::span<const VertexId> center_of,

@@ -7,12 +7,10 @@
 // replayed every phase on a fresh salt. This subsystem makes recovery
 // phase-granular:
 //
-//   PhaseCheckpoint   a snapshot of the protocol's deterministic state
-//                     at a phase boundary (alive/cluster/center arrays,
-//                     the compacted live list, and the round-plan cursor
-//                     plus accounting scalars). Captured into RETAINED
-//                     buffers, so a warm context checkpoints with zero
-//                     steady-state allocation.
+//   PhaseCheckpoint   a copy of the protocol's CarveProgress record
+//                     (carving.hpp) at a phase boundary, assigned into
+//                     RETAINED buffers, so a warm context checkpoints
+//                     with zero steady-state allocation.
 //   PhaseValidator    the incremental twin of validate_decomposition_fast:
 //                     validates ONLY the clusters finalized this phase
 //                     (proper coloring + connectivity). Sound because the
@@ -41,38 +39,19 @@
 #include <span>
 #include <vector>
 
+#include "decomposition/carving.hpp"
 #include "graph/graph.hpp"
 
 namespace dsnd {
 
-/// The carving protocol's deterministic state at a phase boundary. Every
-/// buffer is retained across captures (assign into existing capacity),
-/// so steady-state checkpointing allocates nothing once warm.
+/// The carving protocol's record at the last validated phase boundary.
+/// Capture and restore are copy-assignments (capacity is retained), so
+/// steady-state checkpointing allocates nothing once warm.
 struct PhaseCheckpoint {
-  std::vector<char> alive;                 // per engine vertex
-  std::vector<VertexId> live;              // compacted live list
-  std::vector<VertexId> chosen_center;     // ORIGINAL ids (entries carry names)
-  std::vector<std::int32_t> chosen_phase;  // per engine vertex
-  /// The phase a restored run resumes at; < 1 means no checkpoint (a
-  /// rollback to phase 0 would just be a whole-run retry).
-  std::int32_t next_phase = -1;
-  std::int32_t retries_total = 0;
-  double max_sampled_radius = 0.0;
-  /// Accumulator seeds for the restored run's fold (carved vertices and
-  /// the phases_used high-water mark of the validated prefix).
-  VertexId carved = 0;
-  std::int32_t phases_used = 0;
-
-  bool restorable() const { return next_phase >= 1; }
-  void invalidate() { next_phase = -1; }
-
-  void capture(std::span<const char> alive_now,
-               std::span<const VertexId> live_now,
-               std::span<const VertexId> centers_now,
-               std::span<const std::int32_t> phases_now,
-               std::int32_t next_phase_now, std::int32_t retries_total_now,
-               double max_sampled_radius_now, VertexId carved_now,
-               std::int32_t phases_used_now);
+  CarveProgress progress;
+  /// False until a boundary is captured: a rollback to phase 0 would
+  /// just be a whole-run retry.
+  bool captured = false;
 };
 
 /// Incremental per-phase validation: proper phase coloring and cluster

@@ -1,6 +1,7 @@
 #include "decomposition/validation.hpp"
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 
 #include "decomposition/supergraph.hpp"
@@ -118,53 +119,11 @@ std::int32_t weak_diameter_of(const Graph& g,
 
 }  // namespace
 
-ClusterShape analyze_cluster(const Graph& g,
-                             std::span<const VertexId> members,
-                             VertexId center) {
-  DSND_REQUIRE(!members.empty(), "cluster must be nonempty");
-  ClusterShape shape;
-  shape.size = static_cast<VertexId>(members.size());
-
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  std::vector<char> mask(n, 0);
-  for (const VertexId v : members) {
-    DSND_REQUIRE(v >= 0 && static_cast<std::size_t>(v) < n,
-                 "member out of range");
-    DSND_REQUIRE(!mask[static_cast<std::size_t>(v)],
-                 "duplicate member in cluster");
-    mask[static_cast<std::size_t>(v)] = 1;
-  }
-  const auto in_cluster = [&mask](VertexId v) {
-    return mask[static_cast<std::size_t>(v)] != 0;
-  };
-
-  BfsArena arena(n);
-  // An out-of-range center (legal input: it just means "no center among
-  // the members") must not index the mask.
-  const VertexId center_checked =
-      center >= 0 && static_cast<std::size_t>(center) < n ? center : -1;
-  const StrongStats stats =
-      exact_strong_stats(g, members, center_checked, in_cluster, arena);
-  shape.connected = stats.connected;
-  shape.strong_diameter = stats.diameter;
-  shape.radius_from_center = stats.radius_from_center;
-  shape.weak_diameter = weak_diameter_of(g, members);
-  return shape;
-}
-
 bool DecompositionReport::is_strong_decomposition(
     std::int32_t diameter_bound, std::int32_t color_bound) const {
   return complete && proper_phase_coloring && all_clusters_connected &&
          max_strong_diameter != kInfiniteDiameter &&
          max_strong_diameter <= diameter_bound && num_colors <= color_bound;
-}
-
-bool DecompositionReport::is_weak_decomposition(std::int32_t diameter_bound,
-                                                std::int32_t color_bound)
-    const {
-  return complete && proper_phase_coloring &&
-         max_weak_diameter != kInfiniteDiameter &&
-         max_weak_diameter <= diameter_bound && num_colors <= color_bound;
 }
 
 DecompositionReport validate_decomposition(const Graph& g,
@@ -299,11 +258,11 @@ std::vector<std::int32_t> color_class_strong_diameters(
 }
 
 bool FastDecompositionReport::is_strong_decomposition(
-    std::int32_t diameter_bound, std::int32_t color_bound) const {
+    double diameter_bound) const {
   return complete && proper_phase_coloring && all_clusters_connected &&
+         centerless_clusters == 0 &&
          strong_diameter_upper != kInfiniteDiameter &&
-         strong_diameter_upper <= diameter_bound &&
-         num_colors <= color_bound;
+         strong_diameter_upper <= diameter_bound;
 }
 
 FastDecompositionReport validate_decomposition_fast(

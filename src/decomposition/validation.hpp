@@ -16,15 +16,14 @@
 // bound is precisely the certificate the paper's Claim 3 provides
 // (radius <= k-1 from the center gives strong diameter <= 2k-2), so
 // is_strong_decomposition() on the fast report is a sound, conservative
-// check of the theorems' guarantees.
+// check of the theorems' guarantees — and the one gate both the lossy
+// recovery loop and the service apply before answering kOk.
 //
 // Neither tier copies subgraphs: BFS is restricted by comparing cluster
-// ids (batch paths) or a membership mask (the single-cluster
-// analyze_cluster API).
+// ids over shared scratch arrays.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "decomposition/partition.hpp"
@@ -34,25 +33,6 @@ namespace dsnd {
 
 /// Marker for "infinite" diameter (disconnected cluster).
 inline constexpr std::int32_t kInfiniteDiameter = -1;
-
-struct ClusterShape {
-  VertexId size = 0;
-  bool connected = false;
-  /// Diameter of the induced subgraph G(C); kInfiniteDiameter if C is
-  /// disconnected in G(C).
-  std::int32_t strong_diameter = 0;
-  /// max_{u,v in C} d_G(u, v) — finite whenever C lies in one component
-  /// of G; kInfiniteDiameter otherwise.
-  std::int32_t weak_diameter = 0;
-  /// Largest induced-subgraph distance from the cluster's center to a
-  /// member; kInfiniteDiameter if some member is unreachable (or the
-  /// center is outside the cluster, which Claim 3 forbids).
-  std::int32_t radius_from_center = 0;
-};
-
-ClusterShape analyze_cluster(const Graph& g,
-                             std::span<const VertexId> members,
-                             VertexId center);
 
 struct DecompositionReport {
   bool complete = false;               // every vertex clustered
@@ -72,9 +52,6 @@ struct DecompositionReport {
   /// network decomposition.
   bool is_strong_decomposition(std::int32_t diameter_bound,
                                std::int32_t color_bound) const;
-  /// Same with the weak-diameter notion.
-  bool is_weak_decomposition(std::int32_t diameter_bound,
-                             std::int32_t color_bound) const;
 };
 
 /// Full brute-force validation pass. compute_weak toggles the O(n*m)
@@ -130,11 +107,14 @@ struct FastDecompositionReport {
   double avg_cluster_size = 0.0;
   VertexId max_cluster_size = 0;
 
-  /// Sound (conservative) strong-decomposition check: certifies via the
-  /// upper bound, so `true` is always correct; a run that only just meets
-  /// the bound may need the brute-force tier to confirm.
-  bool is_strong_decomposition(std::int32_t diameter_bound,
-                               std::int32_t color_bound) const;
+  /// The library's gate on a carve (the recovery loop and the service
+  /// call it): complete, properly phase-colored, every cluster connected
+  /// and holding its center, and Claim 3's 2 * radius certificate within
+  /// `diameter_bound`. Sound: `true` is always correct, while a run that
+  /// only just meets the bound may need the brute-force tier to confirm.
+  /// No color bound: a run carves to completion, so overtime phases may
+  /// use more colors than the schedule's lambda.
+  bool is_strong_decomposition(double diameter_bound) const;
 };
 
 /// Batch validator for engine-scale runs: O(n + m) total, two restricted

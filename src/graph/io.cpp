@@ -284,11 +284,6 @@ void save_metis(const std::string& path, const Graph& g) {
   write_file(path, write_metis, g);
 }
 
-Graph load_metis(const std::string& path) {
-  std::ifstream in = open_for_reading(path);
-  return read_metis(in);
-}
-
 Graph load_graph(const std::string& path) {
   std::ifstream in = open_for_reading(path);
   if (has_extension(path, ".graph") || has_extension(path, ".metis")) {

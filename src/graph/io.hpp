@@ -34,7 +34,6 @@ Graph read_metis(std::istream& in);
 void save_edge_list(const std::string& path, const Graph& g);
 Graph load_edge_list(const std::string& path);
 void save_metis(const std::string& path, const Graph& g);
-Graph load_metis(const std::string& path);
 
 /// Loads a graph picking the format from the file extension:
 /// ".graph" / ".metis" -> METIS, ".dimacs" / ".col" -> DIMACS,

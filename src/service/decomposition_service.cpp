@@ -107,11 +107,9 @@ std::shared_ptr<const ServiceResult> DecompositionService::execute(
   }
 
   status = carve_status_name(result->run.run.carve.status);
-  const FastDecompositionReport report = validate_decomposition_fast(
-      *carved_graph, result->run.run.clustering());
-  const bool clustering_ok = report.complete &&
-                             report.proper_phase_coloring &&
-                             report.all_clusters_connected;
+  const bool clustering_ok =
+      validate_decomposition_fast(*carved_graph, result->run.run.clustering())
+          .is_strong_decomposition(request.schedule.bounds.strong_diameter);
   if (result->run.run.carve.status == CarveStatus::kOk && !clustering_ok) {
     // The never-silently-invalid contract: a run that claimed ok but
     // fails external validation is flagged, never served as good and

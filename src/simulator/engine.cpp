@@ -337,16 +337,13 @@ void SyncEngine::collect_shard(unsigned s, unsigned parity, bool deliver) {
   }
 }
 
-SimMetrics SyncEngine::run(Protocol& protocol, std::size_t max_rounds) {
+SimMetrics SyncEngine::run(Protocol& protocol, std::size_t round_budget) {
   reset(protocol);
   protocol.begin(graph_);
   protocol.begin_workers(workers_);
 
-  const std::size_t round_budget =
-      options_.max_rounds == 0 ? max_rounds
-                               : std::min(max_rounds, options_.max_rounds);
   const bool lossy = transport_->lossy();
-  // Reserve the per-round series up to the effective budget (capped —
+  // Reserve the per-round series up to the budget (capped —
   // see kRoundReserveCap) so the round loop never reallocates mid-run;
   // the capacity persists across runs like every other engine buffer.
   const std::size_t reserve_rounds = std::min(round_budget, kRoundReserveCap);

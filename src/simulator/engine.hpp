@@ -88,15 +88,6 @@ struct EngineOptions {
   /// identical results.
   unsigned threads = 1;
 
-  /// Upper bound on rounds per run(), applied on top of the cap passed
-  /// to run(): the effective budget is the smaller of the two. 0 (the
-  /// default) defers entirely to the run() argument. When the budget
-  /// runs out before finished()/quiescence the run ends with the named
-  /// RunStatus::kRoundBudgetExhausted instead of hanging — essential
-  /// under lossy transports, where a dropped message can otherwise stall
-  /// a protocol that polls forever.
-  std::size_t max_rounds = 0;
-
   /// The transport backing the exchange+deliver stage. Borrowed, not
   /// owned; must outlive the engine's runs. nullptr (the default) uses
   /// an engine-owned ReliableTransport — today's in-process bucket
@@ -315,9 +306,13 @@ class SyncEngine {
   explicit SyncEngine(const Graph& g, EngineOptions options = {});
 
   /// Runs `protocol` until finished(), quiescence (scheduled mode only),
-  /// or max_rounds; returns the metrics. Reusable: a second run() starts
-  /// fresh but reuses all internal buffer capacity.
-  SimMetrics run(Protocol& protocol, std::size_t max_rounds);
+  /// or `round_budget` rounds; returns the metrics. A run that exhausts
+  /// the budget ends with the named RunStatus::kRoundBudgetExhausted
+  /// instead of hanging — essential under lossy transports, where a
+  /// dropped message can otherwise stall a protocol that polls forever.
+  /// Reusable: a second run() starts fresh but reuses all internal
+  /// buffer capacity.
+  SimMetrics run(Protocol& protocol, std::size_t round_budget);
 
   const Graph& graph() const { return graph_; }
   const EngineOptions& options() const { return options_; }

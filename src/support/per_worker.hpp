@@ -3,7 +3,7 @@
 // The engine's parallel rounds give every worker thread an index
 // (Protocol::begin_workers announces the count, Outbox::worker() the
 // slot); protocols keep one accumulator per worker and fold the slots on
-// the driving thread when a total is read (finished(), build_result()).
+// the driving thread when a total is read (e.g. in finished()).
 // This replaces shared atomic counters: no cross-core cache-line
 // bouncing during the round, and the engine's round barrier provides
 // the happens-before for every fold.

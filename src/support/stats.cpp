@@ -1,7 +1,6 @@
 #include "support/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/assert.hpp"
 
@@ -27,8 +26,6 @@ double Summary::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
 }
-
-double Summary::stddev() const { return std::sqrt(variance()); }
 
 double Summary::min() const { return count_ == 0 ? 0.0 : min_; }
 
@@ -67,27 +64,6 @@ double SampleSet::quantile(double q) const {
       q * static_cast<double>(samples_.size() - 1) + 0.5);
   return samples_[std::min(rank, samples_.size() - 1)];
 }
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  DSND_REQUIRE(hi > lo, "histogram range must be nonempty");
-  DSND_REQUIRE(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto index = static_cast<long>((x - lo_) / width);
-  index = std::clamp(index, 0L, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(index)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const { return bucket_lo(i + 1); }
 
 LinearFit fit_linear(const std::vector<double>& x,
                      const std::vector<double>& y) {

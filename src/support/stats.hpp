@@ -24,7 +24,6 @@ class Summary {
   double mean() const;
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.
   double variance() const;
-  double stddev() const;
   double min() const;
   double max() const;
   double sum() const { return sum_; }
@@ -55,26 +54,6 @@ class SampleSet {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into
-/// the first/last bucket. Used to visualize radius and diameter spreads.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t bucket(std::size_t i) const { return counts_.at(i); }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-  std::size_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Ordinary least squares fit y = a + b*x; returns {a, b, r_squared}.

@@ -24,9 +24,6 @@ class Table {
   /// Doubles are rendered with the given precision (default 2 decimals).
   Table& cell(double value, int precision = 2);
 
-  std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_columns() const { return headers_.size(); }
-
   /// Render as an aligned ASCII table.
   void print(std::ostream& out) const;
   /// Render as CSV (header row first).

@@ -39,6 +39,26 @@ TEST(CarveEntry, InvalidNeverBeats) {
   EXPECT_FALSE(invalid.valid());
 }
 
+TEST(CarveEntry, MergeKeepsTheTopTwoCenters) {
+  // The one top-2 merge both backends run. An improved entry for the
+  // stored second center can overtake the best; a reliable synchronous
+  // broadcast never delivers one (a center's first entry is its
+  // shortest), but a delayed message under faults can.
+  CarveEntry best;
+  CarveEntry second;
+  EXPECT_TRUE(merge_entry(best, second, CarveEntry{5.0, 1, 1}));   // 4
+  EXPECT_TRUE(merge_entry(best, second, CarveEntry{4.0, 1, 2}));   // 3
+  EXPECT_TRUE(merge_entry(best, second, CarveEntry{4.5, 1, 3}));   // 3.5
+  EXPECT_EQ(second.center, 3);  // center 2 fell out of the top two
+  EXPECT_FALSE(merge_entry(best, second, CarveEntry{5.0, 2, 1}));  // worse
+  EXPECT_FALSE(merge_entry(best, second, CarveEntry{}));
+  EXPECT_TRUE(merge_entry(best, second, CarveEntry{6.0, 0, 3}));   // 6
+  EXPECT_EQ(best.center, 3);
+  EXPECT_DOUBLE_EQ(best.value(), 6.0);
+  EXPECT_EQ(second.center, 1);
+  EXPECT_DOUBLE_EQ(second.value(), 4.0);
+}
+
 TEST(RadiusSample, DeterministicPerPhaseAndVertex) {
   const double a = carve_radius_sample(7, 0, 3, 1.0);
   const double b = carve_radius_sample(7, 0, 3, 1.0);

@@ -126,6 +126,28 @@ TEST(Chaos, BlownRunRetryBudgetIsNamedNotSilent) {
   EXPECT_NE(std::string(carve_status_name(run.run.carve.status)), "ok");
 }
 
+TEST(Chaos, GateRejectsCarvesOverTheDiameterBound) {
+  // A lossy transport that never drops anything (its one targeted drop
+  // names a round the run never reaches) carries a complete, properly
+  // colored, connected 20x20 grid carve whose 2 * radius certificate is
+  // 4. With the schedule's bound set to 0 the gate must reject every
+  // attempt, so the run ends named after both recovery budgets.
+  const Graph g = make_grid2d(20, 20);
+  CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 3);
+  schedule.bounds.strong_diameter = 0.0;
+  FaultPlan plan;
+  plan.targeted_drops.push_back(EdgeDrop{1u << 30, 0, 1});
+  FaultyTransport transport(plan);
+  ASSERT_TRUE(transport.lossy());
+  EngineOptions engine;
+  engine.transport = &transport;
+  const DistributedRun run = run_schedule_distributed(g, schedule, 1, engine);
+  EXPECT_EQ(run.run.carve.faults.total(), 0u);
+  EXPECT_EQ(run.run.carve.status, CarveStatus::kRejected);
+  EXPECT_EQ(run.run.carve.rollbacks, schedule.max_rollbacks);
+  EXPECT_EQ(run.run.carve.run_retries, schedule.max_run_retries);
+}
+
 TEST(Chaos, ZeroPlanThroughScheduleDriverMatchesReliable) {
   // A zero-rate FaultyTransport must not trigger the verify-and-recover
   // loop at all: same clustering, zero run retries, zero fault counters,

@@ -401,6 +401,26 @@ TEST(Service, IdenticalCoverRequestsHitTheCache) {
   EXPECT_EQ(hot.result.get(), cold.result.get());
 }
 
+TEST(Service, ClusteringOverTheDiameterBoundIsInvalidAndNotCached) {
+  // The 20x20 grid carve is complete, properly colored and connected,
+  // and its 2 * radius certificate is 4. With the schedule's bound set
+  // to 0 the gate must refuse it instead of serving it as ok.
+  const Graph g = make_grid2d(20, 20);
+  DecompositionService service;
+  service.register_graph("grid", g);
+  ServiceRequest request;
+  request.graph_id = "grid";
+  request.schedule = theorem1_schedule(g.num_vertices(), 3);
+  request.schedule.bounds.strong_diameter = 0.0;
+  const ServiceResponse response = service.submit(request);
+  EXPECT_FALSE(response.valid);
+  EXPECT_EQ(response.status, "INVALID");
+  EXPECT_FALSE(service.submit(request).cache_hit);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache_entries, 0u);
+  EXPECT_EQ(stats.invalid_responses, 2u);
+}
+
 TEST(Service, BadRequestsThrowInsteadOfDegrading) {
   const Graph g = make_gnp(200, 0.04, 1);
   DecompositionService service;

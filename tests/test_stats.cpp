@@ -67,26 +67,6 @@ TEST(SampleSet, ThrowsOnEmpty) {
   EXPECT_THROW(s.min(), std::invalid_argument);
 }
 
-TEST(Histogram, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bucket 0
-  h.add(9.5);    // bucket 4
-  h.add(-3.0);   // clamped to bucket 0
-  h.add(100.0);  // clamped to bucket 4
-  h.add(5.0);    // bucket 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(4), 10.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(LinearFit, ExactLine) {
   std::vector<double> x = {1, 2, 3, 4};
   std::vector<double> y = {3, 5, 7, 9};  // y = 1 + 2x

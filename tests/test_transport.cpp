@@ -469,16 +469,7 @@ TEST(Transport, RoundBudgetExhaustedIsNamed) {
   const Graph g = make_path(4);
   SpinForever protocol;
   {
-    // EngineOptions::max_rounds caps below the run() argument.
-    EngineOptions engine;
-    engine.max_rounds = 5;
-    SyncEngine sim(g, engine);
-    const SimMetrics metrics = sim.run(protocol, 1000);
-    EXPECT_EQ(metrics.rounds, 5u);
-    EXPECT_EQ(metrics.status, RunStatus::kRoundBudgetExhausted);
-  }
-  {
-    // The run() argument still applies when the option is unset.
+    // The run() argument is the round budget.
     SyncEngine sim(g);
     const SimMetrics metrics = sim.run(protocol, 7);
     EXPECT_EQ(metrics.rounds, 7u);

@@ -7,58 +7,6 @@
 namespace dsnd {
 namespace {
 
-TEST(AnalyzeCluster, ConnectedPathSegment) {
-  const Graph g = make_path(6);
-  const VertexId members[] = {1, 2, 3};
-  const ClusterShape shape = analyze_cluster(g, members, 2);
-  EXPECT_TRUE(shape.connected);
-  EXPECT_EQ(shape.size, 3);
-  EXPECT_EQ(shape.strong_diameter, 2);
-  EXPECT_EQ(shape.weak_diameter, 2);
-  EXPECT_EQ(shape.radius_from_center, 1);
-}
-
-TEST(AnalyzeCluster, DisconnectedHasInfiniteStrongFiniteWeak) {
-  // Cycle: members {0, 2} are non-adjacent but at distance 2 in G.
-  const Graph g = make_cycle(4);
-  const VertexId members[] = {0, 2};
-  const ClusterShape shape = analyze_cluster(g, members, 0);
-  EXPECT_FALSE(shape.connected);
-  EXPECT_EQ(shape.strong_diameter, kInfiniteDiameter);
-  EXPECT_EQ(shape.weak_diameter, 2);
-  EXPECT_EQ(shape.radius_from_center, kInfiniteDiameter);
-}
-
-TEST(AnalyzeCluster, StrongExceedsWeakOnDetour) {
-  // Cycle of 6: members {0,1,2,3,4} exclude 5. Inside the induced path
-  // d(0,4) = 4 (strong diameter), while in G the worst member pair is
-  // (1,4) at distance 3 (weak diameter) because 0-5-4 shortcuts exist.
-  const Graph g = make_cycle(6);
-  const VertexId members[] = {0, 1, 2, 3, 4};
-  const ClusterShape shape = analyze_cluster(g, members, 2);
-  EXPECT_TRUE(shape.connected);
-  EXPECT_EQ(shape.strong_diameter, 4);
-  EXPECT_EQ(shape.weak_diameter, 3);
-  EXPECT_LT(shape.weak_diameter, shape.strong_diameter);
-}
-
-TEST(AnalyzeCluster, CenterOutsideClusterIsFlagged) {
-  const Graph g = make_path(5);
-  const VertexId members[] = {0, 1};
-  const ClusterShape shape = analyze_cluster(g, members, 4);
-  EXPECT_EQ(shape.radius_from_center, kInfiniteDiameter);
-}
-
-TEST(AnalyzeCluster, SingletonCluster) {
-  const Graph g = make_path(3);
-  const VertexId members[] = {1};
-  const ClusterShape shape = analyze_cluster(g, members, 1);
-  EXPECT_TRUE(shape.connected);
-  EXPECT_EQ(shape.strong_diameter, 0);
-  EXPECT_EQ(shape.weak_diameter, 0);
-  EXPECT_EQ(shape.radius_from_center, 0);
-}
-
 Clustering manual_clustering(VertexId n,
                              const std::vector<std::vector<VertexId>>& sets,
                              const std::vector<std::int32_t>& colors) {
@@ -85,7 +33,6 @@ TEST(ValidateDecomposition, GoodDecompositionPasses) {
   EXPECT_DOUBLE_EQ(report.avg_cluster_size, 2.0);
   EXPECT_EQ(report.max_cluster_size, 2);
   EXPECT_TRUE(report.is_strong_decomposition(1, 2));
-  EXPECT_TRUE(report.is_weak_decomposition(1, 2));
   EXPECT_FALSE(report.is_strong_decomposition(0, 2));  // diameter too big
   EXPECT_FALSE(report.is_strong_decomposition(1, 1));  // too many colors
 }
@@ -120,7 +67,37 @@ TEST(ValidateDecomposition, DisconnectedClusterReported) {
   EXPECT_EQ(report.max_strong_diameter, kInfiniteDiameter);
   EXPECT_NE(report.max_weak_diameter, kInfiniteDiameter);
   EXPECT_FALSE(report.is_strong_decomposition(100, 100));
-  EXPECT_TRUE(report.is_weak_decomposition(3, 3));
+  EXPECT_EQ(report.max_weak_diameter, 3);  // d_G(0, 3) = 3
+}
+
+TEST(ValidateDecomposition, StrongExceedsWeakOnDetour) {
+  // Cycle of 6: cluster {0,1,2,3,4} excludes 5. Inside the induced path
+  // d(0,4) = 4 (strong diameter), while in G the worst member pair is
+  // (1,4) at distance 3 (weak diameter) because 0-5-4 shortcuts exist.
+  const Graph g = make_cycle(6);
+  const Clustering c =
+      manual_clustering(6, {{2, 0, 1, 3, 4}, {5}}, {0, 1});
+  const DecompositionReport report = validate_decomposition(g, c);
+  EXPECT_TRUE(report.all_clusters_connected);
+  EXPECT_EQ(report.max_strong_diameter, 4);
+  EXPECT_EQ(report.max_weak_diameter, 3);
+  EXPECT_EQ(report.max_radius_from_center, 2);
+}
+
+TEST(ValidateDecomposition, CenterOutsideClusterIsFlagged) {
+  // Cluster {0, 1} records center 4, which is not a member: its center
+  // radius is undefined even though the cluster is connected.
+  const Graph g = make_path(5);
+  Clustering c(5);
+  const ClusterId a = c.add_cluster(4, 0);
+  c.assign(0, a);
+  c.assign(1, a);
+  const ClusterId b = c.add_cluster(2, 1);
+  for (const VertexId v : {2, 3, 4}) c.assign(v, b);
+  const DecompositionReport report = validate_decomposition(g, c);
+  EXPECT_TRUE(report.all_clusters_connected);
+  EXPECT_EQ(report.max_strong_diameter, 2);
+  EXPECT_EQ(report.max_radius_from_center, kInfiniteDiameter);
 }
 
 TEST(ValidateDecomposition, StrongOnlyModeSkipsWeak) {

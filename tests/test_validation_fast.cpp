@@ -98,8 +98,10 @@ TEST(ValidateFast, GoodDecompositionCertified) {
   EXPECT_EQ(report.centerless_clusters, 0);
   EXPECT_EQ(report.strong_diameter_lower, 1);
   EXPECT_EQ(report.strong_diameter_upper, 2);  // 2 * center radius
-  EXPECT_TRUE(report.is_strong_decomposition(2, 2));
-  EXPECT_FALSE(report.is_strong_decomposition(2, 1));  // too many colors
+  EXPECT_TRUE(report.is_strong_decomposition(2));
+  // Connected, properly colored and complete, but the certificate is
+  // over the bound.
+  EXPECT_FALSE(report.is_strong_decomposition(1));
 }
 
 TEST(ValidateFast, DisconnectedClusterDetected) {
@@ -111,7 +113,7 @@ TEST(ValidateFast, DisconnectedClusterDetected) {
   EXPECT_FALSE(report.all_clusters_connected);
   EXPECT_EQ(report.strong_diameter_upper, kInfiniteDiameter);
   EXPECT_EQ(report.max_radius_from_center, kInfiniteDiameter);
-  EXPECT_FALSE(report.is_strong_decomposition(100, 100));
+  EXPECT_FALSE(report.is_strong_decomposition(100));
   expect_agrees(g, c, "disconnected");
 }
 
@@ -130,7 +132,7 @@ TEST(ValidateFast, ImproperColoringAndIncompleteDetected) {
   const FastDecompositionReport report =
       validate_decomposition_fast(g, incomplete);
   EXPECT_FALSE(report.complete);
-  EXPECT_FALSE(report.is_strong_decomposition(10, 10));
+  EXPECT_FALSE(report.is_strong_decomposition(10));
 }
 
 TEST(ValidateFast, CenterlessClusterFlagged) {
@@ -151,6 +153,11 @@ TEST(ValidateFast, CenterlessClusterFlagged) {
   // Connectivity and the diameter bracket still come out right.
   EXPECT_TRUE(report.all_clusters_connected);
   EXPECT_EQ(report.strong_diameter_lower, 2);
+  // Complete, properly colored and connected, yet not a decomposition
+  // the gate accepts.
+  EXPECT_TRUE(report.complete);
+  EXPECT_TRUE(report.proper_phase_coloring);
+  EXPECT_FALSE(report.is_strong_decomposition(100));
 }
 
 TEST(ValidateFast, SingletonClusters) {
