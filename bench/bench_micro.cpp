@@ -1,9 +1,10 @@
 // E10 — google-benchmark microbenches for the library's kernels: graph
 // generation, BFS, one carving phase, full decompositions (centralized
-// and distributed), the MPX partition, Luby's MIS, validation, and the
-// service's deliverable kernels at the service's sizes (stretch
-// measurement and the spanner on a 5k G(n, p), the pipeline round cost
-// on a 20k RGG).
+// and distributed), the MPX partition, Luby's MIS, validation (the fast
+// gate on a 1M RGG carve), and the service's deliverable kernels at the
+// service's sizes (stretch measurement and the spanner on a 5k G(n, p),
+// the pipeline round cost on a 20k RGG, cover expansion and validation
+// on a 2k ring with W = 1).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -13,12 +14,14 @@
 #include "apps/mis.hpp"
 #include "apps/spanner.hpp"
 #include "decomposition/carving.hpp"
+#include "decomposition/covers.hpp"
 #include "decomposition/elkin_neiman.hpp"
 #include "decomposition/carving_protocol.hpp"
 #include "decomposition/linial_saks.hpp"
 #include "decomposition/mpx.hpp"
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
+#include "graph/power.hpp"
 #include "graph/traversal.hpp"
 
 namespace {
@@ -138,6 +141,20 @@ void BM_ValidateDecomposition(benchmark::State& state) {
 BENCHMARK(BM_ValidateDecomposition)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
+/// A 1M RGG with average degree 8 and its Theorem 1 carve (k = ln n,
+/// c = 4), built once: the gate every validated carve passes.
+void BM_ValidateDecompositionFast(benchmark::State& state) {
+  const VertexId n = 1000000;
+  const Graph g =
+      make_rgg(n, std::sqrt(8.0 / (3.14159265358979 * n)), 42);
+  const DecompositionRun run =
+      run_schedule(g, theorem1_schedule(n, 0, 4.0), 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(validate_decomposition_fast(g, run.clustering()));
+  }
+}
+BENCHMARK(BM_ValidateDecompositionFast)->Unit(benchmark::kMillisecond);
+
 /// A 5k G(n, p) with average degree 8 and its Theorem 1 carve (k = ln n,
 /// c = 4): the spanner requests of the decomposition service.
 struct SpannerInstance {
@@ -177,5 +194,37 @@ void BM_PipelineRoundCost(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PipelineRoundCost)->Unit(benchmark::kMillisecond);
+
+/// The 2k ring, its Theorem 1 carve on G^3 and the W = 1 cover built
+/// from it: the cover requests of the decomposition service.
+struct CoverInstance {
+  Graph ring = make_cycle(2000);
+  DecompositionRun base = run_schedule(
+      graph_power(ring, 3), theorem1_schedule(ring.num_vertices(), 0, 4.0),
+      7);
+  NeighborhoodCover cover = [this] {
+    NeighborhoodCover result;
+    result.radius = 1;
+    result.clusters = expand_clusters_to_cover(ring, base.clustering(), 1);
+    return result;
+  }();
+};
+
+void BM_ExpandClustersToCover(benchmark::State& state) {
+  const CoverInstance instance;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(expand_clusters_to_cover(
+        instance.ring, instance.base.clustering(), 1));
+  }
+}
+BENCHMARK(BM_ExpandClustersToCover)->Unit(benchmark::kMillisecond);
+
+void BM_ValidateCover(benchmark::State& state) {
+  const CoverInstance instance;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(validate_cover(instance.ring, instance.cover));
+  }
+}
+BENCHMARK(BM_ValidateCover)->Unit(benchmark::kMillisecond);
 
 }  // namespace

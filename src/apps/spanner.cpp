@@ -11,43 +11,23 @@ namespace dsnd {
 
 namespace {
 
-/// Scratch for the per-cluster tree BFS, allocated once per spanner
-/// construction. seen[v] == stamp marks v visited by the tree whose
-/// cluster carries that stamp, so nothing is cleared between clusters.
-struct TreeArena {
-  std::vector<std::int32_t> seen;
-  std::vector<VertexId> queue;
-
-  explicit TreeArena(std::size_t n) : seen(n, -1), queue(n, 0) {}
-};
-
 /// Adds the edges of a BFS tree of G(C) rooted at `root`, where C is the
-/// `size` vertices with in_cluster(v) and `stamp` is unique to C. The BFS
-/// runs on g itself: rows are sorted, so it discovers vertices in the
-/// same order as a BFS of the renumbered induced subgraph would. C must
-/// be connected.
+/// `size` vertices with in_cluster(v), and resets the arena. The BFS runs
+/// on g itself: rows are sorted, so it discovers vertices in the same
+/// order as a BFS of the renumbered induced subgraph would. C must be
+/// connected.
 template <typename InCluster>
 void add_bfs_tree(const Graph& g, VertexId root, VertexId size,
-                  std::int32_t stamp, const InCluster& in_cluster,
-                  TreeArena& arena, std::vector<Edge>& edges) {
-  arena.seen[static_cast<std::size_t>(root)] = stamp;
-  arena.queue[0] = root;
-  VertexId head = 0;
-  VertexId tail = 1;
-  while (head < tail) {
-    const VertexId u = arena.queue[static_cast<std::size_t>(head++)];
-    for (const VertexId w : g.neighbors(u)) {
-      if (arena.seen[static_cast<std::size_t>(w)] == stamp ||
-          !in_cluster(w)) {
-        continue;
-      }
-      arena.seen[static_cast<std::size_t>(w)] = stamp;
-      arena.queue[static_cast<std::size_t>(tail++)] = w;
-      edges.push_back({std::min(u, w), std::max(u, w)});
-    }
-  }
-  DSND_CHECK(tail == size,
+                  const InCluster& in_cluster, BfsArena& arena,
+                  std::vector<Edge>& edges) {
+  const auto tree =
+      bfs(g, {&root, 1}, arena, in_cluster, kNoDepthLimit,
+          [&edges](VertexId u, VertexId w) {
+            edges.push_back({std::min(u, w), std::max(u, w)});
+          });
+  DSND_CHECK(static_cast<VertexId>(tree.size()) == size,
              "spanner tree construction requires connected clusters");
+  arena.reset();
 }
 
 SpannerResult finish(const Graph& g, std::vector<Edge> edges) {
@@ -60,20 +40,6 @@ SpannerResult finish(const Graph& g, std::vector<Edge> edges) {
   return result;
 }
 
-/// Scratch for measure_stretch's bidirectional searches: per side
-/// (0 = from u, 1 = from v) a distance array (-1 = unlabelled) and a
-/// queue holding every labelled vertex in BFS order. Allocated once per
-/// call and reset by walking the queues.
-struct BidirectionalArena {
-  std::vector<std::int32_t> dist[2];
-  std::vector<VertexId> queue[2];
-
-  explicit BidirectionalArena(std::size_t n)
-      : dist{std::vector<std::int32_t>(n, -1),
-             std::vector<std::int32_t>(n, -1)},
-        queue{std::vector<VertexId>(n, 0), std::vector<VertexId>(n, 0)} {}
-};
-
 /// d_H(s, t) for s != t, or kUnreachable. Level-synchronous bidirectional
 /// BFS: each step expands one full level of the side whose frontier is
 /// smaller. While the two labelled sets stay disjoint, d_H(s, t) exceeds
@@ -82,43 +48,37 @@ struct BidirectionalArena {
 /// over that level is returned. A side whose frontier empties first has
 /// labelled its whole component without meeting the other.
 std::int32_t bidirectional_distance(const Graph& h, VertexId s, VertexId t,
-                                    BidirectionalArena& arena) {
-  // Side i's labelled vertices are queue[i][0, tail[i]); its frontier,
-  // all at distance depth[i], is queue[i][head[i], tail[i]).
-  VertexId head[2] = {0, 0};
-  VertexId tail[2] = {1, 1};
+                                    BfsArena (&sides)[2]) {
+  // Side i's labelled vertices are sides[i].order(); its frontier, all at
+  // distance depth[i], is the suffix from head[i].
+  std::size_t head[2] = {0, 0};
   std::int32_t depth[2] = {0, 0};
-  arena.queue[0][0] = s;
-  arena.queue[1][0] = t;
-  arena.dist[0][static_cast<std::size_t>(s)] = 0;
-  arena.dist[1][static_cast<std::size_t>(t)] = 0;
+  sides[0].visit(s, 0);
+  sides[1].visit(t, 0);
+  const auto frontier = [&](int side) {
+    return sides[side].order().size() - head[side];
+  };
   std::int32_t best = kUnreachable;
-  while (best == kUnreachable && head[0] < tail[0] && head[1] < tail[1]) {
-    const int side = tail[0] - head[0] <= tail[1] - head[1] ? 0 : 1;
-    std::vector<std::int32_t>& dist = arena.dist[side];
-    const std::vector<std::int32_t>& other = arena.dist[1 - side];
-    std::vector<VertexId>& queue = arena.queue[side];
+  while (best == kUnreachable && frontier(0) > 0 && frontier(1) > 0) {
+    const int side = frontier(0) <= frontier(1) ? 0 : 1;
+    BfsArena& mine = sides[side];
+    const BfsArena& other = sides[1 - side];
     const std::int32_t next = ++depth[side];
-    const VertexId level_end = tail[side];
-    for (VertexId i = head[side]; i < level_end; ++i) {
-      for (const VertexId y : h.neighbors(queue[static_cast<std::size_t>(i)])) {
-        const std::int32_t across = other[static_cast<std::size_t>(y)];
-        if (across != -1 && (best == kUnreachable || next + across < best)) {
+    const std::size_t level_end = mine.order().size();
+    for (std::size_t i = head[side]; i < level_end; ++i) {
+      for (const VertexId y : h.neighbors(mine.order()[i])) {
+        const std::int32_t across = other.distance(y);
+        if (across != kUnreachable &&
+            (best == kUnreachable || next + across < best)) {
           best = next + across;
         }
-        if (dist[static_cast<std::size_t>(y)] != -1) continue;
-        dist[static_cast<std::size_t>(y)] = next;
-        queue[static_cast<std::size_t>(tail[side]++)] = y;
+        mine.visit(y, next);
       }
     }
     head[side] = level_end;
   }
-  for (int side = 0; side < 2; ++side) {
-    for (VertexId i = 0; i < tail[side]; ++i) {
-      arena.dist[side][static_cast<std::size_t>(
-          arena.queue[side][static_cast<std::size_t>(i)])] = -1;
-    }
-  }
+  sides[0].reset();
+  sides[1].reset();
   return best;
 }
 
@@ -132,7 +92,7 @@ SpannerResult spanner_by_decomposition(const Graph& g,
                "spanner requires a complete partition");
   std::vector<Edge> edges;
   const ClusterMembers members = clustering.members_csr();
-  TreeArena arena(static_cast<std::size_t>(g.num_vertices()));
+  BfsArena arena(g.num_vertices());
   for (ClusterId c = 0; c < clustering.num_clusters(); ++c) {
     const auto cluster = members.of(c);
     if (cluster.empty()) continue;
@@ -140,7 +100,7 @@ SpannerResult spanner_by_decomposition(const Graph& g,
     const VertexId root =
         clustering.cluster_of(center) == c ? center : cluster.front();
     add_bfs_tree(
-        g, root, static_cast<VertexId>(cluster.size()), c,
+        g, root, static_cast<VertexId>(cluster.size()),
         [&clustering, c](VertexId v) { return clustering.cluster_of(v) == c; },
         arena, edges);
   }
@@ -161,7 +121,7 @@ SpannerResult spanner_from_cover(const Graph& g,
                                  const NeighborhoodCover& cover) {
   DSND_REQUIRE(cover.radius >= 1, "cover radius must be >= 1");
   const auto n = static_cast<std::size_t>(g.num_vertices());
-  TreeArena arena(n);
+  BfsArena arena(g.num_vertices());
   // Cover clusters overlap, so membership is a mask stamped with the
   // cluster's index rather than a cluster id per vertex.
   std::vector<std::int32_t> member(n, -1);
@@ -187,8 +147,8 @@ SpannerResult spanner_from_cover(const Graph& g,
                                   static_cast<std::size_t>(center) < n &&
                                   in_cluster(center);
     add_bfs_tree(g, center_is_member ? center : smallest,
-                 static_cast<VertexId>(cluster.members.size()), stamp,
-                 in_cluster, arena, edges);
+                 static_cast<VertexId>(cluster.members.size()), in_cluster,
+                 arena, edges);
   }
   return finish(g, std::move(edges));
 }
@@ -196,7 +156,8 @@ SpannerResult spanner_from_cover(const Graph& g,
 std::int32_t measure_stretch(const Graph& g, const Graph& spanner) {
   DSND_REQUIRE(spanner.num_vertices() == g.num_vertices(),
                "spanner must be on the same vertex set");
-  BidirectionalArena arena(static_cast<std::size_t>(g.num_vertices()));
+  BfsArena sides[2] = {BfsArena(g.num_vertices()),
+                       BfsArena(g.num_vertices())};
   std::int32_t stretch = 0;
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
     // Both rows are sorted, so one cursor finds the G-edges kept in H.
@@ -207,7 +168,7 @@ std::int32_t measure_stretch(const Graph& g, const Graph& spanner) {
       while (kept != row.end() && *kept < v) ++kept;
       const std::int32_t d = kept != row.end() && *kept == v
                                  ? 1
-                                 : bidirectional_distance(spanner, u, v, arena);
+                                 : bidirectional_distance(spanner, u, v, sides);
       if (d == kUnreachable) return kInfiniteDiameter;
       stretch = std::max(stretch, d);
     }

@@ -15,10 +15,11 @@
 //      chi clusters — the O(n log n)-edge, O(log n)-stretch regime of
 //      [DMP+05] when chi = O(log n).
 //
-// Both grow each tree by BFS on g itself over one arena per call,
-// restricted by a cluster-id test (a) or a mask stamped with the cover
-// cluster's index (b), so no cluster is copied into an induced subgraph.
-// The root is the center when it is a member, else the smallest member.
+// Both grow each tree with the library's bfs() on g itself, over one
+// BfsArena per call that is reset after each tree, restricted by a
+// cluster-id test (a) or a mask stamped with the cover cluster's index
+// (b), so no cluster is copied into an induced subgraph. The root is the
+// center when it is a member, else the smallest member.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +53,9 @@ SpannerResult spanner_from_cover(const Graph& g,
 /// multiplicative stretch for unweighted graphs.) A G-edge that is also
 /// in H counts 1, found by merging the two sorted rows; every other edge
 /// gets a level-synchronous bidirectional BFS in H, which explores two
-/// balls of radius about d_H(u, v) / 2 instead of a whole BFS tree. Two
-/// distance arrays and two queues are allocated once per call, so
-/// concurrent calls share nothing.
+/// balls of radius about d_H(u, v) / 2 instead of a whole BFS tree. Its
+/// two sides are two BfsArenas allocated once per call, so concurrent
+/// calls share nothing.
 std::int32_t measure_stretch(const Graph& g, const Graph& spanner);
 
 }  // namespace dsnd

@@ -1,7 +1,5 @@
 #include "decomposition/checkpoint.hpp"
 
-#include <algorithm>
-
 namespace dsnd {
 
 bool PhaseValidator::validate_phase(const Graph& g,
@@ -9,17 +7,9 @@ bool PhaseValidator::validate_phase(const Graph& g,
                                     std::span<const VertexId> center_of,
                                     std::span<const std::int32_t> phase_of,
                                     const std::int32_t phase) {
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  if (visited_.size() != n) {
-    visited_.assign(n, 0);
-    center_seen_.assign(n, 0);
-    epoch_ = 0;
-  }
-  if (++epoch_ == 0) {
-    // Stamp wrap: restart the epoch space with clean arrays.
-    std::fill(visited_.begin(), visited_.end(), 0u);
-    std::fill(center_seen_.begin(), center_seen_.end(), 0u);
-    epoch_ = 1;
+  if (arena_.num_vertices() != g.num_vertices()) {
+    arena_ = BfsArena(g.num_vertices());
+    center_seen_.assign(static_cast<std::size_t>(g.num_vertices()), 0);
   }
 
   // Proper coloring restricted to this phase. Colors are phases, so the
@@ -37,30 +27,31 @@ bool PhaseValidator::validate_phase(const Graph& g,
   }
 
   // Connectivity: one BFS per cluster, rooted at the cluster's first
-  // joiner and confined to same-(phase, center) vertices. A later
-  // unvisited joiner whose center was already seen starts a second
-  // component of the same cluster — disconnected.
+  // joiner and confined to same-(phase, center) vertices. The searches
+  // share the arena, so a later joiner that none of them visited whose
+  // center was already seen starts a second component of the same
+  // cluster — disconnected.
+  bool connected = true;
   for (const VertexId root : joiners) {
-    const auto ri = static_cast<std::size_t>(root);
-    if (visited_[ri] == epoch_) continue;
-    const VertexId center = center_of[ri];
-    const auto ci = static_cast<std::size_t>(center);
-    if (center_seen_[ci] == epoch_) return false;
-    center_seen_[ci] = epoch_;
-    queue_.clear();
-    queue_.push_back(root);
-    visited_[ri] = epoch_;
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
-      for (const VertexId u : g.neighbors(queue_[head])) {
-        const auto ui = static_cast<std::size_t>(u);
-        if (visited_[ui] == epoch_) continue;
-        if (phase_of[ui] != phase || center_of[ui] != center) continue;
-        visited_[ui] = epoch_;
-        queue_.push_back(u);
-      }
+    if (arena_.distance(root) != kUnreachable) continue;
+    const VertexId center = center_of[static_cast<std::size_t>(root)];
+    char& seen = center_seen_[static_cast<std::size_t>(center)];
+    if (seen != 0) {
+      connected = false;
+      break;
     }
+    seen = 1;
+    bfs(g, {&root, 1}, arena_, [&](VertexId u) {
+      const auto ui = static_cast<std::size_t>(u);
+      return phase_of[ui] == phase && center_of[ui] == center;
+    });
   }
-  return true;
+  arena_.reset();
+  for (const VertexId v : joiners) {
+    center_seen_[static_cast<std::size_t>(
+        center_of[static_cast<std::size_t>(v)])] = 0;
+  }
+  return connected;
 }
 
 }  // namespace dsnd

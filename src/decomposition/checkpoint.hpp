@@ -41,6 +41,7 @@
 
 #include "decomposition/carving.hpp"
 #include "graph/graph.hpp"
+#include "graph/traversal.hpp"
 
 namespace dsnd {
 
@@ -55,9 +56,9 @@ struct PhaseCheckpoint {
 };
 
 /// Incremental per-phase validation: proper phase coloring and cluster
-/// connectivity restricted to the vertices that joined one phase. Epoch-
-/// stamped scratch arrays make repeated calls O(phase work), allocation-
-/// free once warm.
+/// connectivity restricted to the vertices that joined one phase. Its
+/// scratch is sized once per graph and reset by walking what a call
+/// touched, so repeated calls cost O(phase work) and allocate nothing.
 class PhaseValidator {
  public:
   /// Validates the clusters finalized in `phase`. `joiners` are the
@@ -73,10 +74,8 @@ class PhaseValidator {
                       std::int32_t phase);
 
  private:
-  std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> visited_;      // per engine vertex
-  std::vector<std::uint32_t> center_seen_;  // per original center id
-  std::vector<VertexId> queue_;             // BFS worklist
+  BfsArena arena_;                // per engine vertex
+  std::vector<char> center_seen_;  // per original center id
 };
 
 /// Checkpoint/rollback state retained by a CarveContext: the last

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "decomposition/elkin_neiman.hpp"
@@ -47,6 +48,11 @@ struct CoverOptions {
   double c = 4.0;
   std::uint64_t seed = 1;
 };
+
+/// The largest cover radius W: the power graph's exponent 2W + 1 must
+/// fit in 32 bits.
+inline constexpr std::int32_t kMaxCoverRadius =
+    (std::numeric_limits<std::int32_t>::max() - 1) / 2;
 
 NeighborhoodCover build_neighborhood_cover(const Graph& g,
                                            const CoverOptions& options);

@@ -1,9 +1,9 @@
 #include "decomposition/linial_saks.hpp"
 
 #include <cmath>
-#include <queue>
 #include <vector>
 
+#include "graph/traversal.hpp"
 #include "support/assert.hpp"
 #include "support/distributions.hpp"
 #include "support/rng.hpp"
@@ -53,6 +53,10 @@ DecompositionRun linial_saks_decomposition(const Graph& g,
   std::vector<char> alive(nn, 1);
   std::vector<std::int32_t> radii(nn, 0);
   VertexId remaining = n;
+  BfsArena arena(n);
+  const auto is_alive = [&alive](VertexId v) {
+    return alive[static_cast<std::size_t>(v)] != 0;
+  };
 
   DecompositionRun run;
   run.carve.clustering = Clustering(n);
@@ -77,36 +81,19 @@ DecompositionRun linial_saks_decomposition(const Graph& g,
     // in increasing id order and claiming unclaimed vertices via a
     // radius-limited BFS gives each y exactly that center.
     std::vector<LsWinner> winner(nn);
-    std::vector<std::int32_t> dist(nn, -1);
-    std::vector<VertexId> touched;
     for (VertexId v = 0; v < n; ++v) {
       const auto vi = static_cast<std::size_t>(v);
       if (!alive[vi]) continue;
       // BFS from v through live vertices, up to radii[vi] hops, claiming
       // vertices that have no winner yet (all earlier candidates have
       // smaller ids, so an existing winner always wins the id tie-break).
-      touched.clear();
-      std::queue<VertexId> frontier;
-      dist[vi] = 0;
-      touched.push_back(v);
-      frontier.push(v);
-      while (!frontier.empty()) {
-        const VertexId u = frontier.front();
-        frontier.pop();
+      for (const VertexId u : bfs(g, {&v, 1}, arena, is_alive, radii[vi])) {
         const auto ui = static_cast<std::size_t>(u);
         if (!winner[ui].valid()) {
-          winner[ui] = LsWinner{v, radii[vi], dist[ui]};
-        }
-        if (dist[ui] == radii[vi]) continue;
-        for (VertexId w : g.neighbors(u)) {
-          const auto wi = static_cast<std::size_t>(w);
-          if (!alive[wi] || dist[wi] != -1) continue;
-          dist[wi] = dist[ui] + 1;
-          touched.push_back(w);
-          frontier.push(w);
+          winner[ui] = LsWinner{v, radii[vi], arena.distance(u)};
         }
       }
-      for (VertexId t : touched) dist[static_cast<std::size_t>(t)] = -1;
+      arena.reset();
     }
 
     // Retention rule: join this phase's block iff d(y, center) < r_center.

@@ -12,53 +12,29 @@ namespace dsnd {
 
 namespace {
 
-/// Shared scratch for restricted BFS: one distance array and one queue,
-/// sized once and reused across every cluster (and every source), so a
-/// whole validation pass performs O(1) allocations. Visited entries are
-/// reset by walking the queue, keeping each sweep O(|C| + m_C).
-struct BfsArena {
-  std::vector<std::int32_t> dist;  // -1 = unvisited
-  std::vector<VertexId> queue;
-
-  explicit BfsArena(std::size_t n) : dist(n, -1), queue(n, 0) {}
-};
-
+/// One BFS sweep inside a cluster: how many members it reached, the
+/// source's eccentricity, and the first vertex, in visit order, at that
+/// depth.
 struct SweepResult {
   VertexId reached = 0;
-  std::int32_t ecc = 0;       // max distance over reached vertices
-  VertexId farthest = -1;     // a vertex attaining ecc
+  std::int32_t ecc = 0;
+  VertexId farthest = -1;
 };
 
 /// BFS from `source` over the vertices v with in_cluster(v); resets the
 /// arena before returning.
 template <typename InCluster>
-SweepResult restricted_bfs(const Graph& g, VertexId source,
-                           const InCluster& in_cluster, BfsArena& arena) {
+SweepResult sweep(const Graph& g, VertexId source,
+                  const InCluster& in_cluster, BfsArena& arena) {
+  const auto visited = bfs(g, {&source, 1}, arena, in_cluster);
   SweepResult result;
-  result.farthest = source;
-  arena.dist[static_cast<std::size_t>(source)] = 0;
-  arena.queue[0] = source;
-  VertexId head = 0;
-  VertexId tail = 1;
-  while (head < tail) {
-    const VertexId v = arena.queue[static_cast<std::size_t>(head++)];
-    const std::int32_t d = arena.dist[static_cast<std::size_t>(v)];
-    if (d > result.ecc) {
-      result.ecc = d;
-      result.farthest = v;
-    }
-    for (const VertexId w : g.neighbors(v)) {
-      if (!in_cluster(w)) continue;
-      if (arena.dist[static_cast<std::size_t>(w)] != -1) continue;
-      arena.dist[static_cast<std::size_t>(w)] = d + 1;
-      arena.queue[static_cast<std::size_t>(tail++)] = w;
-    }
-  }
-  result.reached = tail;
-  for (VertexId i = 0; i < tail; ++i) {
-    arena.dist[static_cast<std::size_t>(
-        arena.queue[static_cast<std::size_t>(i)])] = -1;
-  }
+  result.reached = static_cast<VertexId>(visited.size());
+  result.ecc = arena.distance(visited.back());
+  // Visit order is nondecreasing in depth.
+  result.farthest = *std::partition_point(
+      visited.begin(), visited.end(),
+      [&](VertexId v) { return arena.distance(v) < result.ecc; });
+  arena.reset();
   return result;
 }
 
@@ -79,10 +55,10 @@ StrongStats exact_strong_stats(const Graph& g,
   const auto size = static_cast<VertexId>(members.size());
   stats.connected = true;
   for (const VertexId source : members) {
-    const SweepResult sweep = restricted_bfs(g, source, in_cluster, arena);
-    if (sweep.reached < size) stats.connected = false;
-    stats.diameter = std::max(stats.diameter, sweep.ecc);
-    if (source == center) stats.radius_from_center = sweep.ecc;
+    const SweepResult result = sweep(g, source, in_cluster, arena);
+    if (result.reached < size) stats.connected = false;
+    stats.diameter = std::max(stats.diameter, result.ecc);
+    if (source == center) stats.radius_from_center = result.ecc;
   }
   if (!stats.connected) stats.diameter = kInfiniteDiameter;
   const bool center_is_member =
@@ -104,15 +80,16 @@ void fold_max(std::int32_t& acc, std::int32_t value) {
 }
 
 std::int32_t weak_diameter_of(const Graph& g,
-                              std::span<const VertexId> members) {
+                              std::span<const VertexId> members,
+                              BfsArena& arena) {
   std::int32_t weak = 0;
   for (const VertexId v : members) {
-    const auto dist = bfs_distances(g, v);
+    bfs(g, {&v, 1}, arena);
     for (const VertexId w : members) {
-      const std::int32_t d = dist[static_cast<std::size_t>(w)];
-      if (d == kUnreachable) return kInfiniteDiameter;
-      weak = std::max(weak, d);
+      const std::int32_t d = arena.distance(w);
+      fold_max(weak, d == kUnreachable ? kInfiniteDiameter : d);
     }
+    arena.reset();
   }
   return weak;
 }
@@ -138,7 +115,7 @@ DecompositionReport validate_decomposition(const Graph& g,
   report.num_colors = clustering.num_colors();
 
   const ClusterMembers members = clustering.members_csr();
-  BfsArena arena(static_cast<std::size_t>(g.num_vertices()));
+  BfsArena arena(g.num_vertices());
   std::int64_t total_size = 0;
   for (ClusterId c = 0; c < clustering.num_clusters(); ++c) {
     const auto cluster = members.of(c);
@@ -157,7 +134,8 @@ DecompositionReport validate_decomposition(const Graph& g,
     fold_max(report.max_strong_diameter, stats.diameter);
     fold_max(report.max_radius_from_center, stats.radius_from_center);
     if (compute_weak) {
-      fold_max(report.max_weak_diameter, weak_diameter_of(g, cluster));
+      fold_max(report.max_weak_diameter,
+               weak_diameter_of(g, cluster, arena));
     }
   }
   report.all_clusters_connected = report.disconnected_clusters == 0;
@@ -174,7 +152,7 @@ std::vector<std::int32_t> cluster_strong_diameters(
   DSND_REQUIRE(clustering.num_vertices() == g.num_vertices(),
                "clustering does not match graph");
   const ClusterMembers members = clustering.members_csr();
-  BfsArena arena(static_cast<std::size_t>(g.num_vertices()));
+  BfsArena arena(g.num_vertices());
   std::vector<std::int32_t> diameters(
       static_cast<std::size_t>(clustering.num_clusters()), 0);
   for (ClusterId c = 0; c < clustering.num_clusters(); ++c) {
@@ -194,7 +172,7 @@ std::vector<std::int32_t> color_class_strong_diameters(
   DSND_REQUIRE(clustering.num_vertices() == g.num_vertices(),
                "clustering does not match graph");
   const ClusterMembers members = clustering.members_csr();
-  BfsArena arena(static_cast<std::size_t>(g.num_vertices()));
+  BfsArena arena(g.num_vertices());
   const auto num_clusters = static_cast<std::size_t>(clustering.num_clusters());
   // Two sweeps per cluster bracket its diameter: the root's eccentricity
   // e gives e <= diam <= 2e = upper, and the sweep from the farthest
@@ -211,7 +189,7 @@ std::vector<std::int32_t> color_class_strong_diameters(
     const VertexId center = clustering.center_of(c);
     const VertexId root =
         clustering.cluster_of(center) == c ? center : cluster.front();
-    const SweepResult first = restricted_bfs(g, root, in_cluster, arena);
+    const SweepResult first = sweep(g, root, in_cluster, arena);
     std::int32_t& class_best =
         best[static_cast<std::size_t>(clustering.color_of(c))];
     if (first.reached < static_cast<VertexId>(cluster.size())) {
@@ -220,7 +198,7 @@ std::vector<std::int32_t> color_class_strong_diameters(
     }
     upper[static_cast<std::size_t>(c)] = 2 * first.ecc;
     fold_max(class_best,
-             restricted_bfs(g, first.farthest, in_cluster, arena).ecc);
+             sweep(g, first.farthest, in_cluster, arena).ecc);
   }
   // Only a cluster whose upper bound beats its class's best so far can
   // raise the class maximum. Visit those in descending upper bound, run
@@ -276,7 +254,7 @@ FastDecompositionReport validate_decomposition_fast(
   report.num_colors = clustering.num_colors();
 
   const ClusterMembers members = clustering.members_csr();
-  BfsArena arena(static_cast<std::size_t>(g.num_vertices()));
+  BfsArena arena(g.num_vertices());
   std::int64_t total_size = 0;
   for (ClusterId c = 0; c < clustering.num_clusters(); ++c) {
     const auto cluster = members.of(c);
@@ -295,7 +273,7 @@ FastDecompositionReport validate_decomposition_fast(
     };
     // Sweep 1 from the root: connectivity, the exact center radius (when
     // the root is the center), and the 2*ecc upper bound.
-    const SweepResult first = restricted_bfs(g, root, in_cluster, arena);
+    const SweepResult first = sweep(g, root, in_cluster, arena);
     const bool connected = first.reached == size;
     if (!connected) ++report.disconnected_clusters;
     fold_max(report.max_radius_from_center,
@@ -306,7 +284,7 @@ FastDecompositionReport validate_decomposition_fast(
     // bound (exact on trees).
     if (connected) {
       const SweepResult second =
-          restricted_bfs(g, first.farthest, in_cluster, arena);
+          sweep(g, first.farthest, in_cluster, arena);
       fold_max(report.strong_diameter_lower, second.ecc);
     } else {
       fold_max(report.strong_diameter_lower, kInfiniteDiameter);

@@ -19,8 +19,9 @@
 // check of the theorems' guarantees — and the one gate both the lossy
 // recovery loop and the service apply before answering kOk.
 //
-// Neither tier copies subgraphs: BFS is restricted by comparing cluster
-// ids over shared scratch arrays.
+// Neither tier copies subgraphs: every sweep is the library's bfs()
+// (graph/traversal.hpp) restricted by comparing cluster ids, over one
+// BfsArena per call.
 #pragma once
 
 #include <cstdint>

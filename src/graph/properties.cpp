@@ -1,7 +1,6 @@
 #include "graph/properties.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <sstream>
 
 #include "graph/traversal.hpp"
@@ -23,26 +22,15 @@ double average_degree(const Graph& g) {
 }
 
 bool is_bipartite(const Graph& g) {
-  std::vector<std::int8_t> side(static_cast<std::size_t>(g.num_vertices()),
-                                -1);
-  std::queue<VertexId> frontier;
-  for (VertexId start = 0; start < g.num_vertices(); ++start) {
-    if (side[static_cast<std::size_t>(start)] != -1) continue;
-    side[static_cast<std::size_t>(start)] = 0;
-    frontier.push(start);
-    while (!frontier.empty()) {
-      const VertexId u = frontier.front();
-      frontier.pop();
-      for (VertexId w : g.neighbors(u)) {
-        if (side[static_cast<std::size_t>(w)] == -1) {
-          side[static_cast<std::size_t>(w)] =
-              static_cast<std::int8_t>(1 - side[static_cast<std::size_t>(u)]);
-          frontier.push(w);
-        } else if (side[static_cast<std::size_t>(w)] ==
-                   side[static_cast<std::size_t>(u)]) {
-          return false;
-        }
-      }
+  // BFS every component. Edges join equal or adjacent BFS layers, and an
+  // edge inside one layer closes an odd cycle through the two tree paths.
+  BfsArena arena(g.num_vertices());
+  for (VertexId root = 0; root < g.num_vertices(); ++root) {
+    bfs(g, {&root, 1}, arena);
+  }
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (const VertexId w : g.neighbors(u)) {
+      if (arena.distance(u) == arena.distance(w)) return false;
     }
   }
   return true;

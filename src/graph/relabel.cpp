@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "graph/traversal.hpp"
 #include "support/assert.hpp"
 
 namespace dsnd {
@@ -34,33 +35,13 @@ Permutation Permutation::from_to_new(std::vector<VertexId> to_new) {
 }
 
 Permutation bfs_layout(const Graph& g) {
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  Permutation p;
-  p.to_new.assign(n, -1);
-  p.to_old.reserve(n);
-  std::vector<VertexId> queue;
-  queue.reserve(n);
+  // One arena across every component: its visit order is the layout.
+  BfsArena arena(g.num_vertices());
   for (VertexId root = 0; root < g.num_vertices(); ++root) {
-    if (p.to_new[static_cast<std::size_t>(root)] != -1) continue;
-    p.to_new[static_cast<std::size_t>(root)] =
-        static_cast<VertexId>(p.to_old.size());
-    p.to_old.push_back(root);
-    queue.clear();
-    queue.push_back(root);
-    // The visit list doubles as the queue: p.to_old grows as vertices
-    // are discovered, and `queue` mirrors the current component's tail.
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const VertexId v = queue[head];
-      for (const VertexId w : g.neighbors(v)) {
-        if (p.to_new[static_cast<std::size_t>(w)] != -1) continue;
-        p.to_new[static_cast<std::size_t>(w)] =
-            static_cast<VertexId>(p.to_old.size());
-        p.to_old.push_back(w);
-        queue.push_back(w);
-      }
-    }
+    bfs(g, {&root, 1}, arena);
   }
-  return p;
+  return Permutation::from_to_new({arena.order().begin(), arena.order().end()})
+      .inverse();
 }
 
 Permutation grid_bucket_layout(std::span<const double> x,

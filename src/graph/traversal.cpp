@@ -1,7 +1,6 @@
 #include "graph/traversal.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "support/assert.hpp"
 
@@ -9,56 +8,46 @@ namespace dsnd {
 
 namespace {
 
-// Shared BFS loop with an optional vertex filter.
+/// Distances from range-checked, admitted sources over a fresh arena.
 template <typename Admit>
-std::vector<std::int32_t> bfs_impl(const Graph& g,
-                                   std::span<const VertexId> sources,
-                                   Admit admit) {
-  std::vector<std::int32_t> dist(static_cast<std::size_t>(g.num_vertices()),
-                                 kUnreachable);
-  std::queue<VertexId> frontier;
-  for (VertexId s : sources) {
+std::vector<std::int32_t> distances_from(const Graph& g,
+                                         std::span<const VertexId> sources,
+                                         const Admit& admit) {
+  for (const VertexId s : sources) {
     DSND_REQUIRE(s >= 0 && s < g.num_vertices(), "source out of range");
     DSND_REQUIRE(admit(s), "source excluded by filter");
-    if (dist[static_cast<std::size_t>(s)] == kUnreachable) {
-      dist[static_cast<std::size_t>(s)] = 0;
-      frontier.push(s);
-    }
   }
-  while (!frontier.empty()) {
-    const VertexId u = frontier.front();
-    frontier.pop();
-    const std::int32_t next = dist[static_cast<std::size_t>(u)] + 1;
-    for (VertexId w : g.neighbors(u)) {
-      if (!admit(w)) continue;
-      if (dist[static_cast<std::size_t>(w)] != kUnreachable) continue;
-      dist[static_cast<std::size_t>(w)] = next;
-      frontier.push(w);
-    }
-  }
-  return dist;
+  BfsArena arena(g.num_vertices());
+  bfs(g, sources, arena, admit);
+  const auto dist = arena.distances();
+  return {dist.begin(), dist.end()};
+}
+
+/// Eccentricity of v over an arena that the call leaves reset.
+std::int32_t eccentricity_on(const Graph& g, VertexId v, BfsArena& arena) {
+  const std::int32_t ecc = arena.distance(bfs(g, {&v, 1}, arena).back());
+  arena.reset();
+  return ecc;
 }
 
 }  // namespace
 
 std::vector<std::int32_t> bfs_distances(const Graph& g, VertexId source) {
-  const VertexId sources[] = {source};
-  return bfs_impl(g, sources, [](VertexId) { return true; });
+  return distances_from(g, {&source, 1}, AdmitAll{});
 }
 
 std::vector<std::int32_t> bfs_distances_filtered(
     const Graph& g, VertexId source, const std::vector<char>& alive) {
   DSND_REQUIRE(alive.size() == static_cast<std::size_t>(g.num_vertices()),
                "alive mask size mismatch");
-  const VertexId sources[] = {source};
-  return bfs_impl(g, sources, [&alive](VertexId v) {
+  return distances_from(g, {&source, 1}, [&alive](VertexId v) {
     return alive[static_cast<std::size_t>(v)] != 0;
   });
 }
 
 std::vector<std::int32_t> multi_source_bfs(const Graph& g,
                                            std::span<const VertexId> sources) {
-  return bfs_impl(g, sources, [](VertexId) { return true; });
+  return distances_from(g, sources, AdmitAll{});
 }
 
 std::vector<VertexId> shortest_path(const Graph& g, VertexId u, VertexId v) {
@@ -97,24 +86,15 @@ Components connected_components(const Graph& g) {
   Components components;
   components.component_of.assign(
       static_cast<std::size_t>(g.num_vertices()), -1);
-  std::queue<VertexId> frontier;
-  for (VertexId start = 0; start < g.num_vertices(); ++start) {
-    if (components.component_of[static_cast<std::size_t>(start)] != -1) {
-      continue;
+  BfsArena arena(g.num_vertices());
+  for (VertexId root = 0; root < g.num_vertices(); ++root) {
+    const auto component = bfs(g, {&root, 1}, arena);
+    if (component.empty()) continue;  // root lies in an earlier component
+    for (const VertexId v : component) {
+      components.component_of[static_cast<std::size_t>(v)] =
+          components.count;
     }
-    const std::int32_t label = components.count++;
-    components.component_of[static_cast<std::size_t>(start)] = label;
-    frontier.push(start);
-    while (!frontier.empty()) {
-      const VertexId u = frontier.front();
-      frontier.pop();
-      for (VertexId w : g.neighbors(u)) {
-        if (components.component_of[static_cast<std::size_t>(w)] == -1) {
-          components.component_of[static_cast<std::size_t>(w)] = label;
-          frontier.push(w);
-        }
-      }
-    }
+    ++components.count;
   }
   return components;
 }
@@ -125,16 +105,16 @@ bool is_connected(const Graph& g) {
 }
 
 std::int32_t eccentricity(const Graph& g, VertexId v) {
-  const auto dist = bfs_distances(g, v);
-  std::int32_t ecc = 0;
-  for (std::int32_t d : dist) ecc = std::max(ecc, d);
-  return ecc;
+  DSND_REQUIRE(v >= 0 && v < g.num_vertices(), "source out of range");
+  BfsArena arena(g.num_vertices());
+  return eccentricity_on(g, v, arena);
 }
 
 std::int32_t exact_diameter(const Graph& g) {
+  BfsArena arena(g.num_vertices());
   std::int32_t diameter = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    diameter = std::max(diameter, eccentricity(g, v));
+    diameter = std::max(diameter, eccentricity_on(g, v, arena));
   }
   return diameter;
 }

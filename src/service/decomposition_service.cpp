@@ -155,6 +155,8 @@ ServiceResponse DecompositionService::submit(const ServiceRequest& request) {
   const bool is_cover = request.deliverable == Deliverable::kCover;
   DSND_REQUIRE(!is_cover || request.cover_radius >= 1,
                "cover radius must be positive");
+  DSND_REQUIRE(!is_cover || request.cover_radius <= kMaxCoverRadius,
+               "cover radius must be at most 2^30 - 1");
 
   ResultCacheKey key;
   key.graph_fingerprint = registered->fingerprint;

@@ -144,7 +144,7 @@ class DecompositionService {
   /// thread-safe: any number of threads may submit concurrently;
   /// requests sharing a graph serialize on its warm context, distinct
   /// graphs run in parallel. Throws std::invalid_argument for an
-  /// unknown graph_id or a nonpositive cover radius.
+  /// unknown graph_id or a cover radius outside [1, kMaxCoverRadius].
   ServiceResponse submit(const ServiceRequest& request);
 
   /// Submits a batch, scheduling same-graph runs onto one context in

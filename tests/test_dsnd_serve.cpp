@@ -61,10 +61,11 @@ TEST(DsndServe, ScriptedSession) {
       "carve g theorem 1 seed -1\n"
       "carve g theorem 1x\n"
       "carve g theorem 1 c 4abc\n"
+      "carve g theorem 1 deliverable cover radius 2147483647\n"
       "stats\n"
       "quit\n"
       "carve g theorem 1 seed 8\n");
-  ASSERT_EQ(out.size(), 11u) << "one answer per command, none after quit";
+  ASSERT_EQ(out.size(), 12u) << "one answer per command, none after quit";
 
   EXPECT_TRUE(has(out[0], "\"ok\":1")) << out[0];
   EXPECT_TRUE(has(out[0], "\"n\":300")) << out[0];
@@ -93,13 +94,18 @@ TEST(DsndServe, ScriptedSession) {
   EXPECT_TRUE(has(out[4], "got '4294967306'")) << out[4];
   EXPECT_TRUE(has(out[6], "got '12abc'")) << out[6];
 
+  // A cover radius whose power exponent 2W + 1 overflows 32 bits is
+  // rejected by name, and the daemon keeps serving.
+  EXPECT_TRUE(has(out[10], "\"ok\":0")) << out[10];
+  EXPECT_TRUE(has(out[10], "cover radius")) << out[10];
+
   // Only the two valid carves reached the service; neither rejected
   // graph was registered.
-  EXPECT_TRUE(has(out[10], "\"ok\":1")) << out[10];
-  EXPECT_TRUE(has(out[10], "\"requests\":2")) << out[10];
-  EXPECT_TRUE(has(out[10], "\"cache_hits\":1")) << out[10];
-  EXPECT_TRUE(has(out[10], "\"invalid_responses\":0")) << out[10];
-  EXPECT_TRUE(has(out[10], "\"graphs\":1")) << out[10];
+  EXPECT_TRUE(has(out[11], "\"ok\":1")) << out[11];
+  EXPECT_TRUE(has(out[11], "\"requests\":2")) << out[11];
+  EXPECT_TRUE(has(out[11], "\"cache_hits\":1")) << out[11];
+  EXPECT_TRUE(has(out[11], "\"invalid_responses\":0")) << out[11];
+  EXPECT_TRUE(has(out[11], "\"graphs\":1")) << out[11];
 }
 
 TEST(DsndServe, RejectsNonPositiveBetaAtTwoThreads) {

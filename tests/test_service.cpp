@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -433,6 +435,23 @@ TEST(Service, BadRequestsThrowInsteadOfDegrading) {
   cover.deliverable = Deliverable::kCover;
   cover.cover_radius = 0;
   EXPECT_THROW(service.submit(cover), std::invalid_argument);
+  // 2W + 1 must fit in 32 bits: a larger W is rejected by name before
+  // the power graph's exponent can overflow.
+  for (const std::int32_t radius :
+       {std::int32_t{1} << 30, std::numeric_limits<std::int32_t>::max()}) {
+    cover.cover_radius = radius;
+    try {
+      service.submit(cover);
+      ADD_FAILURE() << "cover radius " << radius << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("cover radius"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // W = 2^30 - 1 is the largest valid radius (2W + 1 = INT32_MAX).
+  cover.cover_radius = (std::int32_t{1} << 30) - 1;
+  EXPECT_TRUE(service.submit(cover).valid);
 
   EXPECT_EQ(deliverable_by_name("spanner"), Deliverable::kSpanner);
   EXPECT_STREQ(deliverable_name(Deliverable::kCover), "cover");
