@@ -35,9 +35,9 @@ void margin_ablation(int seeds) {
       const Graph g = make_gnp(512, 6.0 / 511.0,
                                static_cast<std::uint64_t>(s) + 1);
       CarveSchedule schedule = theorem1_schedule(g.num_vertices(), k);
-      // kTruncate: condition on the no-overflow event as the paper's
+      // No retries: condition on the no-overflow event as the paper's
       // analysis does, instead of letting the recarve loop resample.
-      schedule.overflow_policy = OverflowPolicy::kTruncate;
+      schedule.max_retries_per_phase = 0;
       const CarveResult carve = carve_decomposition(
           g, schedule, static_cast<std::uint64_t>(s) * 179424673 + 3,
           margin);
@@ -90,7 +90,7 @@ void forwarding_ablation(int seeds) {
     const Graph g = make_gnp(256, 6.0 / 255.0,
                              static_cast<std::uint64_t>(s) + 1);
     CarveSchedule schedule = theorem1_schedule(g.num_vertices(), k);
-    schedule.overflow_policy = OverflowPolicy::kTruncate;  // condition
+    schedule.max_retries_per_phase = 0;  // condition
     const std::uint64_t seed = static_cast<std::uint64_t>(s) * 49979687 + 5;
     const CarveResult top2 = carve_decomposition(g, schedule, seed);
     const CarveResult top1 = carve_decomposition(g, schedule, seed, 1.0,
@@ -155,7 +155,7 @@ void c_sensitivity(int seeds) {
       CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 4, c);
       // The sweep measures the raw Lemma 1 event rate against its 2/c
       // bound, so disable the recovery that would otherwise hide it.
-      schedule.overflow_policy = OverflowPolicy::kTruncate;
+      schedule.max_retries_per_phase = 0;
       const DecompositionRun run = run_schedule(
           g, schedule, static_cast<std::uint64_t>(s) * 32452843 + 9);
       if (run.carve.radius_overflow) ++overflow;

@@ -73,14 +73,14 @@ inline const std::vector<std::string>& default_families() {
 }
 
 /// Las Vegas overflow accounting shared by the theorem benches. Under
-/// the default OverflowPolicy::kRetry every run's output is valid
+/// the default per-phase retry budget every run's output is valid
 /// unconditionally, so the benches no longer skip "overflow rows" — they
 /// validate everything and report what the recovery cost (retries /
 /// extra rounds). The one case a validator may still legitimately flag
-/// is a run that ACCEPTED truncated samples (kTruncate ablations, or a
-/// blown retry budget), which accepted_truncated_samples() detects; all
-/// six theorem benches consult it the same way round (bench_theorem1
-/// historically inverted the test).
+/// is a run that ACCEPTED truncated samples (max_retries_per_phase = 0
+/// ablations, or a blown retry budget), which
+/// accepted_truncated_samples() detects; all six theorem benches consult
+/// it the same way round (bench_theorem1 historically inverted the test).
 inline bool accepted_truncated_samples(const CarveResult& carve) {
   return carve.radius_overflow;
 }
@@ -243,8 +243,8 @@ struct EngineCaseOptions {
   /// probability 1 - O(1)/c); since PR 5 a seed that hits Lemma 1's
   /// radius-overflow event is recovered by the Las Vegas recarve loop —
   /// the row reports the cost via the retries / extra_rounds JSON fields
-  /// and stays valid. Only kTruncate (or a blown retry budget) can still
-  /// produce a legitimately INVALID row, flagged via radius_overflow.
+  /// and stays valid. Only a spent retry budget can still produce a
+  /// legitimately INVALID row, flagged via radius_overflow.
   std::uint64_t seed = 42;
   /// When > 0, overrides the schedule's Lemma 1 threshold. The CI
   /// overflow smoke lowers it below k + 1 so the recarve loop triggers
@@ -298,7 +298,6 @@ struct EngineCaseOutcome {
   std::int32_t run_retries = 0;
   std::int32_t rollbacks = 0;
   std::int64_t replayed_phases = 0;
-  std::uint64_t rejoins = 0;
   FaultCounters faults;
   /// repeat > 1 only: the cold/warm wall times and whether any warm run
   /// diverged from the cold one (drivers fail on warm_ms > cold_ms and
@@ -394,8 +393,8 @@ inline double engine_scaling_case(const std::string& family, const Graph& g,
     const FastDecompositionReport report =
         validate_decomposition_fast(g, run.run.clustering());
     validate_ms = validate_timer.elapsed_millis();
-    const bool valid = report.complete && report.proper_phase_coloring &&
-                       report.all_clusters_connected;
+    const bool valid =
+        report.is_strong_decomposition(schedule.bounds.strong_diameter);
     if (run.run.carve.status != CarveStatus::kOk) {
       // A named failure is the chaos contract holding, not a violation:
       // report the status string so the row reads as flagged, and keep
@@ -488,7 +487,6 @@ inline double engine_scaling_case(const std::string& family, const Graph& g,
     options.outcome->run_retries = run.run.carve.run_retries;
     options.outcome->rollbacks = run.run.carve.rollbacks;
     options.outcome->replayed_phases = run.run.carve.replayed_phases;
-    options.outcome->rejoins = run.run.carve.rejoins;
     options.outcome->faults = run.run.carve.faults;
     options.outcome->cold_ms = cold_ms;
     options.outcome->warm_ms = warm_ms;

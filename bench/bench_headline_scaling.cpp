@@ -381,7 +381,7 @@ int chaos_smoke(dsnd::bench::JsonWriter& json, unsigned threads) {
     run_retries += outcome.run_retries;
     rollbacks += outcome.rollbacks;
     injected += outcome.faults.total();
-    rejoins += outcome.rejoins;
+    rejoins += outcome.faults.rejoined;
     if (outcome.valid == "ok") {
       ++ok_rows;
     } else if (outcome.valid == "INVALID") {

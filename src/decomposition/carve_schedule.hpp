@@ -42,7 +42,7 @@ struct TheoremBounds {
   double strong_diameter = 0.0;
   double colors = 0.0;
   /// The theorem's whp round bound. Under the Las Vegas recarve loop
-  /// (OverflowPolicy::kRetry) a run may additionally spend
+  /// (max_retries_per_phase > 0) a run may additionally spend
   /// CarveResult::extra_rounds replaying overflowed phases; compare
   /// measured rounds against rounds_with_retries(run.extra_rounds) so
   /// the round-complexity claim stays honest.
@@ -70,12 +70,10 @@ struct CarveSchedule {
   std::int32_t phase_rounds = 1;
   /// Lemma 1's bad-event threshold (the paper's k + 1).
   double radius_overflow_at = 2.0;
-  /// Recovery discipline when the bad event fires (see OverflowPolicy):
-  /// kRetry makes every run's output valid unconditionally (Las Vegas);
-  /// kTruncate preserves the historical flag-and-proceed behavior for
-  /// ablations.
-  OverflowPolicy overflow_policy = OverflowPolicy::kRetry;
-  /// Resample budget per phase under kRetry.
+  /// Lemma 1 resample budget per phase (see kDefaultMaxRetriesPerPhase):
+  /// a positive budget makes every run's output valid unconditionally
+  /// (Las Vegas) unless it is spent; 0 keeps the flag-and-proceed
+  /// behavior for ablations.
   std::int32_t max_retries_per_phase = kDefaultMaxRetriesPerPhase;
   /// Whole-run restart budget for run_schedule_distributed's
   /// verify-and-recover loop under a LOSSY transport: an attempt whose
@@ -112,8 +110,7 @@ struct CarveSchedule {
   /// Lemma 1's replay rule: an attempt whose samples overflowed, at
   /// per-phase retry index `retry`, is resampled rather than accepted.
   bool replays(std::int32_t retry) const {
-    return overflow_policy == OverflowPolicy::kRetry &&
-           retry < max_retries_per_phase;
+    return retry < max_retries_per_phase;
   }
 
   /// Throws std::invalid_argument unless the schedule is runnable:

@@ -112,27 +112,20 @@ inline bool merge_entry(CarveEntry& best, CarveEntry& second,
 /// second-place estimates and wrong clusterings.
 enum class ForwardPolicy { kTop2, kTop1 };
 
-/// What to do when Lemma 1's bad event fires during a phase (some live
-/// vertex samples r_v >= radius_overflow_at, so the ceil(k)-round
-/// broadcast would truncate it and Claim 3's connectivity certificate is
-/// void).
-///
-///   kRetry (default): abort the phase before joining, resample every
-///     live vertex with a fresh per-retry salt, and re-run — the
-///     Elkin–Neiman whp guarantee becomes a Las Vegas one (valid output
-///     unconditionally, expected O(1) extra phases). Each retry costs
-///     one extra phase of simulated rounds (phase_rounds + 1), billed in
-///     CarveResult::extra_rounds.
-///   kTruncate: the pre-PR-5 behavior, kept as the ablation escape
-///     hatch: radii are silently truncated to the broadcast budget, the
-///     join rule runs anyway, and the run merely reports
-///     radius_overflow — the output may contain disconnected clusters.
-enum class OverflowPolicy { kRetry, kTruncate };
-
-/// Default per-phase resample budget under OverflowPolicy::kRetry
-/// (CarveSchedule::max_retries_per_phase). Each retry fails with
-/// probability <= 2/c (Lemma 1), so blowing 16 in a row is
-/// astronomically unlikely in the theorem regimes.
+/// Default per-phase resample budget (CarveSchedule::max_retries_per_phase)
+/// for Lemma 1's bad event: some live vertex samples r_v >=
+/// radius_overflow_at, so the ceil(k)-round broadcast would truncate it
+/// and Claim 3's connectivity certificate is void. Such an attempt is
+/// aborted before joining and every live vertex resamples with a fresh
+/// per-retry salt — the Elkin–Neiman whp guarantee becomes a Las Vegas
+/// one (valid output unconditionally, expected O(1) extra phases; each
+/// retry costs phase_rounds + 1 simulated rounds, billed in
+/// CarveResult::extra_rounds). Once a phase's budget is spent — at once
+/// with a budget of 0, the ablation setting — the radii are truncated to
+/// the broadcast budget, the join rule runs anyway, and the run reports
+/// radius_overflow: the output may contain disconnected clusters. Each
+/// retry fails with probability <= 2/c (Lemma 1), so blowing 16 in a row
+/// is astronomically unlikely in the theorem regimes.
 inline constexpr std::int32_t kDefaultMaxRetriesPerPhase = 16;
 
 struct CarveResult {
@@ -144,10 +137,11 @@ struct CarveResult {
   /// True iff the graph was exhausted within target_phases.
   bool exhausted_within_target = false;
   /// True iff a phase ACCEPTED samples containing a radius >=
-  /// radius_overflow_at — only possible under OverflowPolicy::kTruncate
-  /// or a blown retry budget. This is the "output may be invalid" flag:
-  /// under kRetry with an intact budget it is always false and the
-  /// clustering is valid unconditionally (the Las Vegas guarantee).
+  /// radius_overflow_at — only possible once a phase's retry budget is
+  /// spent (max_retries_per_phase = 0 spends it at once). This is the
+  /// "output may be invalid" flag: with an intact budget it is always
+  /// false and the clustering is valid unconditionally (the Las Vegas
+  /// guarantee).
   bool radius_overflow = false;
   /// Largest radius sampled across ALL attempts, including the discarded
   /// ones — so logs show the Lemma 1 event that actually fired even when
@@ -188,11 +182,9 @@ struct CarveResult {
   /// it ran. The A/B cost metric — on the same fault plan, rollback
   /// recovery replays strictly fewer phases than whole-run retry.
   std::int64_t replayed_phases = 0;
-  /// Crash-recovery rejoin events across every attempt (vertices whose
-  /// CrashSpan rejoin round was reached; mirrors faults.rejoined).
-  std::uint64_t rejoins = 0;
   /// Transport fault events aggregated across every attempt of the run
-  /// (all zeros on a reliable transport).
+  /// (all zeros on a reliable transport); faults.rejoined counts the
+  /// crash-recovery rejoin events.
   FaultCounters faults;
 };
 

@@ -136,7 +136,7 @@ class CarvingProtocol final : public Protocol {
         // can happen.
         abort_attempt_ = sampled_overflow_ && schedule_->replays(retry_);
         // Accepted overflowed samples void the output's validity
-        // certificate (kTruncate, or a blown retry budget).
+        // certificate (a spent retry budget).
         if (sampled_overflow_ && !abort_attempt_) accepted_overflow_ = true;
         step_ = 1;
         return;
@@ -513,7 +513,6 @@ DistributedRun run_schedule_distributed_with(SyncEngine& engine,
     break;  // both budgets exhausted: named failure stands
   }
   run.run.carve.faults = total_faults;
-  run.run.carve.rejoins = total_faults.rejoined;
   run.run.bounds = schedule.bounds;
   run.run.k = schedule.k;
   run.run.c = schedule.c;

@@ -32,7 +32,7 @@
 // carve_schedule.hpp); only how entries travel differs (asserted by the
 // parity tests).
 //
-// Lemma 1 recovery (OverflowPolicy::kRetry, the default): when any live
+// Lemma 1 recovery (max_retries_per_phase > 0, the default): when any live
 // vertex samples r_v >= radius_overflow_at at an attempt's sampling
 // round, the overflow bit aggregates during the phase broadcast (in the
 // simulation: folded between rounds by the serial Protocol::on_round_begin

@@ -93,10 +93,10 @@ struct FastDecompositionReport {
   std::int32_t disconnected_clusters = 0;
   bool all_clusters_connected = false;
   /// Clusters whose recorded center is not one of their members. Only
-  /// possible when truncated samples were accepted — i.e. under
-  /// OverflowPolicy::kTruncate or a blown retry budget (CarveResult::
-  /// radius_overflow); the default Las Vegas recarve loop replays
-  /// overflowed phases, so its runs never produce these.
+  /// possible when truncated samples were accepted — i.e. once a phase's
+  /// retry budget is spent (CarveResult::radius_overflow); the default
+  /// Las Vegas recarve loop replays overflowed phases, so its runs never
+  /// produce these.
   std::int32_t centerless_clusters = 0;
   /// Exact max over clusters of the center's eccentricity in G(C);
   /// kInfiniteDiameter if any cluster is disconnected or centerless.

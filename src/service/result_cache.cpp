@@ -28,7 +28,6 @@ std::uint64_t schedule_signature(const CarveSchedule& schedule) {
   for (const double beta : schedule.betas) h = mix_double(h, beta);
   h = mix_word(h, static_cast<std::uint64_t>(schedule.phase_rounds));
   h = mix_double(h, schedule.radius_overflow_at);
-  h = mix_word(h, static_cast<std::uint64_t>(schedule.overflow_policy));
   h = mix_word(h,
                static_cast<std::uint64_t>(schedule.max_retries_per_phase));
   h = mix_word(h, static_cast<std::uint64_t>(schedule.max_run_retries));

@@ -15,8 +15,8 @@ namespace {
 constexpr std::size_t kRoundReserveCap = std::size_t{1} << 16;
 
 // On an elided quiet round the collect stage only fires wakes and
-// maintains active lists; below this many executed vertices that is
-// cheaper inline than waking the pool for a barrier.
+// maintains active lists; below this many executed vertices that runs
+// inline on the driving thread, which is cheaper than a pool barrier.
 constexpr std::size_t kSerialQuietCollect = 2048;
 
 }  // namespace
@@ -91,11 +91,13 @@ void Outbox::send_to_all_neighbors(std::span<const std::uint64_t> words) {
 
 void Outbox::wake_self_in(std::size_t rounds) {
   DSND_REQUIRE(rounds >= 1, "wake_self_in needs a delay of at least 1 round");
-  // Wakes ride in the bucket addressed to the sender's own shard, so the
-  // owner finds them during its collect stage no matter which worker
-  // executed the vertex.
-  staging_.buckets[engine_.shard_of(sender_)].wakes.emplace_back(
-      static_cast<std::uint64_t>(engine_.current_round_ + rounds), sender_);
+  // The sender's shard is the one this thread is executing, so the wake
+  // goes straight into its calendar. Run-every-vertex mode never reads
+  // the calendar and drops the wake.
+  if (engine_.scheduled_) {
+    engine_.ring_insert(engine_.shards_[engine_.shard_of(sender_)],
+                        engine_.current_round_ + rounds, sender_);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -224,7 +226,7 @@ void SyncEngine::ring_insert(detail::Shard& shard, const std::uint64_t target,
   ++shard.pending_wakes;
 }
 
-void SyncEngine::collect_shard(unsigned s, unsigned parity, bool deliver) {
+void SyncEngine::collect_shard(unsigned s, bool deliver) {
   detail::Shard& shard = shards_[s];
 
   // The inbox index consumed this round is dead; zero its slots so the
@@ -287,21 +289,13 @@ void SyncEngine::collect_shard(unsigned s, unsigned parity, bool deliver) {
   // nothing was exchanged, so delivery is empty by construction and the
   // round accumulators keep the zeros the roll-up left them with.
 
-  // Wake requests into the shard's calendar — read from the RAW staging
-  // buckets, not the transport's delivery: self-wakes are local timers,
-  // so a vertex whose expected message was dropped still runs at its
-  // scheduled round. Then fire the next round's
-  // bucket and build the next active list: owned receivers with mail
-  // plus due wakes, deduplicated, in vertex-id order (so execution — and
-  // hence every inbox order — matches the run-every-vertex mode). In
-  // run-every-vertex mode none of this is ever read, so staged wakes are
-  // simply dropped with the rest of the staging.
+  // Fire the next round's calendar bucket and build the next active
+  // list: owned receivers with mail plus due wakes, deduplicated, in
+  // vertex-id order (so execution — and hence every inbox order —
+  // matches the run-every-vertex mode). Self-wakes are local timers that
+  // never pass through the transport, so a vertex whose expected message
+  // was dropped still runs at its scheduled round.
   if (scheduled_) {
-    for (unsigned w = 0; w < workers_; ++w) {
-      for (const auto& [target, v] : staging_[parity][w].buckets[s].wakes) {
-        ring_insert(shard, target, v);
-      }
-    }
     const std::uint64_t next = static_cast<std::uint64_t>(current_round_) + 1;
     const std::uint64_t stamp = next + 1;
     shard.active.clear();
@@ -350,25 +344,10 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t round_budget) {
   round_messages_.reserve(reserve_rounds);
   if (lossy) round_faults_.reserve(reserve_rounds);
 
-  // Rounds with workers_ > 1 dispatch their stages on the persistent
-  // parked pool — the main thread drives shard 0, the exchange, and the
-  // roll-up, exactly as the per-run pool used to, minus the per-run
-  // thread spawn/join and the condvar double-barrier per stage.
-  RoundPool round_pool(pool_.has_value() ? &*pool_ : nullptr,
-                       worker_errors_);
-
-  const auto run_stage = [&](unsigned s, bool collect, unsigned parity,
-                             bool use_active, bool deliver) {
-    try {
-      if (collect) {
-        collect_shard(s, parity, deliver);
-      } else {
-        execute_shard(protocol, s, parity, use_active);
-      }
-    } catch (...) {
-      worker_errors_[s] = std::current_exception();
-    }
-  };
+  // The persistent parked pool (workers_ > 1 only): the driving thread
+  // works as worker 0, runs the exchange, and rolls up the round.
+  WorkerPool* const pool = pool_.has_value() ? &*pool_ : nullptr;
+  RoundPool round_pool(pool, worker_errors_);
 
   bool quiescent = false;
   while (current_round_ < round_budget && !protocol.finished()) {
@@ -398,70 +377,27 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t round_budget) {
     protocol.on_round_begin(current_round_, round_pool);
 
     const auto parity = static_cast<unsigned>(current_round_ & 1);
-    // Set after the execute stage: a quiet round — nothing staged,
-    // nothing in flight in the transport — skips exchange+deliver
-    // outright (and, in the parallel path, usually the collect barrier
-    // with it).
-    bool deliver = true;
-    if (workers_ == 1 || total < 2) {
-      // Serial path (also the tiny-round fast path): every shard's
-      // staging is cleared, all vertices run into worker slot 0's
-      // staging — bucket routing keeps delivery and wake ownership
-      // exactly as in the parallel path — and collects run in shard
-      // order on this thread.
-      for (unsigned w = 1; w < workers_; ++w) {
-        staging_[parity][w].clear_round();
-      }
-      detail::SendStaging& staging = staging_[parity][0];
-      staging.clear_round();
-      for (unsigned s = 0; s < workers_; ++s) {
-        const detail::Shard& shard = shards_[s];
-        if (use_active) {
-          for (const VertexId v : shard.active) {
-            run_vertex(protocol, v, staging, 0);
-          }
-        } else {
-          for (VertexId v = shard.begin; v < shard.end; ++v) {
-            run_vertex(protocol, v, staging, 0);
-          }
-        }
-      }
-      deliver = !options_.elide_quiet_rounds ||
-                detail::staged_message_count(staging_[parity]) > 0 ||
-                transport_->pending() > 0;
-      if (deliver) transport_->exchange(current_round_, staging_[parity]);
-      for (unsigned s = 0; s < workers_; ++s) {
-        collect_shard(s, parity, deliver);
-      }
-    } else {
-      pool_->run([&](unsigned s) {
-        run_stage(s, /*collect=*/false, parity, use_active, true);
-      });
-      deliver = !options_.elide_quiet_rounds ||
-                detail::staged_message_count(staging_[parity]) > 0 ||
-                transport_->pending() > 0;
-      if (deliver) {
-        // The exchange runs serially between the two stages: workers are
-        // parked, so the transport may inspect every staging bucket (and
-        // mutate its own delivery buffers) race-free.
-        transport_->exchange(current_round_, staging_[parity]);
-        pool_->run([&](unsigned s) {
-          run_stage(s, /*collect=*/true, parity, use_active, true);
-        });
-      } else if (total <= kSerialQuietCollect) {
-        // Quiet round, small active set: the collect stage is only wake
-        // firing and active-list upkeep, so running it inline elides the
-        // second barrier entirely.
-        for (unsigned s = 0; s < workers_; ++s) {
-          run_stage(s, /*collect=*/true, parity, use_active, false);
-        }
-      } else {
-        pool_->run([&](unsigned s) {
-          run_stage(s, /*collect=*/true, parity, use_active, false);
-        });
-      }
-      detail::rethrow_first_error(worker_errors_);
+    // A round of fewer than two active vertices runs inline: waking the
+    // pool would cost more than the work.
+    WorkerPool* const round_workers = total < 2 ? nullptr : pool;
+    detail::guarded_dispatch(round_workers, worker_errors_, [&](unsigned s) {
+      execute_shard(protocol, s, parity, use_active);
+    });
+    // A quiet round — nothing staged, nothing in flight in the transport
+    // — skips exchange+deliver outright.
+    const bool deliver = !options_.elide_quiet_rounds ||
+                         detail::staged_message_count(staging_[parity]) > 0 ||
+                         transport_->pending() > 0;
+    if (deliver) {
+      // The exchange runs serially between the two stages: workers are
+      // parked, so the transport may inspect every staging bucket (and
+      // mutate its own delivery buffers) race-free.
+      transport_->exchange(current_round_, staging_[parity]);
     }
+    // See kSerialQuietCollect for when a quiet round collects inline.
+    detail::guarded_dispatch(
+        deliver || total > kSerialQuietCollect ? round_workers : nullptr,
+        worker_errors_, [&](unsigned s) { collect_shard(s, deliver); });
 
     // Roll the shard accumulators into the run metrics — O(S) per round
     // on this thread, no shared counters during the round.

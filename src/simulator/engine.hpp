@@ -9,30 +9,36 @@
 // compliance (O(1) words per message) can be asserted by tests/benches.
 //
 // Implementation (see docs/ARCHITECTURE.md for the shard diagram): the
-// vertex set is split into `threads`-many contiguous SHARDS, each owned
-// by one worker. A round has two parallel stages:
+// vertex set is split into `threads`-many contiguous SHARDS. Every round
+// runs one path, shard by shard, with exactly one thread per shard:
 //
-//   stage 1 (execute): worker w runs the scheduled vertices of shard w.
-//     Sends are routed owner-computes at stage time: worker w keeps one
-//     staging bucket per destination shard (headers + flat payload
-//     words), so a send appends to bucket (w -> shard_of(to)).
+//   stage 1 (execute): shard s runs its scheduled vertices. Sends are
+//     routed owner-computes at stage time: shard s keeps one staging
+//     bucket per destination shard (headers + flat payload words), so a
+//     send appends to bucket (s -> shard_of(to)); a self-wake goes
+//     straight into shard s's own wake calendar.
 //   stage 2 (exchange + deliver): the round boundary hands the staged
 //     buckets to the engine's Transport (see simulator/transport.hpp),
 //     which decides what each destination shard receives — the default
 //     ReliableTransport returns the bucket slices untouched, a
-//     FaultyTransport may drop/delay/duplicate/reorder them. Worker t
-//     then counting-sorts the headers delivered to shard t — a
-//     fixed-size all-to-all of slices, no global sort, no serial merge —
-//     into shard t's CSR inbox index. Inbox views point straight into
-//     the delivering arenas (zero payload copies on the reliable path);
-//     arenas are double-buffered by round parity so the views stay valid
-//     while the next round stages into the other parity.
+//     FaultyTransport may drop/delay/duplicate/reorder them. Shard t
+//     then counting-sorts the headers delivered to it — a fixed-size
+//     all-to-all of slices, no global sort, no serial merge — into its
+//     CSR inbox index, fires its due wakes and builds its next active
+//     list. Inbox views point straight into the delivering arenas (zero
+//     payload copies on the reliable path); arenas are double-buffered
+//     by round parity so the views stay valid while the next round
+//     stages into the other parity.
 //
-// Iterating source buckets in worker order reproduces the serial
-// vertex-order send sequence (shards are ascending contiguous id
-// ranges), so results and metrics are bit-identical for every thread /
-// shard count. All buffers persist across rounds and run()s: steady-
-// state rounds perform zero heap allocations.
+// Both stages go through one guarded dispatch (detail::guarded_dispatch):
+// on the parked worker pool, or inline on the driving thread when there
+// is one worker, fewer than two active vertices, or only the small
+// collect of a quiet round. Concatenating the source buckets in shard
+// order reproduces the serial vertex-order send sequence (shards are
+// ascending contiguous id ranges), so results and metrics are
+// bit-identical for every thread / shard count. All buffers persist
+// across rounds and run()s: steady-state rounds perform zero heap
+// allocations.
 //
 // Scheduling: by default only vertices with a nonempty inbox or a
 // pending self-wake (Outbox::wake_self_in) execute in a round — quiet
@@ -133,9 +139,31 @@ struct alignas(64) Shard {
 
 /// Rethrows the first captured worker exception (lowest worker index),
 /// clearing every slot first so the engine stays reusable; no-op when
-/// none was captured. Called on the driving thread once every worker of
-/// a dispatch has finished.
+/// none was captured.
 void rethrow_first_error(std::span<std::exception_ptr> errors);
+
+/// The one dispatch behind every engine stage and RoundPool::for_chunks.
+/// Runs fn(w) for every worker index w in [0, errors.size()) — on `pool`
+/// when non-null, else in index order on the calling thread — and
+/// captures a throw in slot w. Once every worker has finished, the first
+/// captured exception is rethrown on the calling thread.
+template <typename F>
+void guarded_dispatch(WorkerPool* pool, std::span<std::exception_ptr> errors,
+                      F&& fn) {
+  auto guarded = [&](unsigned w) {
+    try {
+      fn(w);
+    } catch (...) {
+      errors[w] = std::current_exception();
+    }
+  };
+  if (pool != nullptr) {
+    pool->run(guarded);
+  } else {
+    for (unsigned w = 0; w < errors.size(); ++w) guarded(w);
+  }
+  rethrow_first_error(errors);
+}
 
 }  // namespace detail
 
@@ -169,9 +197,10 @@ class Outbox {
   /// timetable schedules the wake instead of running every round.
   void wake_self_in(std::size_t rounds);
 
-  /// Index of the worker executing this vertex, < the count announced by
-  /// Protocol::begin_workers. Protocols index per-worker accumulator
-  /// slots with it instead of sharing atomic counters across cores.
+  /// Index of the worker executing this vertex — its shard's index, <
+  /// the count announced by Protocol::begin_workers. Protocols index
+  /// per-worker accumulator slots with it instead of sharing atomic
+  /// counters across cores.
   unsigned worker() const { return worker_; }
 
  private:
@@ -219,26 +248,19 @@ class RoundPool {
   /// need no synchronization; a per-chunk fold combined with an
   /// associative + commutative operator (max, |=, +) on the caller's
   /// thread afterwards is bit-identical for every worker count. A throw
-  /// from a chunk is captured in its worker's slot; once every chunk has
-  /// finished, the first one is rethrown on the calling thread.
+  /// from a chunk reaches the caller once every chunk has finished (see
+  /// detail::guarded_dispatch).
   template <typename F>
   void for_chunks(std::size_t count, F&& fn) const {
-    const unsigned workers_now = workers();
-    if (workers_now <= 1 || count < kMinParallelCount) {
-      if (count > 0) fn(std::size_t{0}, count, 0u);
-      return;
-    }
-    const std::size_t chunk = (count + workers_now - 1) / workers_now;
-    pool_->run([&](unsigned w) {
-      try {
-        const std::size_t begin = std::min(count, w * chunk);
-        const std::size_t end = std::min(count, begin + chunk);
-        if (begin < end) fn(begin, end, w);
-      } catch (...) {
-        errors_[w] = std::current_exception();
-      }
-    });
-    detail::rethrow_first_error(errors_);
+    const bool parallel = pool_ != nullptr && count >= kMinParallelCount;
+    const std::size_t chunk =
+        parallel ? (count + workers() - 1) / workers() : count;
+    const auto run_chunk = [&](unsigned w) {
+      const std::size_t begin = std::min(count, w * chunk);
+      const std::size_t end = std::min(count, begin + chunk);
+      if (begin < end) fn(begin, end, w);
+    };
+    detail::guarded_dispatch(parallel ? pool_ : nullptr, errors_, run_chunk);
   }
 
  private:
@@ -340,12 +362,11 @@ class SyncEngine {
   void execute_shard(Protocol& protocol, unsigned s, unsigned parity,
                      bool use_active);
   /// Stage 2 for one shard: counting-sort what the transport delivered
-  /// to it into its CSR inbox, fire due wakes (read from the raw staging
-  /// buckets, never the transport — self-wakes are local timers and
-  /// survive any fault plan), build its next active list. `deliver` is
-  /// false on elided quiet rounds: the transport was not exchanged, so
-  /// the delivery passes are skipped and only wakes/active lists run.
-  void collect_shard(unsigned s, unsigned parity, bool deliver);
+  /// to it into its CSR inbox, fire its due wakes, build its next active
+  /// list. `deliver` is false on elided quiet rounds: the transport was
+  /// not exchanged, so the delivery passes are skipped and only
+  /// wakes/active lists run.
+  void collect_shard(unsigned s, bool deliver);
   void ring_insert(detail::Shard& shard, std::uint64_t target, VertexId v);
 
   const Graph& graph_;
@@ -365,7 +386,7 @@ class SyncEngine {
   bool scheduled_ = false;
   std::size_t current_round_ = 0;
 
-  // Double-buffered staging, indexed [round parity][source worker]. The
+  // Double-buffered staging, indexed [round parity][source shard]. The
   // parity written this round backs next round's inbox views; the other
   // parity's views were consumed last round and its buckets are cleared
   // when stage 1 next writes them.

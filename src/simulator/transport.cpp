@@ -41,7 +41,7 @@ void ReliableTransport::exchange(std::size_t round,
   DSND_CHECK(staging.size() == shards_,
              "staging worker count does not match the announced geometry");
   // Slice (s, w) aliases staging bucket (w, s): destination shard s
-  // receives the source workers' buckets in worker order — the serial
+  // receives the source shards' buckets in shard order — the serial
   // vertex-order send sequence. Rewritten in place, no allocation.
   for (unsigned s = 0; s < shards_; ++s) {
     for (unsigned w = 0; w < shards_; ++w) {
@@ -62,8 +62,7 @@ std::span<const TransportSlice> ReliableTransport::delivery(
 // FaultyTransport
 // ---------------------------------------------------------------------------
 
-FaultyTransport::FaultyTransport(FaultPlan plan, Transport* inner)
-    : plan_(std::move(plan)), inner_(inner) {
+FaultyTransport::FaultyTransport(FaultPlan plan) : plan_(std::move(plan)) {
   DSND_REQUIRE(plan_.drop_rate >= 0.0 && plan_.drop_rate <= 1.0 &&
                    plan_.duplicate_rate >= 0.0 && plan_.duplicate_rate <= 1.0 &&
                    plan_.delay_rate >= 0.0 && plan_.delay_rate <= 1.0 &&
@@ -75,7 +74,6 @@ FaultyTransport::FaultyTransport(FaultPlan plan, Transport* inner)
 
 void FaultyTransport::begin_run(const TransportGeometry& geometry) {
   geometry_ = geometry;
-  inner().begin_run(geometry);
 
   for (std::vector<OutBucket>& parity : out_) {
     parity.resize(geometry.shards);
@@ -173,7 +171,8 @@ void FaultyTransport::emit(const std::size_t round, const VertexId from,
 
 void FaultyTransport::exchange(const std::size_t round,
                                std::span<detail::SendStaging> staging) {
-  inner().exchange(round, staging);
+  DSND_CHECK(staging.size() == geometry_.shards,
+             "staging shard count does not match the announced geometry");
   round_faults_ = FaultCounters{};
 
   // Bill rejoin events whose round has arrived: each crash-recovery
@@ -213,16 +212,18 @@ void FaultyTransport::exchange(const std::size_t round,
   due.msgs.clear();
   due.words.clear();
 
-  // Fresh traffic: walk each destination shard's inner delivery in slice
-  // order (sender-serial) and put every message copy through the plan.
-  // Each decision comes from a generator keyed by (seed, round, from,
-  // to, occurrence) — none of which depends on the shard count.
+  // Fresh traffic: walk each destination shard's staging buckets in
+  // source-shard order (sender-serial) and put every message copy
+  // through the plan. Each decision comes from a generator keyed by
+  // (seed, round, from, to, occurrence) — none of which depends on the
+  // shard count.
   for (unsigned s = 0; s < geometry_.shards; ++s) {
     VertexId block_sender = -1;
-    for (const TransportSlice& slice : inner().delivery(s)) {
-      for (const detail::MsgHeader& h : slice.headers) {
+    for (const detail::SendStaging& source : staging) {
+      const detail::ShardBucket& bucket = source.buckets[s];
+      for (const detail::MsgHeader& h : bucket.headers) {
         if (h.from != block_sender) {
-          // A sender's headers are contiguous within a slice (a vertex
+          // A sender's headers are contiguous within a bucket (a vertex
           // executes once per round, appending in send order), so the
           // per-(from, to) occurrence scratch resets per sender block.
           block_sender = h.from;
@@ -271,7 +272,7 @@ void FaultyTransport::exchange(const std::size_t round,
           ++round_faults_.duplicated;
         }
         const std::span<const std::uint64_t> payload{
-            slice.words + h.word_begin, h.length};
+            bucket.words.data() + h.word_begin, h.length};
         for (unsigned copy = 0; copy < copies; ++copy) {
           std::uint32_t delay = 0;
           if (plan_.delay_rate > 0.0 &&

@@ -1,26 +1,25 @@
 // The transport seam behind the engine's exchange+deliver stage.
 //
-// A round of the sharded engine has two halves: workers stage sends into
-// per-(source worker, destination shard) buckets, and the round boundary
+// A round of the sharded engine has two halves: shards stage sends into
+// per-(source shard, destination shard) buckets, and the round boundary
 // hands each destination shard the bucket slices addressed to it. The
 // Transport interface owns that hand-off: the engine stages into the
 // wire-format structs below and then asks the transport what each shard
 // actually RECEIVES this round. Swapping the transport swaps the network
 // without touching the engine, the protocols, or the staging path — the
-// seam the future socket/MPI backend plugs into (ROADMAP: multi-process
-// backend).
+// seam a future socket/MPI backend would implement directly (ROADMAP:
+// multi-process backend).
 //
 //   ReliableTransport   delivers exactly what was staged: its slices
 //                       alias the staging buckets directly (zero copies,
 //                       zero allocations in steady state), reproducing
 //                       the pre-seam engine bit for bit.
-//   FaultyTransport     wraps any inner transport and applies a
-//                       deterministic, seeded FaultPlan to whatever the
-//                       inner transport delivers: per-message drop,
-//                       duplication, bounded delay (a small calendar of
-//                       copied payloads), within-round reordering, and
-//                       crash-stop vertex ranges that go silent from a
-//                       configured round.
+//   FaultyTransport     reads the staging buckets itself and applies a
+//                       deterministic, seeded FaultPlan to them:
+//                       per-message drop, duplication, bounded delay (a
+//                       small calendar of copied payloads), within-round
+//                       reordering, and crash-stop vertex ranges that go
+//                       silent from a configured round.
 //
 // Determinism contract: every fault decision is drawn from a stream
 // keyed by (fault_seed, round, from, to, occurrence) — the stream-split
@@ -31,10 +30,10 @@
 // thread/shard counts, exactly like a reliable run.
 //
 // Self-wakes (Outbox::wake_self_in) are local timers, not network
-// traffic: they ride in the staging buckets for ownership routing but
-// are read by the engine directly, never through the transport — a
-// vertex whose expected message was dropped still gets its scheduled
-// wake (no permanently-asleep vertices under loss).
+// traffic: they go straight into the sender's shard calendar and never
+// reach the transport — a vertex whose expected message was dropped
+// still gets its scheduled wake (no permanently-asleep vertices under
+// loss).
 #pragma once
 
 #include <array>
@@ -59,24 +58,21 @@ struct MsgHeader {
   std::size_t word_begin = 0;
 };
 
-/// One (source worker -> destination shard) staging bucket: headers,
-/// flat payload words, and the wake requests of senders owned by the
-/// destination shard. Capacity persists across rounds.
+/// One (source shard -> destination shard) staging bucket: headers and
+/// flat payload words. Capacity persists across rounds.
 struct ShardBucket {
   std::vector<MsgHeader> headers;
   std::vector<std::uint64_t> words;
-  std::vector<std::pair<std::uint64_t, VertexId>> wakes;  // (round, vertex)
 
   void clear() {
     headers.clear();
     words.clear();
-    wakes.clear();
   }
 };
 
-/// Per-worker send staging for one round parity: one bucket per
-/// destination shard. With threads > 1 each worker owns one; the round
-/// boundary exchanges bucket slices instead of merging arenas.
+/// One source shard's send staging for one round parity: one bucket per
+/// destination shard. Only the thread executing the shard writes it; the
+/// round boundary exchanges bucket slices instead of merging arenas.
 struct SendStaging {
   std::vector<ShardBucket> buckets;
 
@@ -85,7 +81,7 @@ struct SendStaging {
   }
 };
 
-/// Total headers staged across every (worker, shard) bucket — the
+/// Total headers staged across every (source, destination) bucket — the
 /// engine's quiet-round predicate (O(workers^2) bucket-size sums, no
 /// header scan).
 std::size_t staged_message_count(std::span<const SendStaging> staging);
@@ -129,10 +125,10 @@ class Transport {
   virtual void begin_run(const TransportGeometry& geometry) = 0;
 
   /// Hands the transport this round's staged sends: one SendStaging per
-  /// source worker (the current parity's). The transport prepares what
+  /// source shard (the current parity's). The transport prepares what
   /// each destination shard will receive. Serial, driving thread only.
   ///
-  /// Elision contract: on a round where no worker staged a message AND
+  /// Elision contract: on a round where no shard staged a message AND
   /// pending() == 0, the engine MAY skip exchange() — and every
   /// delivery() read — entirely (the quiet-round fast path). Such a
   /// round delivers nothing by construction for any transport whose
@@ -166,7 +162,7 @@ class Transport {
 };
 
 /// Delivers exactly what was staged: slice (w, s) aliases staging bucket
-/// (w, s), in source-worker order — the serial send order, which is what
+/// (w, s), in source-shard order — the serial send order, which is what
 /// makes results bit-identical for every shard count. Zero payload
 /// copies, zero steady-state allocations.
 class ReliableTransport final : public Transport {
@@ -178,7 +174,7 @@ class ReliableTransport final : public Transport {
 
  private:
   unsigned shards_ = 1;
-  // slices_[s] holds one slice per source worker, rewritten in place
+  // slices_[s] holds one slice per source shard, rewritten in place
   // each exchange (capacity persists across rounds and runs).
   std::vector<std::vector<TransportSlice>> slices_;
 };
@@ -257,34 +253,22 @@ struct FaultPlan {
   }
 };
 
-/// Applies a FaultPlan to whatever an inner transport delivers. The
-/// default inner transport is an owned ReliableTransport; a future
-/// socket/MPI transport slots in unchanged. Surviving payloads are
-/// copied into parity-buffered arenas (delayed ones additionally
-/// through the calendar), so the aliasing lifetime contract of
-/// TransportSlice holds just like the reliable path.
+/// Applies a FaultPlan to the staged sends, read straight from the
+/// staging buckets in source-shard order. Surviving payloads are copied
+/// into parity-buffered arenas (delayed ones additionally through the
+/// calendar), so the aliasing lifetime contract of TransportSlice holds
+/// just like the reliable path.
 class FaultyTransport final : public Transport {
  public:
-  explicit FaultyTransport(FaultPlan plan, Transport* inner = nullptr);
+  explicit FaultyTransport(FaultPlan plan);
 
   void begin_run(const TransportGeometry& geometry) override;
   void exchange(std::size_t round,
                 std::span<detail::SendStaging> staging) override;
   std::span<const TransportSlice> delivery(unsigned s) const override;
-  /// In-flight messages of this layer PLUS the wrapped transport's: a
-  /// nested calendar (e.g. a delaying transport wrapped by another) must
-  /// keep blocking quiet-round elision and quiescence even when this
-  /// layer's own calendar is empty.
-  std::size_t pending() const override { return pending_ + inner().pending(); }
-  bool lossy() const override { return plan_.any() || inner().lossy(); }
-  /// This layer's injections plus the wrapped transport's — nested
-  /// faults (e.g. a delay parked in the inner calendar) must reach the
-  /// engine's metrics through the outermost layer.
-  FaultCounters round_faults() const override {
-    FaultCounters faults = round_faults_;
-    faults += inner().round_faults();
-    return faults;
-  }
+  std::size_t pending() const override { return pending_; }
+  bool lossy() const override { return plan_.any(); }
+  FaultCounters round_faults() const override { return round_faults_; }
 
   const FaultPlan& plan() const { return plan_; }
 
@@ -314,14 +298,6 @@ class FaultyTransport final : public Transport {
             std::span<const std::uint64_t> payload, bool reorder,
             std::uint32_t delay);
 
-  Transport& inner() {
-    if (inner_ != nullptr) return *inner_;
-    return owned_inner_;
-  }
-  const Transport& inner() const {
-    if (inner_ != nullptr) return *inner_;
-    return owned_inner_;
-  }
   /// True while `v` is inside its crash window: crashed at or before
   /// `round` and not yet rejoined. Legacy (crash-stop) vertices have
   /// rejoin == kNeverRejoins, so they stay down forever.
@@ -331,8 +307,6 @@ class FaultyTransport final : public Transport {
   }
 
   FaultPlan plan_;
-  Transport* inner_ = nullptr;          // borrowed when non-null
-  ReliableTransport owned_inner_;       // used when constructed without one
   TransportGeometry geometry_;
   std::array<std::vector<OutBucket>, 2> out_;  // [round parity][shard]
   std::vector<TransportSlice> out_slices_;     // one per shard, per round

@@ -53,7 +53,8 @@ void expect_identical(const DistributedRun& a, const DistributedRun& b,
   EXPECT_EQ(a.run.carve.rollbacks, b.run.carve.rollbacks) << label;
   EXPECT_EQ(a.run.carve.replayed_phases, b.run.carve.replayed_phases)
       << label;
-  EXPECT_EQ(a.run.carve.rejoins, b.run.carve.rejoins) << label;
+  EXPECT_EQ(a.run.carve.faults.rejoined, b.run.carve.faults.rejoined)
+      << label;
   EXPECT_EQ(a.run.carve.faults.total(), b.run.carve.faults.total()) << label;
   EXPECT_EQ(a.run.carve.carved_per_phase, b.run.carve.carved_per_phase)
       << label;
@@ -238,7 +239,7 @@ TEST(Checkpoint, RollbackRecoveryBitIdenticalAcrossThreadCounts) {
         "drop=" + std::to_string(drop) + " seed=" + std::to_string(seed);
     // The config must exercise both new fault paths, not vacuously pass.
     EXPECT_GT(runs[0].run.carve.rollbacks, 0) << label;
-    EXPECT_GT(runs[0].run.carve.rejoins, 0u) << label;
+    EXPECT_GT(runs[0].run.carve.faults.rejoined, 0u) << label;
     for (std::size_t i = 1; i < runs.size(); ++i) {
       expect_identical(runs[i], runs[0],
                        label + " threads-index=" + std::to_string(i));
@@ -302,7 +303,7 @@ TEST(Checkpoint, ReliableRunsNeverRollBack) {
   EXPECT_EQ(run.run.carve.status, CarveStatus::kOk);
   EXPECT_EQ(run.run.carve.rollbacks, 0);
   EXPECT_EQ(run.run.carve.replayed_phases, 0);
-  EXPECT_EQ(run.run.carve.rejoins, 0u);
+  EXPECT_EQ(run.run.carve.faults.rejoined, 0u);
   EXPECT_TRUE(fast_valid(g, run.run.clustering()));
 }
 
@@ -329,7 +330,7 @@ TEST(Checkpoint, WarmFaultedContextRunsBitIdenticalToCold) {
   CarveContext context(g, engine);
   const DistributedRun cold = run_schedule_distributed(context, schedule, 1);
   EXPECT_GT(cold.run.carve.rollbacks, 0);
-  EXPECT_GT(cold.run.carve.rejoins, 0u);
+  EXPECT_GT(cold.run.carve.faults.rejoined, 0u);
   for (int rep = 0; rep < 3; ++rep) {
     const DistributedRun warm =
         run_schedule_distributed(context, schedule, 1);

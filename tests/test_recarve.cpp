@@ -4,8 +4,8 @@
 // so the output is valid unconditionally, the whp guarantee upgraded to
 // Las Vegas. These tests pin the deterministic seeds found for PR 5:
 // a small-graph reproduction of the 10M-vertex seed-42 bench event
-// where OverflowPolicy::kTruncate (the pre-PR-5 behavior) returns a
-// flagged, disconnected cluster and the default kRetry returns a valid
+// where a zero retry budget (the pre-PR-5 behavior) returns a flagged,
+// disconnected cluster and the default budget returns a valid
 // decomposition, bit-identical across backends and thread counts.
 #include <gtest/gtest.h>
 
@@ -25,13 +25,13 @@ namespace {
 /// phases; truncated it disconnects a cluster, recarved it stays valid.
 Graph repro_graph() { return make_gnp(64, 3.0 / 63.0, 1); }
 
-/// Carved with seed 1.
-CarveSchedule repro_schedule(OverflowPolicy policy) {
+/// Carved with seed 1. A `max_retries_per_phase` of 0 truncates.
+CarveSchedule repro_schedule(std::int32_t max_retries_per_phase) {
   CarveSchedule schedule;
   schedule.betas.assign(32, 1.4);
   schedule.phase_rounds = 2;
   schedule.radius_overflow_at = 3.0;
-  schedule.overflow_policy = policy;
+  schedule.max_retries_per_phase = max_retries_per_phase;
   return schedule;
 }
 
@@ -68,7 +68,7 @@ TEST(Recarve, TruncatePinsLegacyFlaggedInvalidBehavior) {
   // record this PR fixes.
   const Graph g = repro_graph();
   const CarveResult result =
-      carve_decomposition(g, repro_schedule(OverflowPolicy::kTruncate), 1);
+      carve_decomposition(g, repro_schedule(0), 1);
   EXPECT_TRUE(result.radius_overflow);
   EXPECT_EQ(result.retries, 0);
   EXPECT_EQ(result.extra_rounds, 0);
@@ -88,7 +88,7 @@ TEST(Recarve, RetryRecoversThePreviouslyDisconnectedRun) {
   // accounted.
   const Graph g = repro_graph();
   const CarveResult result =
-      carve_decomposition(g, repro_schedule(OverflowPolicy::kRetry), 1);
+      carve_decomposition(g, repro_schedule(kDefaultMaxRetriesPerPhase), 1);
   EXPECT_FALSE(result.radius_overflow);
   EXPECT_GE(result.retries, 1);
   EXPECT_EQ(result.extra_rounds,
@@ -107,9 +107,8 @@ TEST(Recarve, BackendsAgreeBitForBitAcrossThreadCounts) {
   // under forced retries, for shard counts 1, 2, 4, and 7 (7 does not
   // divide 64 — unequal shards), including the retry/round accounting.
   const Graph g = repro_graph();
-  for (const OverflowPolicy policy :
-       {OverflowPolicy::kRetry, OverflowPolicy::kTruncate}) {
-    const CarveSchedule schedule = repro_schedule(policy);
+  for (const std::int32_t max_retries : {kDefaultMaxRetriesPerPhase, 0}) {
+    const CarveSchedule schedule = repro_schedule(max_retries);
     const CarveResult central = carve_decomposition(g, schedule, 1);
     for (const unsigned threads : {1u, 2u, 4u, 7u}) {
       EngineOptions engine;

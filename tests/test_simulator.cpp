@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "decomposition/carving_protocol.hpp"
 #include "decomposition/elkin_neiman.hpp"
 #include "graph/generators.hpp"
+#include "support/per_worker.hpp"
 
 namespace dsnd {
 namespace {
@@ -17,7 +21,8 @@ namespace {
 /// it. Verifies synchronous one-hop-per-round semantics. Fully
 /// message-driven, so it works under active scheduling: round 0 runs
 /// every vertex (seeding the flood) and afterwards only reached vertices
-/// execute.
+/// execute. Newly reached vertices are counted in per-worker slots, as
+/// the engine's contract asks of aggregate counters.
 class FloodProtocol final : public Protocol {
  public:
   void begin(const Graph& g) override {
@@ -31,13 +36,15 @@ class FloodProtocol final : public Protocol {
     }
   }
 
+  void begin_workers(unsigned workers) override { reached_.reset(workers); }
+
   void on_round(VertexId v, std::size_t round,
                 std::span<const MessageView> inbox, Outbox& out) override {
     const auto vi = static_cast<std::size_t>(v);
     if (seen_round_[vi] == -1 && !inbox.empty()) {
       seen_round_[vi] = static_cast<std::int32_t>(round);
       pending_[vi] = 1;
-      --unseen_;
+      ++reached_[out.worker()];
     }
     if (pending_[vi]) {
       out.send_to_all_neighbors({1});
@@ -45,14 +52,17 @@ class FloodProtocol final : public Protocol {
     }
   }
 
-  bool finished() const override { return unseen_ == 0; }
+  bool finished() const override {
+    return reached_.fold(VertexId{0}, std::plus<>{}) == unseen_;
+  }
 
   const std::vector<std::int32_t>& seen_round() const { return seen_round_; }
 
  private:
   std::vector<std::int32_t> seen_round_;
   std::vector<char> pending_;
-  VertexId unseen_ = 0;
+  VertexId unseen_ = 0;  // vertices other than the source
+  PerWorker<VertexId> reached_;
 };
 
 TEST(Simulator, FloodTakesDistanceRounds) {
@@ -429,6 +439,98 @@ TEST(Simulator, FloodIdenticalAcrossShardCounts) {
     EXPECT_EQ(metrics.messages, base.messages);
     EXPECT_EQ(metrics.messages_per_round, base.messages_per_round);
     EXPECT_EQ(protocol.seen_round(), reference.seen_round());
+  }
+}
+
+/// Round 0: every vertex sends its id to its neighbors and vertex 0
+/// starts a token walking up the path; round 1 runs every vertex again
+/// (each has mail) and vertex 1 forwards the token; from round 2 on the
+/// token holder is the round's only active vertex. Armed, it throws
+/// once: from vertex `throw_at` in round `throw_round`. Each vertex
+/// records the last round it ran in (its own slot, so pooled rounds
+/// share no state).
+class ThrowOnceProtocol final : public Protocol {
+ public:
+  static constexpr std::uint64_t kToken = ~std::uint64_t{0};
+
+  ThrowOnceProtocol(std::size_t throw_round, VertexId throw_at)
+      : throw_round_(throw_round), throw_at_(throw_at) {}
+
+  void begin(const Graph& g) override {
+    n_ = g.num_vertices();
+    last_round_.assign(static_cast<std::size_t>(n_), 0);
+  }
+  void on_round(VertexId v, std::size_t round,
+                std::span<const MessageView> inbox, Outbox& out) override {
+    last_round_[static_cast<std::size_t>(v)] = round;
+    // Only the throwing vertex reads armed_.
+    if (round == throw_round_ && v == throw_at_ && armed_) {
+      armed_ = false;
+      throw std::runtime_error("planned on_round failure");
+    }
+    if (round == 0) {
+      out.send_to_all_neighbors({static_cast<std::uint64_t>(v)});
+      if (v == 0) out.send(1, {kToken});
+      return;
+    }
+    for (const MessageView& m : inbox) {
+      if (m.words[0] == kToken && v + 1 < n_) out.send(v + 1, {kToken});
+    }
+  }
+  bool finished() const override { return false; }
+
+  std::size_t last_round() const {
+    return *std::max_element(last_round_.begin(), last_round_.end());
+  }
+
+ private:
+  std::size_t throw_round_;
+  VertexId throw_at_;
+  VertexId n_ = 0;
+  bool armed_ = true;
+  std::vector<std::size_t> last_round_;
+};
+
+TEST(Simulator, OnRoundThrowReachesCallerAndEngineRecovers) {
+  // A throw from on_round reaches the caller at the end of the round it
+  // was thrown in, whichever way that round ran: inline on the driving
+  // thread (round 5 has one active vertex) or, with threads > 1, on the
+  // pool (round 1 runs every vertex, and vertex 63 sits in the last
+  // shard). A second run() on the same engine then matches a fresh
+  // engine's run.
+  const Graph g = make_path(64);
+  struct Failure {
+    std::size_t round;
+    VertexId vertex;
+  };
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    EngineOptions options;
+    options.threads = threads;
+    ThrowOnceProtocol clean(std::numeric_limits<std::size_t>::max(), 0);
+    SyncEngine fresh(g, options);
+    const SimMetrics expected = fresh.run(clean, 200);
+    ASSERT_EQ(expected.status, RunStatus::kQuiescent);
+    ASSERT_EQ(expected.rounds, 64u);
+    for (const Failure failure : {Failure{5, 5}, Failure{1, 63}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " round=" << failure.round);
+      ThrowOnceProtocol protocol(failure.round, failure.vertex);
+      SyncEngine engine(g, options);
+      try {
+        engine.run(protocol, 200);
+        ADD_FAILURE() << "the planned throw did not reach the caller";
+      } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "planned on_round failure");
+      }
+      EXPECT_EQ(protocol.last_round(), failure.round);
+      const SimMetrics again = engine.run(protocol, 200);
+      EXPECT_EQ(again.status, expected.status);
+      EXPECT_EQ(again.rounds, expected.rounds);
+      EXPECT_EQ(again.messages, expected.messages);
+      EXPECT_EQ(again.words, expected.words);
+      EXPECT_EQ(again.vertex_activations, expected.vertex_activations);
+      EXPECT_EQ(again.messages_per_round, expected.messages_per_round);
+    }
   }
 }
 

@@ -361,36 +361,6 @@ TEST(Transport, LegacyCrashStopReceiverStillReceives) {
   EXPECT_EQ(metrics.faults.rejoined, 0u);
 }
 
-TEST(Transport, NestedFaultyTransportPropagatesPendingAndLossy) {
-  // A zero-fault FaultyTransport wrapping a delaying inner transport:
-  // the outer layer must surface the inner calendar through pending()
-  // (else quiescence/elision fires while a message is in flight in the
-  // INNER calendar and the delivery is lost) and report lossy() from
-  // the inner plan (else the carve loop skips validation).
-  const Graph g = make_path(2);
-  FaultPlan inner_plan;
-  inner_plan.delay_rate = 1.0;
-  inner_plan.max_delay_rounds = 1;
-  FaultyTransport inner(inner_plan);
-  FaultyTransport outer(FaultPlan{}, &inner);
-  EXPECT_TRUE(outer.lossy());
-
-  EngineOptions engine;
-  engine.transport = &outer;
-  ArrivalRecorder protocol;
-  SyncEngine sim(g, engine);
-  const SimMetrics metrics = sim.run(protocol, 10);
-
-  // Same schedule as DelayArrivesExactlyKRoundsLate: the delayed copy
-  // must land at round 2 even though it was parked one layer down.
-  ASSERT_EQ(protocol.arrivals_[1].size(), 1u);
-  EXPECT_EQ(protocol.arrivals_[1][0],
-            (std::pair<std::size_t, VertexId>{2, 0}));
-  EXPECT_EQ(metrics.faults.delayed, 1u);
-  EXPECT_EQ(metrics.status, RunStatus::kQuiescent);
-  EXPECT_EQ(metrics.rounds, 3u);
-}
-
 TEST(Transport, ReorderIsDeterministicAndAPermutation) {
   // Complete graph: every vertex sends its id to all others in round 0,
   // so each receiver sees 5 senders in ascending order on a reliable
