@@ -10,7 +10,7 @@
 #include "decomposition/carving_protocol.hpp"
 #include "decomposition/elkin_neiman.hpp"
 #include "decomposition/high_radius.hpp"
-#include "decomposition/linial_saks_distributed.hpp"
+#include "decomposition/linial_saks.hpp"
 #include "decomposition/multistage.hpp"
 #include "support/stats.hpp"
 
@@ -47,7 +47,7 @@ void protocol_comparison(int seeds) {
     LinialSaksOptions ls;
     ls.k = k;
     ls.seed = seed;
-    const DistributedLsRun ls_run = linial_saks_distributed(g, ls);
+    const DistributedRun ls_run = linial_saks_distributed(g, ls);
     ls_rounds.add(static_cast<double>(ls_run.sim.rounds));
     ls_words.add(static_cast<double>(ls_run.sim.words));
     ls_width = std::max(ls_width, ls_run.sim.max_message_words);

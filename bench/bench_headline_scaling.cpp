@@ -76,10 +76,13 @@ void overflow_smoke(dsnd::bench::JsonWriter& json, unsigned threads) {
   table.print(std::cout);
 }
 
-/// Returns the number of warm-run contract failures when `repeat > 1`
-/// (a warm run slower than its cold twin, or — worse — diverging from
-/// it), so the CI `--repeat` step can fail on a warm regression straight
-/// from the exit code, no JSON math in the workflow.
+/// Returns the number of rows that read INVALID: a clustering that failed
+/// validation or, when `repeat > 1`, a warm run that differs from its cold
+/// twin in the clustering or any carve counter — so the CI steps fail
+/// straight from the exit code. Cold and warm wall times land in the
+/// JSON (cold_ms, warm_ms, warm_speedup) but set no exit code: at one
+/// engine thread they differ by less than the box's noise. That a warm
+/// run pays no setup is pinned by the allocation tests instead.
 int engine_scaling(dsnd::bench::JsonWriter& json, bool smoke,
                    unsigned threads, bool no_large, int repeat) {
   bench::print_header(
@@ -99,15 +102,11 @@ int engine_scaling(dsnd::bench::JsonWriter& json, bool smoke,
     options.repeat = repeat;
     options.outcome = &outcome;
     bench::engine_scaling_case(family, g, table, json, options);
-    if (repeat > 1 &&
-        (outcome.warm_mismatch || outcome.warm_ms > outcome.cold_ms)) {
-      std::cout << "WARM-RUN REGRESSION: " << family << " n="
-                << g.num_vertices() << " cold_ms=" << outcome.cold_ms
-                << " warm_ms=" << outcome.warm_ms
-                << (outcome.warm_mismatch ? " (WARM/COLD MISMATCH)" : "")
-                << "\n";
-      ++failures;
+    if (outcome.warm_mismatch) {
+      std::cout << "WARM/COLD MISMATCH: " << family << " n="
+                << g.num_vertices() << "\n";
     }
+    if (outcome.valid == "INVALID") ++failures;
   };
   bench::EngineCaseOptions t1{1, 0, /*validate=*/true};
   std::vector<VertexId> sizes = smoke ? std::vector<VertexId>{100000}
@@ -715,8 +714,8 @@ int main(int argc, char** argv) {
       bench::int_flag(argc, argv, "--threads", 1));
   // --repeat N (N >= 2): run every engine case N times on one reusable
   // CarveContext and record cold_ms / warm_ms / warm_speedup; the bench
-  // exits nonzero if any warm run is slower than its cold twin or
-  // diverges from it.
+  // exits nonzero if any warm run diverges from its cold twin (or any
+  // row fails validation).
   const int repeat = bench::int_flag(argc, argv, "--repeat", 1);
   if (bench::has_flag(argc, argv, "--engine-smoke")) {
     return engine_scaling(json, /*smoke=*/true, threads,

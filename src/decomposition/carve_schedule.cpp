@@ -32,7 +32,8 @@ std::size_t CarveSchedule::round_budget(VertexId num_vertices) const {
          overtime + 64;
 }
 
-CarveResult carve_result(const CarveSchedule& schedule,
+CarveResult carve_result(std::int32_t target_phases,
+                         std::int32_t phase_rounds,
                          const CarveProgress& progress,
                          std::span<const VertexId> names,
                          bool radius_overflow) {
@@ -40,14 +41,14 @@ CarveResult carve_result(const CarveSchedule& schedule,
   const std::int32_t phases = progress.phases_used;
   CarveResult result;
   result.clustering = Clustering(static_cast<VertexId>(n));
-  result.target_phases = schedule.target_phases();
+  result.target_phases = target_phases;
   result.phases_used = phases;
   result.radius_overflow = radius_overflow;
   result.max_sampled_radius = progress.max_sampled_radius;
   result.retries = progress.retries;
   // Every attempt, replays included, is phase_rounds broadcast rounds
   // plus one membership (or overflow-bit) round.
-  const auto phase_len = static_cast<std::int64_t>(schedule.phase_rounds) + 1;
+  const auto phase_len = static_cast<std::int64_t>(phase_rounds) + 1;
   result.extra_rounds = static_cast<std::int64_t>(progress.retries) * phase_len;
   result.rounds = static_cast<std::int64_t>(phases) * phase_len +
                   result.extra_rounds;
@@ -145,7 +146,8 @@ CarveResult carve_decomposition(const Graph& g, const CarveSchedule& schedule,
     }
     progress.advance_phase();
   }
-  return carve_result(schedule, progress, /*names=*/{}, radius_overflow);
+  return carve_result(schedule.target_phases(), schedule.phase_rounds,
+                      progress, /*names=*/{}, radius_overflow);
 }
 
 DecompositionRun run_schedule(const Graph& g, const CarveSchedule& schedule,

@@ -148,11 +148,14 @@ CarveResult carve_decomposition(
     const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
     double margin = 1.0, ForwardPolicy forward_policy = ForwardPolicy::kTop2);
 
-/// The CarveResult of a run whose state is `progress`, for either
-/// backend: clusters ordered by phase, then by first member in name order
-/// (`names` maps vertex ids to names; empty = identity), plus the round
-/// accounting. radius_overflow: the run accepted overflowed samples.
-CarveResult carve_result(const CarveSchedule& schedule,
+/// The CarveResult of a run whose state is `progress`, for every backend
+/// (both carve backends, and Linial–Saks): clusters ordered by phase, then
+/// by first member in name order (`names` maps vertex ids to names;
+/// empty = identity), plus the round accounting at phase_rounds + 1
+/// rounds per attempt. target_phases is the scheduled phase count;
+/// radius_overflow: the run accepted overflowed samples.
+CarveResult carve_result(std::int32_t target_phases,
+                         std::int32_t phase_rounds,
                          const CarveProgress& progress,
                          std::span<const VertexId> names,
                          bool radius_overflow);

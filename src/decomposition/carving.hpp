@@ -186,6 +186,9 @@ struct CarveResult {
   /// (all zeros on a reliable transport); faults.rejoined counts the
   /// crash-recovery rejoin events.
   FaultCounters faults;
+
+  /// Field for field: the clustering and every counter above.
+  bool operator==(const CarveResult&) const = default;
 };
 
 /// Samples r_v for vertex v in phase t: EXP(beta) via the per-(seed,
@@ -248,8 +251,9 @@ PhaseState run_phase_broadcast(
 bool phase_join_decision(const CarveEntry& best, const CarveEntry& second,
                          double margin);
 
-/// The carving state both backends advance: who is still live, what each
-/// carved vertex chose, and the run-level counters. carve_result
+/// The carving state both backends (and both Linial–Saks backends)
+/// advance: who is still live, what each carved vertex chose, and the
+/// run-level counters. carve_result
 /// (carve_schedule.hpp) assembles a CarveResult from it, and the
 /// protocol's phase-boundary checkpoint (checkpoint.hpp) is a copy of it.
 /// Indexed by the backend's vertex ids; the chosen centers are names

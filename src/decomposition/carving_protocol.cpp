@@ -249,7 +249,8 @@ class CarvingProtocol final : public Protocol {
   }
 
   CarveResult result() const {
-    return carve_result(*schedule_, progress_, names_, accepted_overflow_);
+    return carve_result(schedule_->target_phases(), schedule_->phase_rounds,
+                        progress_, names_, accepted_overflow_);
   }
 
   /// The live list, less this phase's joiners (the list is compacted only

@@ -14,13 +14,41 @@
 // only on the WEAK diameter: a cluster need not be connected in its
 // induced subgraph, and its strong diameter can be unbounded — the gap
 // that motivates the paper, measured head-to-head in bench E5.
+//
+// Both backends run on the carve core (carving.hpp): r_v is the floor of
+// the carve's EXP(beta) draw at beta = -ln p, which has LS93's tail
+// Pr[r >= j] = p^j, on the same per-(seed, phase, vertex) streams;
+// joins advance a CarveProgress record and carve_result assembles the
+// result. Only LS93's own rules are separate: the min-id broadcast and
+// the strict-retention join. The centralized backend claims vertices by
+// radius-capped BFS from the centers in id order; the distributed one is
+// a protocol on the simulator, for the message-complexity comparison
+// against the Elkin–Neiman protocol (bench E8). On the same seed the two
+// agree bit for bit.
+//
+// The protocol's messages carry one (id, radius, distance) entry — O(1)
+// words — but unlike Elkin–Neiman's top-2 rule, min-id flooding cannot
+// simply keep the best entry: a small id with little remaining broadcast
+// range does not subsume a larger id with more range. Each vertex
+// therefore maintains the Pareto frontier {(id, remaining range)} — ids
+// ascending, remaining strictly ascending — and forwards newly inserted
+// frontier entries. The frontier never exceeds k entries (ranges lie in
+// [0, k-1]), so per-round traffic is O(k) messages per edge instead of
+// O(1): one quantitative reason the shifted-exponential rule is
+// CONGEST-friendlier. Pruning loses nothing: the min-id winner and its
+// exact distance survive along every shortest path, because an entry is
+// dropped only for one with a smaller id and at least as much remaining
+// range, which reaches every vertex the dropped entry could reach and
+// beats it there.
 #pragma once
 
 #include <cstdint>
 
+#include "decomposition/carving_protocol.hpp"
 #include "decomposition/elkin_neiman.hpp"
 #include "decomposition/partition.hpp"
 #include "graph/graph.hpp"
+#include "simulator/engine.hpp"
 
 namespace dsnd {
 
@@ -36,5 +64,16 @@ double linial_saks_p(VertexId n, std::int32_t k);
 /// set to the WEAK diameter bound 2k-2 (that is all LS93 promises).
 DecompositionRun linial_saks_decomposition(const Graph& g,
                                            const LinialSaksOptions& options);
+
+/// The same decomposition as a CONGEST protocol: on the same options its
+/// CarveResult equals linial_saks_decomposition's field for field.
+/// engine_options tunes the simulator (scheduling, threads) without
+/// changing any output.
+DistributedRun linial_saks_distributed(
+    const Graph& g, const LinialSaksOptions& options,
+    const EngineOptions& engine_options = {});
+
+/// [tag, id, radius, dist].
+inline constexpr std::size_t kLsProtocolMaxWords = 4;
 
 }  // namespace dsnd

@@ -77,7 +77,7 @@ std::span<const VertexId> ClusterMembers::of(ClusterId c) const {
 
 ClusterMembers Clustering::members_csr() const {
   // Counting sort by cluster id; stable, so each cluster's members come
-  // out in increasing vertex order (the same order members() produced).
+  // out in increasing vertex order.
   std::vector<std::int64_t> offsets(
       static_cast<std::size_t>(num_clusters()) + 1, 0);
   for (const ClusterId c : cluster_of_) {
@@ -96,25 +96,6 @@ ClusterMembers Clustering::members_csr() const {
     }
   }
   return ClusterMembers(std::move(offsets), std::move(flat));
-}
-
-std::vector<std::vector<VertexId>> Clustering::members() const {
-  const ClusterMembers csr = members_csr();
-  std::vector<std::vector<VertexId>> result(
-      static_cast<std::size_t>(num_clusters()));
-  for (ClusterId c = 0; c < num_clusters(); ++c) {
-    const auto span = csr.of(c);
-    result[static_cast<std::size_t>(c)].assign(span.begin(), span.end());
-  }
-  return result;
-}
-
-std::vector<VertexId> Clustering::cluster_sizes() const {
-  std::vector<VertexId> sizes(static_cast<std::size_t>(num_clusters()), 0);
-  for (const ClusterId c : cluster_of_) {
-    if (c != kNoCluster) ++sizes[static_cast<std::size_t>(c)];
-  }
-  return sizes;
 }
 
 }  // namespace dsnd

@@ -82,14 +82,10 @@ class Clustering {
   VertexId num_unassigned() const;
 
   /// Member lists as a CSR index (offsets + flat array), built in O(n).
-  /// Preferred over members(): one allocation pair instead of one vector
-  /// per cluster.
   ClusterMembers members_csr() const;
-  /// Member lists indexed by cluster id. Thin convenience wrapper over
-  /// members_csr() kept for tests and one-off consumers.
-  std::vector<std::vector<VertexId>> members() const;
-  /// Sizes indexed by cluster id.
-  std::vector<VertexId> cluster_sizes() const;
+
+  /// Same cluster of every vertex, same center and color of every cluster.
+  bool operator==(const Clustering&) const = default;
 
  private:
   std::vector<ClusterId> cluster_of_;

@@ -150,7 +150,6 @@ void SyncEngine::reset(Protocol& protocol) {
   current_round_ = 0;
   metrics_ = SimMetrics{};
   round_messages_.clear();
-  round_faults_.clear();
 
   for (auto& parity : staging_) {
     for (detail::SendStaging& staging : parity) staging.clear_round();
@@ -336,13 +335,10 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t round_budget) {
   protocol.begin(graph_);
   protocol.begin_workers(workers_);
 
-  const bool lossy = transport_->lossy();
   // Reserve the per-round series up to the budget (capped —
   // see kRoundReserveCap) so the round loop never reallocates mid-run;
   // the capacity persists across runs like every other engine buffer.
-  const std::size_t reserve_rounds = std::min(round_budget, kRoundReserveCap);
-  round_messages_.reserve(reserve_rounds);
-  if (lossy) round_faults_.reserve(reserve_rounds);
+  round_messages_.reserve(std::min(round_budget, kRoundReserveCap));
 
   // The persistent parked pool (workers_ > 1 only): the driving thread
   // works as worker 0, runs the exchange, and rolls up the round.
@@ -414,25 +410,16 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t round_budget) {
     }
     metrics_.messages += round_total;
     round_messages_.push_back(round_total);
-
-    if (lossy) {
-      // Fault accounting only on lossy transports: reliable runs keep
-      // their zero-allocation steady state (faults_per_round stays
-      // empty) and their bit-identical metrics. A skipped exchange
-      // injected nothing, so elided rounds record explicit zeros rather
-      // than re-reading the transport's (stale) last-round counters.
-      const FaultCounters faults =
-          deliver ? transport_->round_faults() : FaultCounters{};
-      metrics_.faults += faults;
-      round_faults_.push_back(faults);
-    }
+    // A skipped exchange injected nothing, so an elided round adds no
+    // faults rather than re-reading the transport's (stale) last-round
+    // counters. A reliable transport reports zeros.
+    if (deliver) metrics_.faults += transport_->round_faults();
 
     ++current_round_;
   }
 
   metrics_.rounds = current_round_;
   metrics_.messages_per_round = round_messages_;
-  metrics_.faults_per_round = round_faults_;
   metrics_.status = protocol.finished() ? RunStatus::kFinished
                     : quiescent        ? RunStatus::kQuiescent
                                        : RunStatus::kRoundBudgetExhausted;

@@ -405,11 +405,10 @@ class SyncEngine {
   std::vector<std::uint64_t> active_stamp_;
 
   SimMetrics metrics_;
-  // Per-round series kept as persistent members (copied into metrics_ at
-  // run end) so their capacity survives across runs and the round loop
-  // never reallocates mid-run once warmed.
+  // The per-round message series, kept as a persistent member (copied
+  // into metrics_ at run end) so its capacity survives across runs and
+  // the round loop never reallocates mid-run once warmed.
   std::vector<std::uint64_t> round_messages_;
-  std::vector<FaultCounters> round_faults_;
 };
 
 }  // namespace dsnd

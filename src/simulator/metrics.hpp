@@ -48,6 +48,8 @@ struct FaultCounters {
     return dropped + delayed + duplicated + crashed;
   }
 
+  bool operator==(const FaultCounters&) const = default;
+
   FaultCounters& operator+=(const FaultCounters& other) {
     dropped += other.dropped;
     delayed += other.delayed;
@@ -81,11 +83,6 @@ struct SimMetrics {
   /// zeros on a reliable transport). `messages`/`words` above count what
   /// was DELIVERED, post-faults.
   FaultCounters faults;
-
-  /// Per-round fault counters (index = round). Populated only when the
-  /// attached transport is lossy; empty otherwise, so reliable runs keep
-  /// their zero-allocation steady state.
-  std::vector<FaultCounters> faults_per_round;
 
   /// Average messages per round; 0 if no rounds elapsed.
   double avg_messages_per_round() const;

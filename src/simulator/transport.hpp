@@ -137,7 +137,7 @@ class Transport {
   /// backend receiving remote slices) must account for them in
   /// pending(), which both blocks the elision and the engine's
   /// quiescence detection. round_faults() is NOT queried for a skipped
-  /// round — the engine records explicit zeros.
+  /// round — the engine adds no faults for it.
   virtual void exchange(std::size_t round,
                         std::span<detail::SendStaging> staging) = 0;
 

@@ -16,15 +16,4 @@ double sample_exponential(Xoshiro256ss& rng, double beta) {
   return exponential_inverse_cdf(uniform_unit(rng), beta);
 }
 
-int sample_truncated_geometric(Xoshiro256ss& rng, double p, int max_radius) {
-  DSND_REQUIRE(p > 0.0 && p < 1.0, "geometric parameter must be in (0, 1)");
-  DSND_REQUIRE(max_radius >= 0, "max_radius must be nonnegative");
-  // Pr[r >= j] = p^j, so r = floor(log(1 - u) / log(p)) capped at
-  // max_radius reproduces the truncated tail mass exactly.
-  const double u = uniform_unit(rng);
-  const double raw = std::log1p(-u) / std::log(p);
-  if (raw >= static_cast<double>(max_radius)) return max_radius;
-  return static_cast<int>(raw);
-}
-
 }  // namespace dsnd

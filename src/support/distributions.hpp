@@ -1,10 +1,10 @@
-// Samplers for the distributions the decomposition algorithms rely on.
-//
-// The Elkin–Neiman algorithm samples radii from EXP(beta) with density
-// beta * e^(-beta x); Linial–Saks samples truncated geometric radii.
-// Both use explicit inverse-CDF sampling on top of uniform_unit() so that
-// results are reproducible across platforms (std::exponential_distribution
-// is not guaranteed to produce identical streams everywhere).
+// The sampler the decomposition algorithms rely on: EXP(beta), with
+// density beta * e^(-beta x). The Elkin–Neiman carve draws its radii from
+// it; Linial–Saks's geometric radius is the floor of the same draw at
+// beta = -ln p (Pr[floor >= j] = p^j), capped at k - 1. Explicit
+// inverse-CDF sampling on top of uniform_unit() keeps results
+// reproducible across platforms (std::exponential_distribution is not
+// guaranteed to produce identical streams everywhere).
 #pragma once
 
 #include "support/rng.hpp"
@@ -17,12 +17,5 @@ double sample_exponential(Xoshiro256ss& rng, double beta);
 
 /// Inverse CDF of EXP(beta) evaluated at u in [0, 1).
 double exponential_inverse_cdf(double u, double beta);
-
-/// Sample the Linial–Saks truncated geometric radius:
-///   Pr[r = j]       = (1 - p) * p^j   for 0 <= j <= max_radius - 1
-///   Pr[r = max_radius] = p^max_radius
-/// so that Pr[r >= j] = p^j for all j <= max_radius.
-/// Requires p in (0, 1) and max_radius >= 0.
-int sample_truncated_geometric(Xoshiro256ss& rng, double p, int max_radius);
 
 }  // namespace dsnd

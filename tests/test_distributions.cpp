@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace dsnd {
 namespace {
@@ -53,50 +52,6 @@ TEST(Exponential, TailProbabilityMatchesTheory) {
   }
   EXPECT_NEAR(static_cast<double>(over) / samples, std::exp(-beta * t),
               0.005);
-}
-
-TEST(TruncatedGeometric, SurvivalIsPowersOfP) {
-  // Pr[r >= j] = p^j for j <= max_radius.
-  const double p = 0.5;
-  const int max_radius = 6;
-  Xoshiro256ss rng(17);
-  const int samples = 200000;
-  std::vector<int> at_least(max_radius + 1, 0);
-  for (int i = 0; i < samples; ++i) {
-    const int r = sample_truncated_geometric(rng, p, max_radius);
-    ASSERT_GE(r, 0);
-    ASSERT_LE(r, max_radius);
-    for (int j = 0; j <= r; ++j) ++at_least[j];
-  }
-  for (int j = 0; j <= max_radius; ++j) {
-    EXPECT_NEAR(static_cast<double>(at_least[j]) / samples, std::pow(p, j),
-                0.01)
-        << "j=" << j;
-  }
-}
-
-TEST(TruncatedGeometric, CapIsRespected) {
-  Xoshiro256ss rng(23);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_LE(sample_truncated_geometric(rng, 0.9, 3), 3);
-  }
-}
-
-TEST(TruncatedGeometric, ZeroCapAlwaysZero) {
-  Xoshiro256ss rng(29);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(sample_truncated_geometric(rng, 0.5, 0), 0);
-  }
-}
-
-TEST(TruncatedGeometric, RejectsBadParameters) {
-  Xoshiro256ss rng(1);
-  EXPECT_THROW(sample_truncated_geometric(rng, 0.0, 3),
-               std::invalid_argument);
-  EXPECT_THROW(sample_truncated_geometric(rng, 1.0, 3),
-               std::invalid_argument);
-  EXPECT_THROW(sample_truncated_geometric(rng, 0.5, -1),
-               std::invalid_argument);
 }
 
 }  // namespace

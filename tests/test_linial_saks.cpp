@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
+#include "decomposition/carving.hpp"
 #include "decomposition/supergraph.hpp"
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
+#include "support/rng.hpp"
 
 namespace dsnd {
 namespace {
@@ -16,6 +20,33 @@ namespace {
 TEST(LinialSaks, PFormula) {
   EXPECT_NEAR(linial_saks_p(16, 4), std::pow(16.0, -0.25), 1e-12);
   EXPECT_NEAR(linial_saks_p(100, 1), 0.01, 1e-12);
+}
+
+TEST(LinialSaks, RadiusIsTheFlooredCarveDraw) {
+  // LS93's radius is the floor of the carve's EXP(-ln p) draw, capped at
+  // k - 1. The draw is the quotient log1p(-u) / ln p on the same
+  // (seed, phase + 1, v + 1) stream, bit for bit, and its floor has the
+  // law Pr[r >= j] = p^j for every j up to the cap.
+  const double p = 0.5;
+  const std::int32_t cap = 6;
+  const VertexId samples = 200000;
+  std::vector<int> at_least(static_cast<std::size_t>(cap) + 1, 0);
+  for (VertexId v = 0; v < samples; ++v) {
+    const double draw = carve_radius_sample(17, 2, v, -std::log(p));
+    Xoshiro256ss rng(stream_seed(17, 3, static_cast<std::uint64_t>(v) + 1));
+    ASSERT_EQ(draw, std::log1p(-uniform_unit(rng)) / std::log(p));
+    const auto r = static_cast<std::int32_t>(
+        std::min(std::floor(draw), static_cast<double>(cap)));
+    for (std::int32_t j = 0; j <= r; ++j) {
+      ++at_least[static_cast<std::size_t>(j)];
+    }
+  }
+  for (std::int32_t j = 0; j <= cap; ++j) {
+    EXPECT_NEAR(static_cast<double>(at_least[static_cast<std::size_t>(j)]) /
+                    samples,
+                std::pow(p, j), 0.01)
+        << "j=" << j;
+  }
 }
 
 TEST(LinialSaks, CompletePartitionAndProperColoring) {
@@ -102,11 +133,11 @@ TEST(LinialSaks, MembersNearTheirCenterInG) {
   options.k = 4;
   options.seed = 12;
   const DecompositionRun run = linial_saks_decomposition(g, options);
-  const auto members = run.clustering().members();
+  const ClusterMembers members = run.clustering().members_csr();
   for (ClusterId c = 0; c < run.clustering().num_clusters(); ++c) {
     const VertexId center = run.clustering().center_of(c);
     const auto dist = bfs_distances(g, center);
-    for (const VertexId v : members[static_cast<std::size_t>(c)]) {
+    for (const VertexId v : members.of(c)) {
       ASSERT_NE(dist[static_cast<std::size_t>(v)], kUnreachable);
       EXPECT_LE(dist[static_cast<std::size_t>(v)], 4 - 2)
           << "cluster " << c << " member " << v;

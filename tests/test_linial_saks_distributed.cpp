@@ -1,9 +1,8 @@
-#include "decomposition/linial_saks_distributed.hpp"
-
 #include <gtest/gtest.h>
 
 #include "decomposition/carving_protocol.hpp"
 #include "decomposition/elkin_neiman.hpp"
+#include "decomposition/linial_saks.hpp"
 #include "graph/generators.hpp"
 
 namespace dsnd {
@@ -19,7 +18,7 @@ TEST(LsDistributed, BitIdenticalToCentralized) {
       options.seed = seed;
       const DecompositionRun central =
           linial_saks_decomposition(g, options);
-      const DistributedLsRun dist = linial_saks_distributed(g, options);
+      const DistributedRun dist = linial_saks_distributed(g, options);
       ASSERT_EQ(dist.run.carve.phases_used, central.carve.phases_used)
           << family << " seed=" << seed;
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -37,12 +36,47 @@ TEST(LsDistributed, BitIdenticalToCentralized) {
   }
 }
 
+TEST(LsDistributed, IdenticalAcrossThreadCounts) {
+  // At 5k vertices the first phases' live lists exceed RoundPool's
+  // parallel cutoff, so the radii are drawn chunk-parallel on the pool
+  // and every worker joins its vertices into the shared record.
+  for (const char* family : {"rgg", "gnp-sparse", "hyperbolic"}) {
+    const Graph g = family_by_name(family).make(5000, 1);
+    LinialSaksOptions options;
+    options.seed = 7;
+    const DecompositionRun central = linial_saks_decomposition(g, options);
+    DistributedRun serial;
+    for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+      EngineOptions engine;
+      engine.threads = threads;
+      const DistributedRun dist = linial_saks_distributed(g, options, engine);
+      // Every cluster_of, center and color.
+      EXPECT_TRUE(dist.run.clustering() == central.clustering())
+          << family << " threads=" << threads;
+      EXPECT_EQ(dist.run.carve.carved_per_phase,
+                central.carve.carved_per_phase)
+          << family << " threads=" << threads;
+      EXPECT_EQ(dist.run.carve.max_sampled_radius,
+                central.carve.max_sampled_radius)
+          << family << " threads=" << threads;
+      if (threads == 1) {
+        serial = dist;
+        continue;
+      }
+      EXPECT_EQ(dist.sim.messages_per_round, serial.sim.messages_per_round)
+          << family << " threads=" << threads;
+      EXPECT_EQ(dist.sim.words, serial.sim.words)
+          << family << " threads=" << threads;
+    }
+  }
+}
+
 TEST(LsDistributed, MessagesAreCongestWidth) {
   const Graph g = make_gnp(100, 0.06, 5);
   LinialSaksOptions options;
   options.k = 4;
   options.seed = 5;
-  const DistributedLsRun dist = linial_saks_distributed(g, options);
+  const DistributedRun dist = linial_saks_distributed(g, options);
   EXPECT_LE(dist.sim.max_message_words, kLsProtocolMaxWords);
   EXPECT_GT(dist.sim.messages, 0u);
 }
@@ -52,7 +86,7 @@ TEST(LsDistributed, RoundsMatchAccounting) {
   LinialSaksOptions options;
   options.k = 3;
   options.seed = 9;
-  const DistributedLsRun dist = linial_saks_distributed(g, options);
+  const DistributedRun dist = linial_saks_distributed(g, options);
   EXPECT_EQ(static_cast<std::int64_t>(dist.sim.rounds),
             dist.run.carve.rounds);
 }
@@ -70,7 +104,7 @@ TEST(LsDistributed, HigherTrafficThanElkinNeiman) {
     LinialSaksOptions ls;
     ls.k = 5;
     ls.seed = seed;
-    const DistributedLsRun ls_run = linial_saks_distributed(g, ls);
+    const DistributedRun ls_run = linial_saks_distributed(g, ls);
     ls_words_per_round += static_cast<double>(ls_run.sim.words) /
                           static_cast<double>(ls_run.sim.rounds);
     const DistributedRun en_run = run_schedule_distributed(
@@ -83,7 +117,7 @@ TEST(LsDistributed, HigherTrafficThanElkinNeiman) {
 
 TEST(LsDistributed, SingleVertex) {
   const Graph g = make_path(1);
-  const DistributedLsRun dist =
+  const DistributedRun dist =
       linial_saks_distributed(g, LinialSaksOptions{});
   EXPECT_TRUE(dist.run.clustering().is_complete());
   EXPECT_EQ(dist.sim.messages, 0u);

@@ -29,10 +29,9 @@ TEST(Mpx, ClustersAreConnected) {
     for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
       const Graph g = family_by_name(family).make(150, seed);
       const MpxResult result = mpx_partition(g, {.beta = 0.4, .seed = seed});
-      const auto members = result.clustering.members();
+      const ClusterMembers members = result.clustering.members_csr();
       for (ClusterId c = 0; c < result.clustering.num_clusters(); ++c) {
-        const InducedSubgraph sub =
-            induced_subgraph(g, members[static_cast<std::size_t>(c)]);
+        const InducedSubgraph sub = induced_subgraph(g, members.of(c));
         EXPECT_TRUE(is_connected(sub.graph))
             << family << " seed=" << seed << " cluster=" << c;
       }
