@@ -464,7 +464,8 @@ int chaos_smoke(dsnd::bench::JsonWriter& json, unsigned threads) {
 /// (new seeds on the warm contexts), cached (the warm keys again, zero
 /// recarves). Every fresh distributed response is checked bit-identical
 /// against the standalone run_schedule_distributed on the same
-/// (schedule, seed) — a mismatch prints INVALID (CI grep bait) — and
+/// (schedule, seed), in the whole CarveResult and every sim count — a
+/// mismatch prints INVALID (CI grep bait) — and
 /// the cached pass must serve every row from the cache. The emitted
 /// JSON carries per-row latencies, per-phase cold/warm/cached means,
 /// and the service's cache/context-pool accounting (the pr10
@@ -527,19 +528,14 @@ int service_smoke(dsnd::bench::JsonWriter& json, unsigned threads) {
     const DistributedRun expected = run_schedule_distributed(
         g, request.schedule, request.seed, service_options.engine);
     const DistributedRun& got = result.run;
-    if (expected.sim.rounds != got.sim.rounds ||
-        expected.sim.messages != got.sim.messages ||
-        expected.sim.words != got.sim.words ||
-        expected.run.carve.phases_used != got.run.carve.phases_used) {
-      return false;
-    }
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (expected.run.clustering().cluster_of(v) !=
-          got.run.clustering().cluster_of(v)) {
-        return false;
-      }
-    }
-    return true;
+    return expected.run.carve == got.run.carve &&
+           expected.sim.rounds == got.sim.rounds &&
+           expected.sim.messages == got.sim.messages &&
+           expected.sim.words == got.sim.words &&
+           expected.sim.max_message_words == got.sim.max_message_words &&
+           expected.sim.vertex_activations == got.sim.vertex_activations &&
+           expected.sim.messages_per_round == got.sim.messages_per_round &&
+           expected.sim.faults == got.sim.faults;
   };
 
   int failures = 0;

@@ -946,8 +946,8 @@ const std::vector<GraphFamily>& families_impl() {
        }},
       {"random-regular",
        [](VertexId n, std::uint64_t seed) {
-         const VertexId even_n = n % 2 == 0 ? n : n + 1;
-         return make_random_regular(even_n, 4, seed);
+         // 4-regular needs an even n > 4.
+         return make_random_regular(std::max<VertexId>(6, n + n % 2), 4, seed);
        }},
       {"hypercube",
        [](VertexId n, std::uint64_t) {

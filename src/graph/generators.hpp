@@ -191,7 +191,8 @@ struct GraphFamily {
 
 /// The standard sweep: path, cycle, grid, tree, random tree, gnp-sparse,
 /// gnp-dense, random-regular, hypercube, ring-of-cliques, small-world,
-/// rgg, hyperbolic, kronecker.
+/// rgg, hyperbolic, kronecker, ba. Small n are clamped, so every family
+/// builds at every n >= 1.
 const std::vector<GraphFamily>& standard_families();
 
 /// Look up a family by name; throws std::invalid_argument if unknown.

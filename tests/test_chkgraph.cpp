@@ -1,14 +1,25 @@
 // The standalone validator against seeded corruptions: every corruption
 // class must come back as its named issue kind (the contract the CLI's
 // exit status and the CI ingestion smoke grep rely on), and clean
-// graphs from every registered family must pass.
+// graphs from every registered family must pass. The chkgraph binary
+// itself is driven on hostile files: it must agree with load_graph.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iomanip>
+#include <optional>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "graph/validator.hpp"
 
 namespace dsnd {
@@ -197,6 +208,90 @@ TEST(Chkgraph, IssueKindNamesAreStable) {
   EXPECT_STREQ(to_string(GraphIssueKind::kUnsortedRow), "unsorted-row");
   EXPECT_STREQ(to_string(GraphIssueKind::kDuplicateEdge), "duplicate-edge");
   EXPECT_STREQ(to_string(GraphIssueKind::kAsymmetric), "asymmetric");
+}
+
+struct ChkgraphRun {
+  int exit_code = -1;
+  std::string out;
+};
+
+ChkgraphRun run_chkgraph(const std::string& path) {
+  const std::string command =
+      std::string("'") + CHKGRAPH_PATH + "' '" + path + "' 2>/dev/null";
+  ChkgraphRun run;
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) {
+    ADD_FAILURE() << "cannot start " << command;
+    return run;
+  }
+  for (int c = std::fgetc(pipe); c != EOF; c = std::fgetc(pipe)) {
+    run.out.push_back(static_cast<char>(c));
+  }
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
+  return run;
+}
+
+TEST(Chkgraph, BinaryAgreesWithLoadGraph) {
+  // Exit 0 iff load_graph loads the file, and then with its fingerprint;
+  // exit 2 iff the library parse throws; exit 1 for content issues.
+  struct Case {
+    std::string name;
+    std::string text;
+    int expected_exit;
+  };
+  std::vector<Case> cases = {
+      {"self_loop.el", "3 2\n0 1\n2 2\n", 1},
+      {"asymmetric.graph", "3 1\n2\n3\n\n", 1},
+      {"header_flags.graph", "2 1 011\n2\n1\n", 2},
+      {"wrapping_neighbor.graph", "2 1\n4294967298\n1\n", 2},
+      {"col_problem.dimacs", "p col 3 1\ne 1 2\n", 2},
+      {"missing_edge.dimacs", "p edge 3 2\ne 1 2\n", 1},
+      {"growing_problem.dimacs", "p edge 2 1\ne 1 2\np edge 5 1\n", 2},
+      {"shrinking_problem.dimacs", "p edge 5 1\ne 4 5\np edge 2 1\n", 2},
+      {"wrapping_endpoint.el", "2 1\n0 4294967297\n", 2},
+      {"int32_endpoint.el", "3 1\n0 3000000000\n", 2},
+      {"huge_m.el", "1 2000000000000000000\n", 2},
+      {"huge_m.graph", "1 2000000000000000000\n\n", 1},
+  };
+  const Graph clean = family_by_name("small-world").make(200, 3);
+  std::ostringstream metis;
+  std::ostringstream edge_list;
+  write_metis(metis, clean);
+  write_edge_list(edge_list, clean);
+  cases.push_back({"clean.graph", metis.str(), 0});
+  cases.push_back({"clean.el", edge_list.str(), 0});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = testing::TempDir() + "dsnd_chkgraph_" +
+                             std::to_string(getpid()) + "_" + c.name;
+    std::ofstream(path) << c.text;
+    std::optional<Graph> loaded;
+    try {
+      loaded = load_graph(path);
+    } catch (const std::runtime_error&) {
+    }
+    bool parse_throws = false;
+    try {
+      std::ifstream in(path);
+      parse_graph(in, format_of_path(path));
+    } catch (const std::runtime_error&) {
+      parse_throws = true;
+    }
+    const ChkgraphRun run = run_chkgraph(path);
+    EXPECT_EQ(run.exit_code, c.expected_exit) << run.out;
+    EXPECT_EQ(run.exit_code == 0, loaded.has_value()) << run.out;
+    EXPECT_EQ(run.exit_code == 2, parse_throws) << run.out;
+    if (loaded) {
+      std::ostringstream fingerprint;
+      fingerprint << "fingerprint: " << std::hex << std::setfill('0')
+                  << std::setw(16) << loaded->fingerprint() << '\n';
+      EXPECT_NE(run.out.find(fingerprint.str()), std::string::npos)
+          << run.out;
+      EXPECT_EQ(*loaded, clean);
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

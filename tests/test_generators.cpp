@@ -259,6 +259,14 @@ TEST(Generators, StandardFamiliesProduceReasonableSizes) {
   }
 }
 
+TEST(Generators, StandardFamiliesBuildAtTinySizes) {
+  for (const GraphFamily& family : standard_families()) {
+    for (VertexId n = 1; n <= 8; ++n) {
+      EXPECT_NO_THROW(family.make(n, 3)) << family.name << " n=" << n;
+    }
+  }
+}
+
 TEST(Generators, FamilyLookup) {
   EXPECT_EQ(family_by_name("grid").name, "grid");
   EXPECT_THROW(family_by_name("nonexistent"), std::invalid_argument);

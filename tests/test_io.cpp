@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "graph/generators.hpp"
+#include "graph/validator.hpp"
+#include "support/rng.hpp"
 
 namespace dsnd {
 namespace {
@@ -181,6 +188,161 @@ TEST(Io, LoadGraphDispatchesOnExtension) {
   EXPECT_EQ(load_graph(edge_path), g);
   std::remove(metis_path.c_str());
   std::remove(edge_path.c_str());
+}
+
+TEST(Io, HugeHeaderEdgeCountsThrowRuntimeError) {
+  // 2m fits an int64, so nothing is reserved from it: the edge list is
+  // truncated at its first edge, the METIS rows miss the promised count.
+  std::stringstream edge_list("1 2000000000000000000\n");
+  expect_rejection([&] { read_edge_list(edge_list); }, "edge 1 of");
+  std::stringstream metis("1 2000000000000000000\n\n");
+  expect_rejection([&] { read_metis(metis); }, "header promises");
+}
+
+TEST(Io, EdgeListEndpointPastInt32IsOutOfRange) {
+  for (const char* needle : {"out of range", "edge 1 of 1"}) {
+    std::stringstream buffer("3 1\n0 3000000000\n");
+    expect_rejection([&] { read_edge_list(buffer); }, needle);
+  }
+}
+
+TEST(Io, DimacsRejectsRepeatedProblemLine) {
+  // A second problem line may neither grow nor shrink the graph.
+  std::stringstream grows("p edge 2 1\ne 1 2\np edge 5 1\n");
+  expect_rejection([&] { read_dimacs(grows); }, "line 3");
+  std::stringstream shrinks("p edge 5 1\ne 4 5\np edge 2 1\n");
+  expect_rejection([&] { read_dimacs(shrinks); }, "line 3");
+}
+
+TEST(Io, DimacsBlankLineNamesAnEmptyTag) {
+  // No NUL byte cuts the message short.
+  std::stringstream buffer("p edge 2 0\n   \n");
+  expect_rejection([&] { read_dimacs(buffer); }, "line 2: unknown line tag ''");
+}
+
+/// The largest vertex count a header of `text` declares, read the way
+/// the parser reads it (0 where none parses).
+std::int64_t declared_vertices(const std::string& text, GraphFormat format) {
+  std::istringstream in(text);
+  std::int64_t n = 0;
+  if (format == GraphFormat::kEdgeList) return in >> n ? n : 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    if (format == GraphFormat::kMetis) {
+      if (!line.empty() && line[0] == '%') continue;
+      return fields >> n ? n : 0;
+    }
+    char tag = 0;
+    std::string kind;
+    std::int64_t declared = 0;
+    if (!line.empty() && line[0] != 'c' &&
+        fields >> tag >> kind >> declared && tag == 'p') {
+      n = std::max(n, declared);
+    }
+  }
+  return n;
+}
+
+/// One to three seeded mutations of a well-formed file: byte
+/// substitutions, range deletions, truncation, line duplication and
+/// deletion, and insertions of hostile numbers or a problem line.
+std::string mutate(std::string text, SplitMix64& rng) {
+  static const std::string kBytes = "0123456789 \n-%cpe";
+  static const char* const kTokens[] = {"4294967298",
+                                        "99999999999999999999", "-1",
+                                        "2147483648", "p edge 3 1"};
+  static const char* const kSeparators[] = {"", " ", "\n"};
+  const auto pick = [&](std::size_t bound) {
+    return static_cast<std::size_t>(rng() % bound);
+  };
+  for (std::size_t r = 1 + pick(3); r > 0; --r) {
+    const std::size_t at = pick(text.size() + 1);
+    const std::size_t line_begin =
+        at == 0 ? 0 : text.rfind('\n', at - 1) + 1;  // npos + 1 == 0
+    const std::size_t line_end = std::min(text.find('\n', at), text.size());
+    const std::string line =
+        text.substr(line_begin, line_end - line_begin) + "\n";
+    switch (pick(6)) {
+      case 0:
+        if (at < text.size()) text[at] = kBytes[pick(kBytes.size())];
+        break;
+      case 1: text.erase(at, 1 + pick(8)); break;
+      case 2: text.resize(at); break;
+      case 3: text.insert(line_begin, line); break;
+      case 4: text.erase(line_begin, line.size()); break;
+      default:
+        text.insert(at, std::string(kTokens[pick(5)]) + kSeparators[pick(3)]);
+    }
+  }
+  return text;
+}
+
+TEST(Io, MutatedFilesParseOrFailWithANamedReason) {
+  // Every reader, on thousands of mutants of every family in every
+  // format: (a) returns a graph or throws std::runtime_error naming its
+  // format; (b) an accepted graph is valid and survives a write; (c) it
+  // accepts exactly when the parse succeeds, check_csr finds no issue
+  // and the header's edge count matches (chkgraph's exit 0).
+  struct Format {
+    GraphFormat format;
+    const char* prefix;
+    void (*write)(std::ostream&, const Graph&);
+    Graph (*read)(std::istream&);
+  };
+  const Format formats[] = {
+      {GraphFormat::kEdgeList, "edge list: ", write_edge_list,
+       read_edge_list},
+      {GraphFormat::kDimacs, "dimacs: ", write_dimacs, read_dimacs},
+      {GraphFormat::kMetis, "metis: ", write_metis, read_metis}};
+  SplitMix64 rng(2016);
+  int mutants = 0;
+  int accepted = 0;
+  for (const GraphFamily& family : standard_families()) {
+    const Graph g = family.make(60, 5);
+    for (const Format& f : formats) {
+      std::ostringstream clean;
+      f.write(clean, g);
+      for (int i = 0; i < 120; ++i) {
+        const std::string text = mutate(clean.str(), rng);
+        // n isolated vertices are a legal file; capping n is not the
+        // reader's job, so a mutant may not ask for a huge graph here.
+        if (declared_vertices(text, f.format) > 1000000) continue;
+        ++mutants;
+        SCOPED_TRACE(family.name + " " + f.prefix + "mutant:\n" + text);
+        std::optional<Graph> graph;
+        try {
+          std::istringstream in(text);
+          graph = f.read(in);
+        } catch (const std::runtime_error& error) {
+          EXPECT_EQ(std::string(error.what()).rfind(f.prefix, 0), 0u)
+              << error.what();
+        }
+        std::optional<Graph> passed;  // what chkgraph passes
+        try {
+          std::istringstream in(text);
+          ParsedGraph parsed = parse_graph(in, f.format);
+          if (check_csr(parsed.offsets, parsed.adjacency).ok() &&
+              edge_count_issue(parsed).empty()) {
+            passed = Graph::from_csr(std::move(parsed.offsets),
+                                     std::move(parsed.adjacency));
+          }
+        } catch (const std::runtime_error&) {
+        }
+        ASSERT_EQ(graph.has_value(), passed.has_value());
+        if (!graph) continue;
+        ++accepted;
+        EXPECT_EQ(*graph, *passed);
+        EXPECT_TRUE(check_graph(*graph).ok());
+        std::stringstream again;
+        f.write(again, *graph);
+        EXPECT_EQ(f.read(again), *graph);
+      }
+    }
+  }
+  EXPECT_GE(mutants, 5000);
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, mutants);
 }
 
 }  // namespace

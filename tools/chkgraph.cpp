@@ -2,224 +2,40 @@
 //
 //   chkgraph [--format edgelist|metis|dimacs] <path>
 //
-// Parses the file LENIENTLY (unlike the strict library readers in
-// graph/io.hpp, which throw on the first problem): structurally readable
-// input is always brought into raw CSR form, out-of-range endpoints and
-// self-loops included, and the full issue list comes from the library
-// validator (graph/validator.hpp) — symmetry, self-loops, duplicates,
-// CSR well-formedness — followed by the degree-distribution summary.
+// Runs the library's one parse (graph/io.hpp), then the full issue list
+// of the library validator (graph/validator.hpp) — symmetry, self-loops,
+// duplicates — and the header's edge-count check, followed by the
+// degree-distribution summary. The library readers run the same parse and
+// the same checks, so a file chkgraph passes is a file load_graph loads,
+// and the fingerprint printed for it is the loaded graph's.
 // Exit status: 0 = valid, 1 = issues found, 2 = unreadable/unparseable.
-#include <algorithm>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "graph/graph.hpp"
+#include "graph/io.hpp"
 #include "graph/validator.hpp"
 
 namespace {
-
-using dsnd::VertexId;
-
-struct RawCsr {
-  std::vector<std::int64_t> offsets;
-  std::vector<VertexId> adjacency;
-};
 
 [[noreturn]] void parse_fail(const std::string& message) {
   std::cerr << "chkgraph: " << message << '\n';
   std::exit(2);
 }
 
-/// Scatters parsed (u, v) pairs into a CSR keeping every value the file
-/// contained: entries whose ROW index is out of range cannot be stored
-/// and abort the parse, but out-of-range VALUES (and self-loops and
-/// duplicates) are preserved for the validator to flag.
-RawCsr csr_from_pairs(std::int64_t n,
-                      const std::vector<std::pair<std::int64_t,
-                                                  std::int64_t>>& pairs) {
-  for (const auto& [u, v] : pairs) {
-    if (u < 0 || u >= n) {
-      parse_fail("edge endpoint " + std::to_string(u) +
-                 " cannot index a row of a " + std::to_string(n) +
-                 "-vertex graph");
-    }
-  }
-  RawCsr csr;
-  csr.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : pairs) {
-    ++csr.offsets[static_cast<std::size_t>(u) + 1];
-    if (v >= 0 && v < n) ++csr.offsets[static_cast<std::size_t>(v) + 1];
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    csr.offsets[static_cast<std::size_t>(i) + 1] +=
-        csr.offsets[static_cast<std::size_t>(i)];
-  }
-  csr.adjacency.resize(
-      static_cast<std::size_t>(csr.offsets[static_cast<std::size_t>(n)]));
-  std::vector<std::int64_t> fill(csr.offsets.begin(), csr.offsets.end() - 1);
-  for (const auto& [u, v] : pairs) {
-    csr.adjacency[static_cast<std::size_t>(
-        fill[static_cast<std::size_t>(u)]++)] = static_cast<VertexId>(v);
-    if (v >= 0 && v < n) {
-      csr.adjacency[static_cast<std::size_t>(
-          fill[static_cast<std::size_t>(v)]++)] = static_cast<VertexId>(u);
-    }
-  }
-  // Edge-list files carry no row order, so sort rows; duplicates,
-  // self-loops, and asymmetry survive sorting for the validator.
-  for (std::int64_t v = 0; v < n; ++v) {
-    std::sort(csr.adjacency.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      csr.offsets[static_cast<std::size_t>(v)]),
-              csr.adjacency.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      csr.offsets[static_cast<std::size_t>(v) + 1]));
-  }
-  return csr;
-}
-
-RawCsr parse_edge_list(std::istream& in) {
-  std::int64_t n = 0;
-  std::int64_t m = 0;
-  if (!(in >> n >> m) || n < 0 || m < 0) {
-    parse_fail("missing or malformed \"n m\" edge-list header");
-  }
-  std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
-  pairs.reserve(static_cast<std::size_t>(m));
-  for (std::int64_t i = 0; i < m; ++i) {
-    std::int64_t u = 0;
-    std::int64_t v = 0;
-    if (!(in >> u >> v)) {
-      parse_fail("truncated edge section: edge " + std::to_string(i + 1) +
-                 " of " + std::to_string(m) + " missing or malformed");
-    }
-    pairs.emplace_back(u, v);
-  }
-  return csr_from_pairs(n, pairs);
-}
-
-RawCsr parse_dimacs(std::istream& in) {
-  std::int64_t n = 0;
-  std::int64_t m = 0;
-  bool have_header = false;
-  std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
-  std::string line;
-  std::int64_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty() || line[0] == 'c') continue;
-    std::istringstream fields(line);
-    char tag = 0;
-    fields >> tag;
-    if (tag == 'p') {
-      std::string format;
-      if (!(fields >> format >> n >> m) || n < 0) {
-        parse_fail("line " + std::to_string(line_number) +
-                   ": malformed problem line");
-      }
-      have_header = true;
-    } else if (tag == 'e') {
-      std::int64_t u = 0;
-      std::int64_t v = 0;
-      if (!have_header || !(fields >> u >> v)) {
-        parse_fail("line " + std::to_string(line_number) +
-                   ": malformed edge line");
-      }
-      pairs.emplace_back(u - 1, v - 1);
-    } else {
-      parse_fail("line " + std::to_string(line_number) +
-                 ": unknown line tag");
-    }
-  }
-  if (!have_header) parse_fail("missing dimacs problem line");
-  if (static_cast<std::int64_t>(pairs.size()) != m) {
-    std::cerr << "chkgraph: note: header promises " << m
-              << " edges, file has " << pairs.size() << '\n';
-  }
-  return csr_from_pairs(n, pairs);
-}
-
-RawCsr parse_metis(std::istream& in) {
-  std::string line;
-  std::int64_t line_number = 0;
-  auto next_content_line = [&](const std::string& expect) {
-    while (std::getline(in, line)) {
-      ++line_number;
-      if (!line.empty() && line[0] == '%') continue;
-      return;
-    }
-    parse_fail("truncated file: " + expect + " missing");
-  };
-  next_content_line("header");
-  std::int64_t n = 0;
-  std::int64_t m = 0;
-  {
-    std::istringstream header(line);
-    if (!(header >> n >> m) || n < 0 || m < 0) {
-      parse_fail("line " + std::to_string(line_number) +
-                 ": malformed \"n m\" metis header");
-    }
-  }
-  RawCsr csr;
-  csr.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  csr.adjacency.reserve(static_cast<std::size_t>(2 * m));
-  for (std::int64_t v = 0; v < n; ++v) {
-    next_content_line("adjacency row for vertex " + std::to_string(v));
-    std::istringstream row(line);
-    std::int64_t neighbor = 0;
-    while (row >> neighbor) {
-      // 1-indexed in the file; keep out-of-range values for the checker.
-      csr.adjacency.push_back(static_cast<VertexId>(neighbor - 1));
-    }
-    if (!row.eof()) {
-      parse_fail("line " + std::to_string(line_number) +
-                 ": malformed adjacency entry");
-    }
-    csr.offsets[static_cast<std::size_t>(v) + 1] =
-        static_cast<std::int64_t>(csr.adjacency.size());
-  }
-  if (static_cast<std::int64_t>(csr.adjacency.size()) != 2 * m) {
-    std::cerr << "chkgraph: note: header promises " << 2 * m
-              << " adjacency entries, file has " << csr.adjacency.size()
-              << '\n';
-  }
-  // METIS rows carry no required order either; sort them like the
-  // edge-list path so only real corruption reaches the issue list.
-  for (std::int64_t v = 0; v < n; ++v) {
-    std::sort(csr.adjacency.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      csr.offsets[static_cast<std::size_t>(v)]),
-              csr.adjacency.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      csr.offsets[static_cast<std::size_t>(v) + 1]));
-  }
-  return csr;
-}
-
-std::string format_from_path(const std::string& path) {
-  auto ends_with = [&path](const char* ext) {
-    const std::size_t len = std::strlen(ext);
-    return path.size() >= len &&
-           path.compare(path.size() - len, len, ext) == 0;
-  };
-  if (ends_with(".graph") || ends_with(".metis")) return "metis";
-  if (ends_with(".dimacs") || ends_with(".col")) return "dimacs";
-  return "edgelist";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string format;
+  std::string format_flag;
   std::string path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--format" && i + 1 < argc) {
-      format = argv[++i];
+      format_flag = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: chkgraph [--format edgelist|metis|dimacs] "
                    "<path>\n";
@@ -231,37 +47,37 @@ int main(int argc, char** argv) {
     }
   }
   if (path.empty()) parse_fail("usage: chkgraph [--format ...] <path>");
-  if (format.empty()) format = format_from_path(path);
-
-  std::ifstream in(path);
-  if (!in) parse_fail("cannot open " + path);
-  RawCsr csr;
-  if (format == "metis") {
-    csr = parse_metis(in);
-  } else if (format == "dimacs") {
-    csr = parse_dimacs(in);
-  } else if (format == "edgelist") {
-    csr = parse_edge_list(in);
-  } else {
-    parse_fail("unknown format " + format +
+  dsnd::GraphFormat format = dsnd::format_of_path(path);
+  if (format_flag == "metis") {
+    format = dsnd::GraphFormat::kMetis;
+  } else if (format_flag == "dimacs") {
+    format = dsnd::GraphFormat::kDimacs;
+  } else if (format_flag == "edgelist") {
+    format = dsnd::GraphFormat::kEdgeList;
+  } else if (!format_flag.empty()) {
+    parse_fail("unknown format " + format_flag +
                " (expected edgelist, metis, or dimacs)");
   }
 
-  const dsnd::GraphCheckReport report =
-      dsnd::check_csr(csr.offsets, csr.adjacency);
-  std::cout << path << ": " << dsnd::format_report(report);
-  if (report.ok()) {
-    // Valid CSR only: Graph::from_csr asserts the invariants the
-    // validator just confirmed. The fingerprint is what the service
-    // layer keys its result cache on, so callers can predict cache
-    // behavior from the file alone.
-    const dsnd::Graph g = dsnd::Graph::from_csr(std::move(csr.offsets),
-                                                std::move(csr.adjacency));
-    std::ostringstream hex;
-    hex << std::hex << g.fingerprint();
-    std::string digits = hex.str();
-    digits.insert(0, 16 - digits.size(), '0');
-    std::cout << "fingerprint: " << digits << '\n';
+  std::ifstream in(path);
+  if (!in) parse_fail("cannot open " + path);
+  dsnd::ParsedGraph parsed;
+  try {
+    parsed = dsnd::parse_graph(in, format);
+  } catch (const std::runtime_error& error) {
+    parse_fail(error.what());
   }
-  return report.ok() ? 0 : 1;
+  const dsnd::GraphCheckReport report =
+      dsnd::check_csr(parsed.offsets, parsed.adjacency);
+  const std::string count_issue = dsnd::edge_count_issue(parsed);
+  std::cout << path << ": " << dsnd::format_report(report);
+  if (!count_issue.empty()) std::cout << "edge count: " << count_issue << '\n';
+  if (!report.ok() || !count_issue.empty()) return 1;
+  // The fingerprint is what the service layer keys its result cache on,
+  // so callers can predict cache behavior from the file alone.
+  const dsnd::Graph g = dsnd::Graph::from_csr(std::move(parsed.offsets),
+                                              std::move(parsed.adjacency));
+  std::cout << "fingerprint: " << std::hex << std::setfill('0')
+            << std::setw(16) << g.fingerprint() << '\n';
+  return 0;
 }
