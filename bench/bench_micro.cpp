@@ -1,12 +1,14 @@
 // E10 — google-benchmark microbenches for the library's kernels: graph
 // generation, BFS, one carving phase, full decompositions (centralized
-// and distributed), the MPX partition, Luby's MIS, validation (the fast
+// and distributed, including a warm CONGEST carve of a 20k and a 1M RGG
+// on the engine), the MPX partition, Luby's MIS, validation (the fast
 // gate on a 1M RGG carve), and the service's deliverable kernels at the
 // service's sizes (stretch measurement and the spanner on a 5k G(n, p),
 // the pipeline round cost on a 20k RGG, cover expansion and validation
 // on a 2k ring with W = 1).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "apps/decomposition_solver.hpp"
@@ -22,6 +24,7 @@
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
 #include "graph/power.hpp"
+#include "graph/relabel.hpp"
 #include "graph/traversal.hpp"
 
 namespace {
@@ -88,6 +91,28 @@ void BM_ElkinNeimanDistributed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ElkinNeimanDistributed)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+/// A warm Theorem 1 carve (k = ln n, c = 4) of an RGG with average
+/// degree 8 in grid-bucket layout, on one engine thread and a reused
+/// CarveContext: the engine's execute and collect stages at the sizes
+/// the service and the 1M pipeline carve.
+void BM_DistributedCarveRgg(benchmark::State& state) {
+  const auto n = static_cast<VertexId>(state.range(0));
+  const double radius = std::sqrt(8.0 / (3.14159265358979 * n));
+  const GeometricGraph rgg = make_rgg_geometric(n, radius, 42);
+  const auto cells =
+      static_cast<std::int32_t>(std::max(1.0, std::floor(1.0 / radius)));
+  const LayoutGraph layout = make_layout_graph(
+      rgg.graph, grid_bucket_layout(rgg.x, rgg.y, cells));
+  const CarveSchedule schedule = theorem1_schedule(n, 0, 4.0);
+  CarveContext context(layout);
+  run_schedule_distributed(context, schedule, 7);  // warms every buffer
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_schedule_distributed(context, schedule, 7));
+  }
+}
+BENCHMARK(BM_DistributedCarveRgg)->Arg(20000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LinialSaks(benchmark::State& state) {

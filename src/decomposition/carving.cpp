@@ -23,15 +23,6 @@ const char* carve_status_name(CarveStatus status) {
   return "unknown";
 }
 
-bool CarveEntry::beats(const CarveEntry& other) const {
-  if (!valid()) return false;
-  if (!other.valid()) return true;
-  const double lhs = value();
-  const double rhs = other.value();
-  if (lhs != rhs) return lhs > rhs;
-  return center < other.center;
-}
-
 double carve_radius_sample(std::uint64_t seed, std::int32_t phase,
                            VertexId v, double beta, std::int32_t retry) {
   // Retry salt rides in the (a = 0) channel, which the (phase + 1,

@@ -72,7 +72,14 @@ struct CarveEntry {
   /// Ordering used everywhere: larger shifted value wins; ties (measure
   /// zero with continuous radii, but possible in adversarial tests) break
   /// toward the smaller center id so all nodes agree.
-  bool beats(const CarveEntry& other) const;
+  bool beats(const CarveEntry& other) const {
+    if (!valid()) return false;
+    if (!other.valid()) return true;
+    const double lhs = value();
+    const double rhs = other.value();
+    if (lhs != rhs) return lhs > rhs;
+    return center < other.center;
+  }
 
   bool valid() const { return center >= 0; }
 };

@@ -120,10 +120,6 @@ std::uint64_t Graph::fingerprint() const {
   return h;
 }
 
-void Graph::check_vertex(VertexId v) const {
-  DSND_REQUIRE(v >= 0 && v < num_vertices(), "vertex id out of range");
-}
-
 GraphBuilder::GraphBuilder(VertexId n) : n_(n) {
   DSND_REQUIRE(n >= 0, "vertex count must be nonnegative");
 }

@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/assert.hpp"
+
 namespace dsnd {
 
 using VertexId = std::int32_t;
@@ -99,7 +101,9 @@ class Graph {
   friend bool operator==(const Graph&, const Graph&) = default;
 
  private:
-  void check_vertex(VertexId v) const;
+  void check_vertex(VertexId v) const {
+    DSND_REQUIRE(v >= 0 && v < num_vertices(), "vertex id out of range");
+  }
 
   std::vector<std::int64_t> offsets_;  // size n+1
   std::vector<VertexId> adjacency_;    // size 2m, rows sorted

@@ -1,7 +1,10 @@
 #include "simulator/engine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <thread>
+#include <utility>
 
 #include "support/assert.hpp"
 
@@ -65,37 +68,40 @@ void Outbox::send(VertexId to, std::span<const std::uint64_t> words) {
   const std::size_t begin = bucket.words.size();
   bucket.words.insert(bucket.words.end(), words.begin(), words.end());
   bucket.headers.push_back(detail::MsgHeader{
-      sender_, to, static_cast<std::uint32_t>(words.size()), begin});
+      sender_, static_cast<std::uint32_t>(words.size()), begin,
+      neighbors_.data() + cursor_ - engine_.adjacency_, 1});
 }
 
 void Outbox::send_to_all_neighbors(std::span<const std::uint64_t> words) {
   ensure_neighbors();
-  if (neighbors_.empty()) return;
-  // The neighbor row is sorted, so destinations group into runs per
-  // shard: one arena copy of the payload per destination shard, shared
-  // by every header addressed to it.
+  // The sorted row splits into one run per destination shard: one record
+  // and one payload copy each. (s + 1) * width can pass INT32_MAX.
   const auto length = static_cast<std::uint32_t>(words.size());
-  unsigned shard = ~0u;
-  detail::ShardBucket* bucket = nullptr;
-  std::size_t begin = 0;
-  for (const VertexId to : neighbors_) {
-    if (const unsigned s = engine_.shard_of(to); s != shard) {
-      shard = s;
-      bucket = &staging_.buckets[s];
-      begin = bucket->words.size();
-      bucket->words.insert(bucket->words.end(), words.begin(), words.end());
-    }
-    bucket->headers.push_back(detail::MsgHeader{sender_, to, length, begin});
+  const VertexId* const row = neighbors_.data();
+  const VertexId* const row_end = row + neighbors_.size();
+  for (const VertexId* run = row; run != row_end;) {
+    const unsigned s = engine_.shard_of(*run);
+    const std::int64_t bound = (static_cast<std::int64_t>(s) + 1) *
+                               engine_.shard_width_;
+    const VertexId* const run_end = std::partition_point(
+        run + 1, row_end, [bound](VertexId v) { return v < bound; });
+    detail::ShardBucket& bucket = staging_.buckets[s];
+    const std::size_t begin = bucket.words.size();
+    bucket.words.insert(bucket.words.end(), words.begin(), words.end());
+    bucket.headers.push_back(detail::MsgHeader{
+        sender_, length, begin, run - engine_.adjacency_,
+        static_cast<std::uint32_t>(run_end - run)});
+    run = run_end;
   }
 }
 
 void Outbox::wake_self_in(std::size_t rounds) {
   DSND_REQUIRE(rounds >= 1, "wake_self_in needs a delay of at least 1 round");
-  // The sender's shard is the one this thread is executing, so the wake
-  // goes straight into its calendar. Run-every-vertex mode never reads
-  // the calendar and drops the wake.
+  // The sender's shard is the one this thread is executing (its index is
+  // the worker's), so the wake goes straight into its calendar.
+  // Run-every-vertex mode never reads the calendar and drops the wake.
   if (engine_.scheduled_) {
-    engine_.ring_insert(engine_.shards_[engine_.shard_of(sender_)],
+    engine_.ring_insert(engine_.shards_[worker_],
                         engine_.current_round_ + rounds, sender_);
   }
 }
@@ -119,20 +125,20 @@ SyncEngine::SyncEngine(const Graph& g, EngineOptions options)
                         : static_cast<VertexId>(
                               (n + workers_ - 1) / workers_);
 
-  inbox_begin_.resize(n);
-  inbox_fill_.resize(n);
-  inbox_len_.assign(n, 0);
-  inbox_count_.assign(n, 0);
-  active_stamp_.assign(n, 0);
+  adjacency_ = graph_.csr_adjacency().data();
+  inbox_slot_.assign(n, 0);
 
   shards_.resize(workers_);
   for (unsigned s = 0; s < workers_; ++s) {
-    shards_[s].begin = std::min(graph_.num_vertices(),
-                                static_cast<VertexId>(s) * shard_width_);
-    shards_[s].end =
-        std::min(graph_.num_vertices(),
-                 static_cast<VertexId>(shards_[s].begin + shard_width_));
-    shards_[s].wake_ring.resize(64);
+    detail::Shard& shard = shards_[s];
+    shard.begin = std::min(graph_.num_vertices(),
+                           static_cast<VertexId>(s) * shard_width_);
+    shard.end = std::min(graph_.num_vertices(),
+                         static_cast<VertexId>(shard.begin + shard_width_));
+    const auto owned = static_cast<std::size_t>(shard.end - shard.begin);
+    shard.marks.assign((owned + 63) / 64, 0);
+    shard.mark_summary.assign((shard.marks.size() + 63) / 64, 0);
+    shard.wake_ring.resize(64);
   }
   for (auto& parity : staging_) {
     parity.resize(workers_);
@@ -151,41 +157,22 @@ void SyncEngine::reset(Protocol& protocol) {
   metrics_ = SimMetrics{};
   round_messages_.clear();
 
-  for (auto& parity : staging_) {
-    for (detail::SendStaging& staging : parity) staging.clear_round();
-  }
+  // A run stopped by finished(), the budget or a throw may leave mail
+  // unread (and, mid-collect, marks set): start from the zeros every
+  // round boundary assumes. Staging and active lists need no reset:
+  // round 0 clears what it stages into and builds round 1's lists.
+  std::fill(inbox_slot_.begin(), inbox_slot_.end(), 0);
   for (detail::Shard& shard : shards_) {
-    for (const VertexId to : shard.touched) {
-      inbox_len_[static_cast<std::size_t>(to)] = 0;
-    }
-    shard.touched.clear();
-    shard.inbox_views.clear();
-    shard.active.clear();
+    std::fill(shard.marks.begin(), shard.marks.end(), 0);
+    std::fill(shard.mark_summary.begin(), shard.mark_summary.end(), 0);
     for (auto& bucket : shard.wake_ring) bucket.clear();
     shard.pending_wakes = 0;
-    shard.round_messages = 0;
-    shard.round_words = 0;
-    shard.round_max_words = 0;
   }
-  std::fill(active_stamp_.begin(), active_stamp_.end(), 0);
   std::fill(worker_errors_.begin(), worker_errors_.end(), nullptr);
 
-  transport_->begin_run(
-      TransportGeometry{workers_, shard_width_, graph_.num_vertices()});
-}
-
-void SyncEngine::run_vertex(Protocol& protocol, VertexId v,
-                            detail::SendStaging& staging, unsigned worker) {
-  const auto vi = static_cast<std::size_t>(v);
-  const std::uint32_t length = inbox_len_[vi];
-  const std::span<const MessageView> inbox =
-      length == 0
-          ? std::span<const MessageView>{}
-          : std::span<const MessageView>(
-                shards_[shard_of(v)].inbox_views.data() + inbox_begin_[vi],
-                length);
-  Outbox out(*this, staging, v, worker);
-  protocol.on_round(v, current_round_, inbox, out);
+  transport_->begin_run(TransportGeometry{workers_, shard_width_,
+                                          graph_.num_vertices(),
+                                          graph_.csr_adjacency()});
 }
 
 void SyncEngine::execute_shard(Protocol& protocol, unsigned s,
@@ -193,14 +180,24 @@ void SyncEngine::execute_shard(Protocol& protocol, unsigned s,
   detail::SendStaging& staging = staging_[parity][s];
   staging.clear_round();
   const detail::Shard& shard = shards_[s];
+  // Inboxes are laid out in ascending id, the order vertices run in.
+  const MessageView* const views = shard.inbox_views.data();
+  std::uint32_t cursor = 0;
+  const auto run = [&](VertexId v) {
+    std::uint32_t& slot = inbox_slot_[static_cast<std::size_t>(v)];
+    std::span<const MessageView> inbox;
+    if (slot != 0) {
+      inbox = {views + cursor, views + slot};
+      cursor = slot;
+      slot = 0;
+    }
+    Outbox out(*this, staging, v, s);
+    protocol.on_round(v, current_round_, inbox, out);
+  };
   if (use_active) {
-    for (const VertexId v : shard.active) {
-      run_vertex(protocol, v, staging, s);
-    }
+    for (const VertexId v : shard.active) run(v);
   } else {
-    for (VertexId v = shard.begin; v < shard.end; ++v) {
-      run_vertex(protocol, v, staging, s);
-    }
+    for (VertexId v = shard.begin; v < shard.end; ++v) run(v);
   }
 }
 
@@ -227,105 +224,88 @@ void SyncEngine::ring_insert(detail::Shard& shard, const std::uint64_t target,
 
 void SyncEngine::collect_shard(unsigned s, bool deliver) {
   detail::Shard& shard = shards_[s];
-
-  // The inbox index consumed this round is dead; zero its slots so the
-  // no-message default holds for next round.
-  for (const VertexId to : shard.touched) {
-    inbox_len_[static_cast<std::size_t>(to)] = 0;
-  }
-  shard.touched.clear();
-
-  if (deliver) {
-    // Pass 1 over the slices the transport delivered to this shard:
-    // per-receiver counts and this shard's slice of the message metrics
-    // (what was RECEIVED — a lossy transport's drops are billed in the
-    // fault counters, not here).
-    const std::span<const TransportSlice> delivered = transport_->delivery(s);
-    std::uint64_t messages = 0;
-    std::uint64_t word_total = 0;
-    std::size_t max_words = 0;
-    for (const TransportSlice& slice : delivered) {
-      messages += slice.headers.size();
-      for (const detail::MsgHeader& h : slice.headers) {
-        word_total += h.length;
-        if (h.length > max_words) max_words = h.length;
-        std::uint32_t& count = inbox_count_[static_cast<std::size_t>(h.to)];
-        if (count == 0) shard.touched.push_back(h.to);
-        ++count;
-      }
-    }
-    shard.round_messages = messages;
-    shard.round_words = word_total;
-    shard.round_max_words = max_words;
-
-    // Pass 2: CSR offsets for the touched receivers only — a quiet round
-    // costs O(active + messages), never O(n).
-    std::size_t running = 0;
-    for (const VertexId to : shard.touched) {
-      const auto ti = static_cast<std::size_t>(to);
-      inbox_begin_[ti] = running;
-      inbox_fill_[ti] = running;
-      inbox_len_[ti] = inbox_count_[ti];
-      running += inbox_count_[ti];
-      inbox_count_[ti] = 0;
-    }
-
-    // Pass 3: stable counting-sort scatter by receiver. The transport
-    // guarantees scanning its slices in order yields every receiver's
-    // inbox in a shard-count-invariant order (the reliable transport's
-    // slices are the source buckets in worker order — the serial
-    // vertex-order send sequence). Views alias the delivering arenas
-    // directly — payload words are never copied again.
-    shard.inbox_views.resize(messages);
-    for (const TransportSlice& slice : delivered) {
-      for (const detail::MsgHeader& h : slice.headers) {
-        shard.inbox_views[inbox_fill_[static_cast<std::size_t>(h.to)]++] =
-            MessageView{h.from, {slice.words + h.word_begin, h.length}};
-      }
-    }
-  }
   // Elided quiet rounds (!deliver) skip the transport reads outright:
-  // nothing was exchanged, so delivery is empty by construction and the
-  // round accumulators keep the zeros the roll-up left them with.
+  // nothing was exchanged, so delivery is empty by construction.
+  const std::span<const TransportSlice> delivered =
+      deliver ? transport_->delivery(s) : std::span<const TransportSlice>{};
 
-  // Fire the next round's calendar bucket and build the next active
-  // list: owned receivers with mail plus due wakes, deduplicated, in
-  // vertex-id order (so execution — and hence every inbox order —
-  // matches the run-every-vertex mode). Self-wakes are local timers that
-  // never pass through the transport, so a vertex whose expected message
-  // was dropped still runs at its scheduled round.
+  // Pass 1 over the delivered records (slots and marks are all zero
+  // here): each receiver's message count and mark, and this shard's
+  // slice of the message metrics (what was RECEIVED — a lossy
+  // transport's drops are billed in the fault counters, not here).
+  std::uint64_t messages = 0;
+  std::uint64_t word_total = 0;
+  std::size_t max_words = 0;
+  for (const TransportSlice& slice : delivered) {
+    for (const detail::MsgHeader& h : slice.headers) {
+      messages += h.count;
+      word_total += std::uint64_t{h.count} * h.length;
+      max_words = std::max<std::size_t>(max_words, h.length);
+      const VertexId* const receivers = adjacency_ + h.first;
+      for (std::uint32_t i = 0; i < h.count; ++i) {
+        ++inbox_slot_[static_cast<std::size_t>(receivers[i])];
+        shard.mark(receivers[i]);
+      }
+    }
+  }
+  DSND_CHECK(messages <= std::numeric_limits<std::uint32_t>::max(),
+             "one shard received 2^32 or more messages in a round");
+  shard.round_messages = messages;
+  shard.round_words = word_total;
+  shard.round_max_words = max_words;
+
+  // Fire the next round's calendar bucket. Self-wakes are local timers
+  // that never pass through the transport, so a vertex whose expected
+  // message was dropped still runs at its scheduled round.
   if (scheduled_) {
     const std::uint64_t next = static_cast<std::uint64_t>(current_round_) + 1;
-    const std::uint64_t stamp = next + 1;
-    shard.active.clear();
-    for (const VertexId to : shard.touched) {
-      shard.active.push_back(to);
-      active_stamp_[static_cast<std::size_t>(to)] = stamp;
-    }
     auto& due = shard.wake_ring[next & (shard.wake_ring.size() - 1)];
-    for (const auto& [target, v] : due) {
-      if (active_stamp_[static_cast<std::size_t>(v)] != stamp) {
-        active_stamp_[static_cast<std::size_t>(v)] = stamp;
-        shard.active.push_back(v);
-      }
-    }
+    for (const auto& [target, v] : due) shard.mark(v);
     shard.pending_wakes -= due.size();
     due.clear();
-    // Vertex-id order keeps execution (and inbox) order identical to the
-    // run-every-vertex mode. Dense lists are rebuilt by scanning the
-    // owned slice of the stamp array — O(shard), cheaper than sorting a
-    // large fraction of it; sparse lists are sorted directly.
-    const auto owned =
-        static_cast<std::size_t>(shard.end - shard.begin);
-    if (shard.active.size() >= owned / 16) {
-      shard.active.clear();
-      for (VertexId v = shard.begin; v < shard.end; ++v) {
-        if (active_stamp_[static_cast<std::size_t>(v)] == stamp) {
-          shard.active.push_back(v);
+    shard.active.clear();
+  }
+
+  // One ascending walk of the marks, skipping unmarked 4096-vertex
+  // blocks and clearing as it goes: each receiver's count becomes its
+  // inbox's begin offset, and the next active list comes out sorted and
+  // deduplicated (vertex-id order keeps execution, and hence every
+  // inbox order, identical to the run-every-vertex mode).
+  std::uint32_t offset = 0;
+  for (std::size_t block = 0; block < shard.mark_summary.size(); ++block) {
+    for (std::uint64_t words = std::exchange(shard.mark_summary[block], 0);
+         words != 0; words &= words - 1) {
+      const std::size_t word =
+          block * 64 + static_cast<std::size_t>(std::countr_zero(words));
+      for (std::uint64_t bits = std::exchange(shard.marks[word], 0);
+           bits != 0; bits &= bits - 1) {
+        const VertexId v =
+            shard.begin + static_cast<VertexId>(word * 64) +
+            std::countr_zero(bits);
+        if (std::uint32_t& slot = inbox_slot_[static_cast<std::size_t>(v)];
+            slot != 0) {
+          offset += std::exchange(slot, offset);
         }
+        if (scheduled_) shard.active.push_back(v);
       }
-    } else if (!std::is_sorted(shard.active.begin(), shard.active.end())) {
-      std::sort(shard.active.begin(), shard.active.end());
+    }
+  }
+
+  // Scatter in slice order, each record's receivers in row order: the
+  // transport guarantees that order yields every receiver's inbox in a
+  // shard-count-invariant order (the reliable transport's slices are the
+  // source buckets in worker order — the serial vertex-order send
+  // sequence). Views alias the delivering arenas directly — payload
+  // words are never copied again.
+  if (shard.inbox_views.size() < messages) shard.inbox_views.resize(messages);
+  for (const TransportSlice& slice : delivered) {
+    for (const detail::MsgHeader& h : slice.headers) {
+      const MessageView view{h.from, {slice.words + h.word_begin, h.length}};
+      const VertexId* const receivers = adjacency_ + h.first;
+      for (std::uint32_t i = 0; i < h.count; ++i) {
+        shard.inbox_views[inbox_slot_[static_cast<std::size_t>(
+            receivers[i])]++] = view;
+      }
     }
   }
 }
@@ -382,7 +362,7 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t round_budget) {
     // A quiet round — nothing staged, nothing in flight in the transport
     // — skips exchange+deliver outright.
     const bool deliver = !options_.elide_quiet_rounds ||
-                         detail::staged_message_count(staging_[parity]) > 0 ||
+                         detail::staged_record_count(staging_[parity]) > 0 ||
                          transport_->pending() > 0;
     if (deliver) {
       // The exchange runs serially between the two stages: workers are
@@ -395,18 +375,15 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t round_budget) {
         deliver || total > kSerialQuietCollect ? round_workers : nullptr,
         worker_errors_, [&](unsigned s) { collect_shard(s, deliver); });
 
-    // Roll the shard accumulators into the run metrics — O(S) per round
-    // on this thread, no shared counters during the round.
+    // Roll the shard accumulators, which every collect rewrites, into
+    // the run metrics — O(S) per round on this thread, no shared
+    // counters during the round.
     std::uint64_t round_total = 0;
-    for (detail::Shard& shard : shards_) {
+    for (const detail::Shard& shard : shards_) {
       round_total += shard.round_messages;
       metrics_.words += shard.round_words;
-      if (shard.round_max_words > metrics_.max_message_words) {
-        metrics_.max_message_words = shard.round_max_words;
-      }
-      shard.round_messages = 0;
-      shard.round_words = 0;
-      shard.round_max_words = 0;
+      metrics_.max_message_words =
+          std::max(metrics_.max_message_words, shard.round_max_words);
     }
     metrics_.messages += round_total;
     round_messages_.push_back(round_total);

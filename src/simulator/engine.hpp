@@ -14,21 +14,22 @@
 //
 //   stage 1 (execute): shard s runs its scheduled vertices. Sends are
 //     routed owner-computes at stage time: shard s keeps one staging
-//     bucket per destination shard (headers + flat payload words), so a
-//     send appends to bucket (s -> shard_of(to)); a self-wake goes
+//     bucket per destination shard (records + flat payload words); a
+//     record is a run of the sender's sorted neighbor row, so a
+//     broadcast stages one per destination shard. A self-wake goes
 //     straight into shard s's own wake calendar.
 //   stage 2 (exchange + deliver): the round boundary hands the staged
 //     buckets to the engine's Transport (see simulator/transport.hpp),
 //     which decides what each destination shard receives — the default
 //     ReliableTransport returns the bucket slices untouched, a
 //     FaultyTransport may drop/delay/duplicate/reorder them. Shard t
-//     then counting-sorts the headers delivered to it — a fixed-size
-//     all-to-all of slices, no global sort, no serial merge — into its
-//     CSR inbox index, fires its due wakes and builds its next active
-//     list. Inbox views point straight into the delivering arenas (zero
-//     payload copies on the reliable path); arenas are double-buffered
-//     by round parity so the views stay valid while the next round
-//     stages into the other parity.
+//     then counts and marks the receivers delivered to it, read from
+//     the graph's rows, and its due wakes; one ascending walk of the
+//     marks lays out its inboxes and next active list. Inbox views point
+//     straight into the delivering arenas (zero payload copies on the
+//     reliable path); arenas are double-buffered by round parity so the
+//     views stay valid while the next round stages into the other
+//     parity.
 //
 // Both stages go through one guarded dispatch (detail::guarded_dispatch):
 // on the parked worker pool, or inline on the driving thread when there
@@ -119,10 +120,15 @@ struct alignas(64) Shard {
   VertexId begin = 0;  // owned vertex range [begin, end)
   VertexId end = 0;
 
-  // This round's inboxes for owned receivers: CSR over inbox_views,
-  // payload spans into the source buckets.
+  // This round's inboxes for owned receivers, in ascending id; payload
+  // spans into the delivering arenas. Grows only.
   std::vector<MessageView> inbox_views;
-  std::vector<VertexId> touched;  // owned receivers with mail
+
+  // One bit per owned vertex (offset from begin) with mail or a due wake
+  // next round, and one summary bit per mark word, so the walk skips
+  // unmarked 4096-vertex blocks. All zero between rounds.
+  std::vector<std::uint64_t> marks;
+  std::vector<std::uint64_t> mark_summary;
 
   // Active-vertex scheduling: next round's owned active list and the
   // shard's wake calendar (power-of-two ring keyed by target round).
@@ -130,11 +136,18 @@ struct alignas(64) Shard {
   std::vector<std::vector<std::pair<std::uint64_t, VertexId>>> wake_ring;
   std::size_t pending_wakes = 0;
 
-  // Per-round accumulators, rolled up by the driving thread at the end
-  // of stage 2 — no cross-core contention during the round.
+  // Per-round accumulators, written by every stage-2 collect and rolled
+  // up by the driving thread — no cross-core contention during the
+  // round.
   std::uint64_t round_messages = 0;
   std::uint64_t round_words = 0;
   std::size_t round_max_words = 0;
+
+  void mark(VertexId v) {
+    const auto bit = static_cast<std::size_t>(v - begin);
+    marks[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+    mark_summary[bit >> 12] |= std::uint64_t{1} << ((bit >> 6) & 63);
+  }
 };
 
 /// Rethrows the first captured worker exception (lowest worker index),
@@ -182,8 +195,8 @@ class Outbox {
   }
 
   /// Queues the same payload to every neighbor of the current vertex.
-  /// The payload words are stored once per destination shard touched and
-  /// shared by all copies addressed to that shard.
+  /// The payload words and one record are stored per destination shard
+  /// touched; the record's receivers are that shard's run of the row.
   void send_to_all_neighbors(std::span<const std::uint64_t> words);
 
   void send_to_all_neighbors(std::initializer_list<std::uint64_t> words) {
@@ -212,7 +225,8 @@ class Outbox {
 
   /// Adjacency check: a monotone cursor over the sorted neighbor row
   /// makes in-order send sequences O(1) amortized per send; out-of-order
-  /// sends fall back to binary search.
+  /// sends fall back to binary search. On success the cursor sits at
+  /// `to`, where send() stages its run of one.
   bool is_neighbor(VertexId to);
 
   /// The neighbor row is fetched on first use: many activations only
@@ -355,16 +369,14 @@ class SyncEngine {
   }
 
   void reset(Protocol& protocol);
-  void run_vertex(Protocol& protocol, VertexId v,
-                  detail::SendStaging& staging, unsigned worker);
   /// Stage 1 for one shard: clear this parity's staging and execute the
-  /// shard's scheduled vertices.
+  /// shard's scheduled vertices (in ascending id).
   void execute_shard(Protocol& protocol, unsigned s, unsigned parity,
                      bool use_active);
-  /// Stage 2 for one shard: counting-sort what the transport delivered
-  /// to it into its CSR inbox, fire its due wakes, build its next active
-  /// list. `deliver` is false on elided quiet rounds: the transport was
-  /// not exchanged, so the delivery passes are skipped and only
+  /// Stage 2 for one shard: lay out its inboxes from what the transport
+  /// delivered to it, fire its due wakes, build its next active list.
+  /// `deliver` is false on elided quiet rounds: the transport was not
+  /// exchanged, so the delivery passes are skipped and only
   /// wakes/active lists run.
   void collect_shard(unsigned s, bool deliver);
   void ring_insert(detail::Shard& shard, std::uint64_t target, VertexId v);
@@ -394,15 +406,14 @@ class SyncEngine {
   std::vector<detail::Shard> shards_;
   std::vector<std::exception_ptr> worker_errors_;
 
-  // Per-vertex delivery slots, each touched only by its owner's worker.
-  // inbox_begin_/inbox_len_ index the owner shard's inbox_views and are
-  // valid for the receivers in that shard's touched list; inbox_len_ is
-  // zero elsewhere.
-  std::vector<std::size_t> inbox_begin_;
-  std::vector<std::size_t> inbox_fill_;
-  std::vector<std::uint32_t> inbox_len_;
-  std::vector<std::uint32_t> inbox_count_;
-  std::vector<std::uint64_t> active_stamp_;
+  // The graph's adjacency array: every staged record's receivers.
+  const VertexId* adjacency_ = nullptr;
+
+  // Per-vertex inbox slot, touched only by its owner's worker: the
+  // message count after the collect's first pass, then the inbox's
+  // begin offset, then after the scatter its end offset in the shard's
+  // inbox_views (nonzero iff the vertex has mail). Zeroed when it runs.
+  std::vector<std::uint32_t> inbox_slot_;
 
   SimMetrics metrics_;
   // The per-round message series, kept as a persistent member (copied

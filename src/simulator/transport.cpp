@@ -11,7 +11,7 @@ namespace dsnd {
 
 namespace detail {
 
-std::size_t staged_message_count(std::span<const SendStaging> staging) {
+std::size_t staged_record_count(std::span<const SendStaging> staging) {
   std::size_t total = 0;
   for (const SendStaging& worker : staging) {
     for (const ShardBucket& bucket : worker.buckets) {
@@ -148,23 +148,24 @@ bool FaultyTransport::targeted(const std::size_t round, const VertexId from,
 }
 
 void FaultyTransport::emit(const std::size_t round, const VertexId from,
-                           const VertexId to,
+                           const std::int64_t index,
                            const std::span<const std::uint64_t> payload,
                            const bool reorder, const std::uint32_t delay) {
   const auto length = static_cast<std::uint32_t>(payload.size());
   if (delay == 0) {
+    const VertexId to = geometry_.adjacency[static_cast<std::size_t>(index)];
     OutBucket& out = out_[round & 1][geometry_.shard_of(to)];
     const std::size_t begin = out.words.size();
     out.words.insert(out.words.end(), payload.begin(), payload.end());
     (reorder ? out.sunk : out.headers)
-        .push_back(detail::MsgHeader{from, to, length, begin});
+        .push_back(detail::MsgHeader{from, length, begin, index, 1});
     return;
   }
   DelaySlot& slot = calendar_[(round + delay) & (calendar_.size() - 1)];
   const std::size_t begin = slot.words.size();
   slot.words.insert(slot.words.end(), payload.begin(), payload.end());
   slot.msgs.push_back(
-      DelayedMsg{detail::MsgHeader{from, to, length, begin}, reorder});
+      DelayedMsg{detail::MsgHeader{from, length, begin, index, 1}, reorder});
   ++pending_;
   ++round_faults_.delayed;
 }
@@ -197,15 +198,16 @@ void FaultyTransport::exchange(const std::size_t round,
   DelaySlot& due = calendar_[round & (calendar_.size() - 1)];
   for (const DelayedMsg& msg : due.msgs) {
     const detail::MsgHeader& h = msg.header;
+    const VertexId to = geometry_.adjacency[static_cast<std::size_t>(h.first)];
     // A due copy addressed to a vertex inside a crash-RECOVERY outage is
     // lost (the NIC was down when it arrived). Legacy crash-stop targets
     // keep receiving, as in PR 7 — they are outbound-silent only.
-    if (down(h.to, round) &&
-        rejoin_round_[static_cast<std::size_t>(h.to)] != kNeverRejoins) {
+    if (down(to, round) &&
+        rejoin_round_[static_cast<std::size_t>(to)] != kNeverRejoins) {
       ++round_faults_.crashed;
       continue;
     }
-    emit(round, h.from, h.to, {due.words.data() + h.word_begin, h.length},
+    emit(round, h.from, h.first, {due.words.data() + h.word_begin, h.length},
          msg.reorder, /*delay=*/0);
   }
   pending_ -= due.msgs.size();
@@ -213,76 +215,81 @@ void FaultyTransport::exchange(const std::size_t round,
   due.words.clear();
 
   // Fresh traffic: walk each destination shard's staging buckets in
-  // source-shard order (sender-serial) and put every message copy
-  // through the plan. Each decision comes from a generator keyed by
-  // (seed, round, from, to, occurrence) — none of which depends on the
-  // shard count.
+  // source-shard order (sender-serial), each record's receivers in row
+  // order, and put every message copy through the plan. Each decision
+  // comes from a generator keyed by (seed, round, from, to, occurrence)
+  // — none of which depends on the shard count.
   for (unsigned s = 0; s < geometry_.shards; ++s) {
     VertexId block_sender = -1;
     for (const detail::SendStaging& source : staging) {
       const detail::ShardBucket& bucket = source.buckets[s];
       for (const detail::MsgHeader& h : bucket.headers) {
         if (h.from != block_sender) {
-          // A sender's headers are contiguous within a bucket (a vertex
+          // A sender's records are contiguous within a bucket (a vertex
           // executes once per round, appending in send order), so the
           // per-(from, to) occurrence scratch resets per sender block.
           block_sender = h.from;
           occurrence_.clear();
         }
-        std::uint32_t occurrence = 0;
-        bool found = false;
-        for (auto& [to, count] : occurrence_) {
-          if (to == h.to) {
-            occurrence = count++;
-            found = true;
-            break;
-          }
-        }
-        if (!found) occurrence_.emplace_back(h.to, 1u);
-
-        if (down(h.from, round)) {
-          ++round_faults_.crashed;
+        if (down(h.from, round)) {  // the whole block is lost
+          round_faults_.crashed += h.count;
           continue;
-        }
-        // Crash-RECOVERY receivers lose inbound traffic while down;
-        // placed before any RNG draw so legacy plans (which never take
-        // this branch) consume an identical decision stream.
-        if (down(h.to, round) &&
-            rejoin_round_[static_cast<std::size_t>(h.to)] != kNeverRejoins) {
-          ++round_faults_.crashed;
-          continue;
-        }
-        if (!plan_.targeted_drops.empty() && targeted(round, h.from, h.to)) {
-          ++round_faults_.dropped;
-          continue;
-        }
-
-        Xoshiro256ss rng(stream_seed(
-            stream_seed(plan_.seed, round,
-                        static_cast<std::uint64_t>(h.from) + 1),
-            static_cast<std::uint64_t>(h.to) + 1, occurrence));
-        if (plan_.drop_rate > 0.0 && uniform_unit(rng) < plan_.drop_rate) {
-          ++round_faults_.dropped;
-          continue;
-        }
-        unsigned copies = 1;
-        if (plan_.duplicate_rate > 0.0 &&
-            uniform_unit(rng) < plan_.duplicate_rate) {
-          copies = 2;
-          ++round_faults_.duplicated;
         }
         const std::span<const std::uint64_t> payload{
             bucket.words.data() + h.word_begin, h.length};
-        for (unsigned copy = 0; copy < copies; ++copy) {
-          std::uint32_t delay = 0;
-          if (plan_.delay_rate > 0.0 &&
-              uniform_unit(rng) < plan_.delay_rate) {
-            delay = 1 + static_cast<std::uint32_t>(uniform_below(
-                            rng, plan_.max_delay_rounds));
+        for (std::int64_t index = h.first; index < h.first + h.count;
+             ++index) {
+          const VertexId to =
+              geometry_.adjacency[static_cast<std::size_t>(index)];
+          std::uint32_t occurrence = 0;
+          bool found = false;
+          for (auto& [seen, count] : occurrence_) {
+            if (seen == to) {
+              occurrence = count++;
+              found = true;
+              break;
+            }
           }
-          const bool reorder = plan_.reorder_rate > 0.0 &&
-                               uniform_unit(rng) < plan_.reorder_rate;
-          emit(round, h.from, h.to, payload, reorder, delay);
+          if (!found) occurrence_.emplace_back(to, 1u);
+
+          // Crash-RECOVERY receivers lose inbound traffic while down;
+          // placed before any RNG draw so legacy plans (which never take
+          // this branch) consume an identical decision stream.
+          if (down(to, round) &&
+              rejoin_round_[static_cast<std::size_t>(to)] != kNeverRejoins) {
+            ++round_faults_.crashed;
+            continue;
+          }
+          if (!plan_.targeted_drops.empty() && targeted(round, h.from, to)) {
+            ++round_faults_.dropped;
+            continue;
+          }
+
+          Xoshiro256ss rng(stream_seed(
+              stream_seed(plan_.seed, round,
+                          static_cast<std::uint64_t>(h.from) + 1),
+              static_cast<std::uint64_t>(to) + 1, occurrence));
+          if (plan_.drop_rate > 0.0 && uniform_unit(rng) < plan_.drop_rate) {
+            ++round_faults_.dropped;
+            continue;
+          }
+          unsigned copies = 1;
+          if (plan_.duplicate_rate > 0.0 &&
+              uniform_unit(rng) < plan_.duplicate_rate) {
+            copies = 2;
+            ++round_faults_.duplicated;
+          }
+          for (unsigned copy = 0; copy < copies; ++copy) {
+            std::uint32_t delay = 0;
+            if (plan_.delay_rate > 0.0 &&
+                uniform_unit(rng) < plan_.delay_rate) {
+              delay = 1 + static_cast<std::uint32_t>(uniform_below(
+                              rng, plan_.max_delay_rounds));
+            }
+            const bool reorder = plan_.reorder_rate > 0.0 &&
+                                 uniform_unit(rng) < plan_.reorder_rate;
+            emit(round, h.from, index, payload, reorder, delay);
+          }
         }
       }
     }

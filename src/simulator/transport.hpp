@@ -49,16 +49,19 @@ namespace dsnd {
 
 namespace detail {
 
-/// One staged send: receiver, sender, and the payload's location in the
-/// bucket's word arena. 64-bit word offsets keep >4G-word rounds valid.
+/// One staged record: sender, the payload's location in the bucket's
+/// word arena, and receivers adjacency[first, first + count) of the
+/// engine's graph — a run of the sender's sorted row inside one
+/// destination shard. 64-bit offsets keep >4G-word rounds valid.
 struct MsgHeader {
   VertexId from = -1;
-  VertexId to = -1;
   std::uint32_t length = 0;
   std::size_t word_begin = 0;
+  std::int64_t first = 0;
+  std::uint32_t count = 0;
 };
 
-/// One (source shard -> destination shard) staging bucket: headers and
+/// One (source shard -> destination shard) staging bucket: records and
 /// flat payload words. Capacity persists across rounds.
 struct ShardBucket {
   std::vector<MsgHeader> headers;
@@ -81,29 +84,30 @@ struct SendStaging {
   }
 };
 
-/// Total headers staged across every (source, destination) bucket — the
-/// engine's quiet-round predicate (O(workers^2) bucket-size sums, no
-/// header scan).
-std::size_t staged_message_count(std::span<const SendStaging> staging);
+/// Total records staged across every (source, destination) bucket:
+/// nonzero iff anything was staged, which is the engine's quiet-round
+/// predicate (O(workers^2) bucket-size sums, no record scan).
+std::size_t staged_record_count(std::span<const SendStaging> staging);
 
 }  // namespace detail
 
-/// One contiguous run of delivered messages: headers plus the word arena
-/// their word_begin offsets index into. A shard's inbox is built by
-/// scanning its slices in order; payload views alias `words` directly,
-/// so the transport must keep the arena alive until the NEXT round's
-/// exchange (the engine's double-buffering contract).
+/// One contiguous run of delivered records plus the word arena their
+/// word_begin offsets index into. A shard's inbox is built by scanning
+/// its slices in order; payload views alias `words` directly, so the
+/// transport must keep the arena alive until the NEXT round's exchange
+/// (the engine's double-buffering contract).
 struct TransportSlice {
   std::span<const detail::MsgHeader> headers;
   const std::uint64_t* words = nullptr;
 };
 
 /// Engine geometry handed to Transport::begin_run: how vertex ids map to
-/// destination shards this run. shard_of(v) = v / shard_width.
+/// shards this run (v / shard_width) and the adjacency records index.
 struct TransportGeometry {
   unsigned shards = 1;
   VertexId shard_width = 1;
   VertexId num_vertices = 0;
+  std::span<const VertexId> adjacency;
 
   unsigned shard_of(VertexId v) const {
     return static_cast<unsigned>(v / shard_width);
@@ -273,8 +277,9 @@ class FaultyTransport final : public Transport {
   const FaultPlan& plan() const { return plan_; }
 
  private:
-  /// A delayed message parked in the calendar: header offsets index the
-  /// owning slot's word arena; `reorder` was drawn at send time.
+  /// A delayed message copy parked in the calendar: a run of one whose
+  /// offsets index the owning slot's word arena and the adjacency array;
+  /// `reorder` was drawn at send time.
   struct DelayedMsg {
     detail::MsgHeader header;
     bool reorder = false;
@@ -291,10 +296,11 @@ class FaultyTransport final : public Transport {
   };
 
   bool targeted(std::size_t round, VertexId from, VertexId to) const;
-  /// Routes one surviving message copy: into the current round's out
-  /// bucket for `to`'s shard (delay == 0) or into the delay calendar
-  /// slot for round + delay. Payload words are copied either way.
-  void emit(std::size_t round, VertexId from, VertexId to,
+  /// Routes one surviving message copy, a run of one at adjacency index
+  /// `index`: into the current round's out bucket for the receiver's
+  /// shard (delay == 0) or into the delay calendar slot for round + delay.
+  /// Payload words are copied either way.
+  void emit(std::size_t round, VertexId from, std::int64_t index,
             std::span<const std::uint64_t> payload, bool reorder,
             std::uint32_t delay);
 

@@ -39,6 +39,42 @@ TEST(MisPipeline, MatchesCentralizedPipelineExactly) {
   }
 }
 
+TEST(MisPipeline, ThreadCountInvariant) {
+  // The library's one run-every-vertex protocol, so it drives the
+  // engine's whole-shard execution, and its unicasts to parents and
+  // children go out of row order (runs of one found by binary search).
+  // The answer and every engine count must not depend on the shard
+  // count, including shard widths that do not divide n (3 and 7).
+  for (const VertexId n : {96, 500}) {
+    for (const char* family :
+         {"grid", "cycle", "gnp-sparse", "random-tree", "ring-of-cliques"}) {
+      const Graph g = family_by_name(family).make(n, 3);
+      const std::int32_t k = 4;
+      const DecompositionRun run = usable_run(g, k, 1);
+      const DistributedMisResult serial =
+          mis_distributed_pipeline(g, run.clustering(), k);
+      ASSERT_TRUE(is_maximal_independent_set(g, serial.in_mis)) << family;
+      for (const unsigned threads : {2u, 3u, 4u, 7u}) {
+        SCOPED_TRACE(::testing::Message() << family << " n=" << n
+                                          << " threads=" << threads);
+        EngineOptions engine;
+        engine.threads = threads;
+        const DistributedMisResult dist =
+            mis_distributed_pipeline(g, run.clustering(), k, engine);
+        EXPECT_EQ(dist.in_mis, serial.in_mis);
+        EXPECT_EQ(dist.sim.rounds, serial.sim.rounds);
+        EXPECT_EQ(dist.sim.messages, serial.sim.messages);
+        EXPECT_EQ(dist.sim.words, serial.sim.words);
+        EXPECT_EQ(dist.sim.max_message_words, serial.sim.max_message_words);
+        EXPECT_EQ(dist.sim.messages_per_round, serial.sim.messages_per_round);
+        EXPECT_EQ(dist.sim.vertex_activations, serial.sim.vertex_activations);
+        EXPECT_EQ(dist.sim.status, serial.sim.status);
+        EXPECT_EQ(dist.sim.faults, serial.sim.faults);
+      }
+    }
+  }
+}
+
 TEST(MisPipeline, RoundsAreClassesTimesBudget) {
   const Graph g = make_grid2d(10, 10);
   const std::int32_t k = 4;

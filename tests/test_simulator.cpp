@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <initializer_list>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "decomposition/carving_protocol.hpp"
@@ -16,6 +19,44 @@
 
 namespace dsnd {
 namespace {
+
+/// One delivered message as a receiver saw it: the round it was read
+/// in, the sender and the payload.
+struct Delivery {
+  std::size_t round = 0;
+  VertexId from = -1;
+  std::vector<std::uint64_t> words;
+
+  bool operator==(const Delivery&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Delivery& d) {
+  os << "{round " << d.round << ", from " << d.from << ", words";
+  for (const std::uint64_t w : d.words) os << ' ' << w;
+  return os << '}';
+}
+
+/// Per-vertex inbox logs, each vertex writing only its own slot.
+using DeliveryLog = std::vector<std::vector<Delivery>>;
+
+void log_inbox(DeliveryLog& log, VertexId v, std::size_t round,
+               std::span<const MessageView> inbox) {
+  for (const MessageView& m : inbox) {
+    log[static_cast<std::size_t>(v)].push_back(
+        Delivery{round, m.from, {m.words.begin(), m.words.end()}});
+  }
+}
+
+void expect_same_metrics(const SimMetrics& got, const SimMetrics& want) {
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.words, want.words);
+  EXPECT_EQ(got.max_message_words, want.max_message_words);
+  EXPECT_EQ(got.messages_per_round, want.messages_per_round);
+  EXPECT_EQ(got.vertex_activations, want.vertex_activations);
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.faults, want.faults);
+}
 
 /// Floods a token from vertex 0; records the round each vertex first saw
 /// it. Verifies synchronous one-hop-per-round semantics. Fully
@@ -66,12 +107,22 @@ class FloodProtocol final : public Protocol {
 };
 
 TEST(Simulator, FloodTakesDistanceRounds) {
-  const Graph g = make_path(6);
-  FloodProtocol protocol;
-  SyncEngine engine(g);
-  engine.run(protocol, 100);
-  for (VertexId v = 0; v < 6; ++v) {
-    EXPECT_EQ(protocol.seen_round()[static_cast<std::size_t>(v)], v);
+  // On the 10,000-vertex path the one- or two-vertex frontier walks
+  // past a shard's first 4096-vertex mark block, so the collect's walk
+  // must find marks through its summary level.
+  for (const VertexId n : {6, 10000}) {
+    for (const unsigned threads : {1u, 3u}) {
+      const Graph g = make_path(n);
+      FloodProtocol protocol;
+      EngineOptions options;
+      options.threads = threads;
+      SyncEngine engine(g, options);
+      engine.run(protocol, static_cast<std::size_t>(n) + 1);
+      for (VertexId v = 0; v < n; ++v) {
+        ASSERT_EQ(protocol.seen_round()[static_cast<std::size_t>(v)], v)
+            << "n=" << n << " threads=" << threads;
+      }
+    }
   }
 }
 
@@ -146,6 +197,124 @@ TEST(Simulator, OutOfOrderSendsAreValidatedAndDelivered) {
   const SimMetrics metrics = engine.run(protocol, 2);
   EXPECT_EQ(metrics.messages, 4u);
   EXPECT_EQ(protocol.received(), 4u);
+}
+
+/// One send of the mixed-send protocol: a unicast to `to`, or a
+/// broadcast when `to` is -1.
+struct MixedSend {
+  VertexId to = -1;
+  std::vector<std::uint64_t> words;
+};
+
+/// What vertex u sends in round r, in order: broadcasts interleaved with
+/// unicasts, among them a backwards one (to the row's first entry after
+/// its last) and a repeat to the same neighbor. Payloads carry (u, r,
+/// step) and vary in width.
+std::vector<MixedSend> mixed_sends(const Graph& g, VertexId u,
+                                   std::size_t r) {
+  const std::span<const VertexId> row = g.neighbors(u);
+  const auto payload = [&](std::initializer_list<std::uint64_t> tail) {
+    std::vector<std::uint64_t> words{static_cast<std::uint64_t>(u), r};
+    words.insert(words.end(), tail);
+    return words;
+  };
+  std::vector<MixedSend> sends;
+  sends.push_back({-1, payload({0})});
+  sends.push_back({row.back(), payload({1, 7})});
+  sends.push_back({row.front(), payload({2})});  // backwards
+  sends.push_back({row.front(), payload({3})});  // repeat
+  if ((static_cast<std::size_t>(u) + r) % 2 == 0) {
+    sends.push_back({-1, payload({4, 8, 9})});
+  }
+  sends.push_back({row[row.size() / 2], payload({5})});
+  return sends;
+}
+
+/// Every vertex makes its mixed sends in rounds 0..kSendRounds-1 and
+/// logs every inbox.
+class MixedSendProtocol final : public Protocol {
+ public:
+  static constexpr std::size_t kSendRounds = 3;
+
+  void begin(const Graph& g) override {
+    graph_ = &g;
+    log_.assign(static_cast<std::size_t>(g.num_vertices()), {});
+  }
+  void on_round(VertexId v, std::size_t round,
+                std::span<const MessageView> inbox, Outbox& out) override {
+    log_inbox(log_, v, round, inbox);
+    if (round >= kSendRounds) return;
+    for (const MixedSend& send : mixed_sends(*graph_, v, round)) {
+      if (send.to < 0) {
+        out.send_to_all_neighbors(send.words);
+      } else {
+        out.send(send.to, send.words);
+      }
+    }
+  }
+  bool finished() const override { return false; }
+  const DeliveryLog& log() const { return log_; }
+
+ private:
+  const Graph* graph_ = nullptr;
+  DeliveryLog log_;
+};
+
+TEST(Simulator, RunRecordsKeepSenderSerialOrder) {
+  // A ring of 13 plus chords: rows straddle the shard boundaries of
+  // every thread count below, and vertex 0's row {1, 5, 9, 11, 12}
+  // spans three shards at 3 threads (width 5), four at 4 and five at 7.
+  GraphBuilder builder(13);
+  for (VertexId v = 0; v < 13; ++v) builder.add_edge(v, (v + 1) % 13);
+  for (const auto& [u, v] : {std::pair<VertexId, VertexId>{0, 5},
+                             {0, 9}, {0, 11}, {6, 12}, {3, 8}, {2, 10}}) {
+    builder.add_edge(u, v);
+  }
+  const Graph g = std::move(builder).build();
+
+  // The reference model: senders in id order, each one's sends in
+  // order, a broadcast reaching the row in ascending id.
+  DeliveryLog expected(13);
+  std::uint64_t messages = 0;
+  std::uint64_t words = 0;
+  std::size_t max_words = 0;
+  for (std::size_t r = 0; r < MixedSendProtocol::kSendRounds; ++r) {
+    for (VertexId u = 0; u < 13; ++u) {
+      for (const MixedSend& send : mixed_sends(g, u, r)) {
+        const std::vector<VertexId> receivers =
+            send.to < 0 ? std::vector<VertexId>(g.neighbors(u).begin(),
+                                                g.neighbors(u).end())
+                        : std::vector<VertexId>{send.to};
+        for (const VertexId w : receivers) {
+          expected[static_cast<std::size_t>(w)].push_back(
+              Delivery{r + 1, u, send.words});
+          ++messages;
+          words += send.words.size();
+          max_words = std::max(max_words, send.words.size());
+        }
+      }
+    }
+  }
+
+  for (const bool faulty : {false, true}) {
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (faulty ? "zero-fault FaultyTransport" : "reliable")
+                   << " threads=" << threads);
+      FaultyTransport transport(FaultPlan{});
+      EngineOptions options;
+      options.threads = threads;
+      if (faulty) options.transport = &transport;
+      MixedSendProtocol protocol;
+      SyncEngine engine(g, options);
+      const SimMetrics metrics =
+          engine.run(protocol, MixedSendProtocol::kSendRounds + 1);
+      EXPECT_EQ(protocol.log(), expected);
+      EXPECT_EQ(metrics.messages, messages);
+      EXPECT_EQ(metrics.words, words);
+      EXPECT_EQ(metrics.max_message_words, max_words);
+    }
+  }
 }
 
 /// Ping-pong between two vertices; checks delivery latency of exactly one
@@ -459,10 +628,12 @@ class ThrowOnceProtocol final : public Protocol {
   void begin(const Graph& g) override {
     n_ = g.num_vertices();
     last_round_.assign(static_cast<std::size_t>(n_), 0);
+    log_.assign(static_cast<std::size_t>(n_), {});
   }
   void on_round(VertexId v, std::size_t round,
                 std::span<const MessageView> inbox, Outbox& out) override {
     last_round_[static_cast<std::size_t>(v)] = round;
+    log_inbox(log_, v, round, inbox);
     // Only the throwing vertex reads armed_.
     if (round == throw_round_ && v == throw_at_ && armed_) {
       armed_ = false;
@@ -482,6 +653,7 @@ class ThrowOnceProtocol final : public Protocol {
   std::size_t last_round() const {
     return *std::max_element(last_round_.begin(), last_round_.end());
   }
+  const DeliveryLog& log() const { return log_; }
 
  private:
   std::size_t throw_round_;
@@ -489,6 +661,7 @@ class ThrowOnceProtocol final : public Protocol {
   VertexId n_ = 0;
   bool armed_ = true;
   std::vector<std::size_t> last_round_;
+  DeliveryLog log_;
 };
 
 TEST(Simulator, OnRoundThrowReachesCallerAndEngineRecovers) {
@@ -496,8 +669,9 @@ TEST(Simulator, OnRoundThrowReachesCallerAndEngineRecovers) {
   // was thrown in, whichever way that round ran: inline on the driving
   // thread (round 5 has one active vertex) or, with threads > 1, on the
   // pool (round 1 runs every vertex, and vertex 63 sits in the last
-  // shard). A second run() on the same engine then matches a fresh
-  // engine's run.
+  // shard). When vertex 1 throws in round 1, the rest of its shard never
+  // reads the mail laid out for it. A second run() on the same engine
+  // then sees the inboxes and metrics of a fresh engine's run.
   const Graph g = make_path(64);
   struct Failure {
     std::size_t round;
@@ -511,7 +685,8 @@ TEST(Simulator, OnRoundThrowReachesCallerAndEngineRecovers) {
     const SimMetrics expected = fresh.run(clean, 200);
     ASSERT_EQ(expected.status, RunStatus::kQuiescent);
     ASSERT_EQ(expected.rounds, 64u);
-    for (const Failure failure : {Failure{5, 5}, Failure{1, 63}}) {
+    for (const Failure failure :
+         {Failure{5, 5}, Failure{1, 63}, Failure{1, 1}}) {
       SCOPED_TRACE(::testing::Message()
                    << "threads=" << threads << " round=" << failure.round);
       ThrowOnceProtocol protocol(failure.round, failure.vertex);
@@ -523,13 +698,71 @@ TEST(Simulator, OnRoundThrowReachesCallerAndEngineRecovers) {
         EXPECT_STREQ(error.what(), "planned on_round failure");
       }
       EXPECT_EQ(protocol.last_round(), failure.round);
-      const SimMetrics again = engine.run(protocol, 200);
-      EXPECT_EQ(again.status, expected.status);
-      EXPECT_EQ(again.rounds, expected.rounds);
-      EXPECT_EQ(again.messages, expected.messages);
-      EXPECT_EQ(again.words, expected.words);
-      EXPECT_EQ(again.vertex_activations, expected.vertex_activations);
-      EXPECT_EQ(again.messages_per_round, expected.messages_per_round);
+      expect_same_metrics(engine.run(protocol, 200), expected);
+      EXPECT_EQ(protocol.log(), clean.log());
+    }
+  }
+}
+
+/// Every vertex broadcasts in rounds 0 and 1, schedules one self-wake
+/// in round 0, and logs every inbox. finished() fires once round
+/// `stop_after` has run.
+class StoppableBroadcast final : public Protocol {
+ public:
+  StoppableBroadcast(std::size_t stop_after, std::size_t wake_delay)
+      : stop_after_(stop_after), wake_delay_(wake_delay) {}
+
+  void begin(const Graph& g) override {
+    log_.assign(static_cast<std::size_t>(g.num_vertices()), {});
+    rounds_begun_ = 0;
+  }
+  void on_round_begin(std::size_t round, RoundPool&) override {
+    rounds_begun_ = round + 1;
+  }
+  void on_round(VertexId v, std::size_t round,
+                std::span<const MessageView> inbox, Outbox& out) override {
+    log_inbox(log_, v, round, inbox);
+    if (round < 2) out.send_to_all_neighbors({static_cast<std::uint64_t>(v)});
+    if (round == 0) out.wake_self_in(wake_delay_);
+  }
+  bool finished() const override { return rounds_begun_ > stop_after_; }
+  const DeliveryLog& log() const { return log_; }
+
+ private:
+  std::size_t stop_after_;
+  std::size_t wake_delay_;
+  std::size_t rounds_begun_ = 0;
+  DeliveryLog log_;
+};
+
+TEST(Simulator, RunStoppedWithMailUnreadLeavesNothingBehind) {
+  // finished() stops the first run after round 1: round 1's broadcast
+  // is laid out in the inboxes but never read, and the round-3 wakes
+  // are still pending. The next run on the same engine (wakes at round
+  // 4) must see exactly what a fresh engine's run sees.
+  const Graph g = make_gnp(200, 6.0 / 199.0, 3);
+  const std::size_t never = std::numeric_limits<std::size_t>::max();
+  for (const bool scheduling : {true, false}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "scheduling=" << scheduling
+                                        << " threads=" << threads);
+      EngineOptions options;
+      options.active_scheduling = scheduling;
+      options.threads = threads;
+      StoppableBroadcast fresh_protocol(never, 4);
+      SyncEngine fresh(g, options);
+      const SimMetrics expected = fresh.run(fresh_protocol, 8);
+
+      SyncEngine engine(g, options);
+      StoppableBroadcast stopped(1, 3);
+      const SimMetrics first = engine.run(stopped, 8);
+      ASSERT_EQ(first.status, RunStatus::kFinished);
+      ASSERT_EQ(first.rounds, 2u);
+      ASSERT_GT(first.messages_per_round[1], 0u);
+
+      StoppableBroadcast again(never, 4);
+      expect_same_metrics(engine.run(again, 8), expected);
+      EXPECT_EQ(again.log(), fresh_protocol.log());
     }
   }
 }
