@@ -1,5 +1,6 @@
 // E9 — ablations of the paper's design choices, run through the two
-// ablation arguments of carve_decomposition() (carve_schedule.hpp).
+// ablation arguments of the reference carver's carve_decomposition()
+// (tests/reference_carver.hpp; the library serves the paper's rules only).
 //
 // (a) Join margin. The paper's rule joins on m1 - m2 > 1. Weakening the
 //     margin (0.5, 0) speeds up carving (fewer colors) but progressively
@@ -13,6 +14,7 @@
 #include "bench_common.hpp"
 #include "decomposition/carve_schedule.hpp"
 #include "decomposition/elkin_neiman.hpp"
+#include "reference_carver.hpp"
 #include "support/stats.hpp"
 
 namespace {

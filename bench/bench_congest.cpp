@@ -3,7 +3,9 @@
 // current top-2 shifted values. The table reports, for the actual
 // message-passing execution on the simulator: the maximum message width
 // observed (words), total messages/words, messages per round, and the
-// equivalence check against the centralized reference.
+// equivalence check against the centralized reference: the dense
+// reference carver of tests/reference_carver.hpp, whose whole
+// CarveResult must equal the protocol's.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -12,6 +14,7 @@
 #include "decomposition/high_radius.hpp"
 #include "decomposition/linial_saks.hpp"
 #include "decomposition/multistage.hpp"
+#include "reference_carver.hpp"
 #include "support/stats.hpp"
 
 namespace {
@@ -80,14 +83,7 @@ void protocol_comparison(int seeds) {
     const Graph g = make_gnp(192, 6.0 / 191.0, 5);
     const CarveSchedule t2 = theorem2_schedule(g.num_vertices(), 4);
     const DistributedRun dist = run_schedule_distributed(g, t2, 77);
-    const DecompositionRun central = run_schedule(g, t2, 77);
-    bool identical = true;
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (dist.run.clustering().cluster_of(v) !=
-          central.clustering().cluster_of(v)) {
-        identical = false;
-      }
-    }
+    const bool identical = carve_decomposition(g, t2, 77) == dist.run.carve;
     t23.row()
         .cell("Theorem 2 (multistage)")
         .cell(static_cast<std::int64_t>(g.num_vertices()))
@@ -100,14 +96,7 @@ void protocol_comparison(int seeds) {
     const Graph g = make_gnp(192, 6.0 / 191.0, 5);
     const CarveSchedule t3 = theorem3_schedule(g.num_vertices(), 3);
     const DistributedRun dist = run_schedule_distributed(g, t3, 77);
-    const DecompositionRun central = run_schedule(g, t3, 77);
-    bool identical = true;
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (dist.run.clustering().cluster_of(v) !=
-          central.clustering().cluster_of(v)) {
-        identical = false;
-      }
-    }
+    const bool identical = carve_decomposition(g, t3, 77) == dist.run.carve;
     t23.row()
         .cell("Theorem 3 (high radius)")
         .cell(static_cast<std::int64_t>(g.num_vertices()))
@@ -170,12 +159,8 @@ int main(int argc, char** argv) {
         const std::uint64_t seed =
             static_cast<std::uint64_t>(s) * 1299709 + 41;
         const DistributedRun dist = run_schedule_distributed(g, schedule, seed);
-        const DecompositionRun central = run_schedule(g, schedule, seed);
-        for (VertexId v = 0; v < g.num_vertices(); ++v) {
-          if (dist.run.clustering().cluster_of(v) !=
-              central.clustering().cluster_of(v)) {
-            identical = false;
-          }
+        if (carve_decomposition(g, schedule, seed) != dist.run.carve) {
+          identical = false;
         }
         rounds.add(static_cast<double>(dist.sim.rounds));
         messages.add(static_cast<double>(dist.sim.messages));

@@ -1,7 +1,7 @@
 // E10 — google-benchmark microbenches for the library's kernels: graph
-// generation, BFS, one carving phase, full decompositions (centralized
-// and distributed, including a warm CONGEST carve of a 20k and a 1M RGG
-// on the engine), the MPX partition, Luby's MIS, validation (the fast
+// generation, BFS, full decompositions (a cold carve through
+// run_schedule, and a warm CONGEST carve of a 20k and a 1M RGG on a
+// reused context), the MPX partition, Luby's MIS, validation (the fast
 // gate on a 1M RGG carve), and the service's deliverable kernels at the
 // service's sizes (stretch measurement and the spanner on a 5k G(n, p),
 // the pipeline round cost on a 20k RGG, cover expansion and validation
@@ -15,7 +15,6 @@
 #include "apps/luby.hpp"
 #include "apps/mis.hpp"
 #include "apps/spanner.hpp"
-#include "decomposition/carving.hpp"
 #include "decomposition/covers.hpp"
 #include "decomposition/elkin_neiman.hpp"
 #include "decomposition/carving_protocol.hpp"
@@ -59,20 +58,6 @@ void BM_Bfs(benchmark::State& state) {
 }
 BENCHMARK(BM_Bfs)->Arg(1024)->Arg(8192)->Arg(65536);
 
-void BM_CarvePhase(benchmark::State& state) {
-  const Graph g = bench_graph(state.range(0));
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  std::vector<char> alive(n, 1);
-  std::vector<double> radii(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    radii[v] = carve_radius_sample(7, 0, static_cast<VertexId>(v), 0.8);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_phase_broadcast(g, alive, radii, 8));
-  }
-}
-BENCHMARK(BM_CarvePhase)->Arg(1024)->Arg(8192);
-
 void BM_ElkinNeiman(benchmark::State& state) {
   const Graph g = bench_graph(state.range(0));
   for (auto _ : state) {
@@ -81,16 +66,6 @@ void BM_ElkinNeiman(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ElkinNeiman)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ElkinNeimanDistributed(benchmark::State& state) {
-  const Graph g = bench_graph(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_schedule_distributed(
-        g, theorem1_schedule(g.num_vertices(), 4), 7));
-  }
-}
-BENCHMARK(BM_ElkinNeimanDistributed)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
 /// A warm Theorem 1 carve (k = ln n, c = 4) of an RGG with average

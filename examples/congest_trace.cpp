@@ -1,9 +1,9 @@
 // Watch the CONGEST protocol run: executes any of the three theorem
 // schedules as a distributed algorithm on the synchronous simulator and
-// prints the per-round message traffic, phase structure, and the
-// O(1)-word message guarantee, then cross-checks the outcome against the
-// centralized reference (run_schedule on the same CarveSchedule — the
-// two must be bit-identical).
+// prints the per-round message traffic, phase structure, the O(1)-word
+// message guarantee, and the decomposition against the schedule's
+// promised bounds. (test_distributed_parity pins the protocol against
+// the dense reference carver.)
 //
 //   ./congest_trace [--theorem {1,2,3}] [n] [k] [seed]
 //
@@ -45,9 +45,8 @@ int main(int argc, char** argv) {
   const Graph g = make_gnp(n, 6.0 / std::max(n - 1, 1), seed);
   std::cout << "network: " << describe(g) << "\n";
 
-  // One schedule drives both executions — this is the whole point of the
-  // carving core: the distributed run below and the centralized
-  // cross-check at the end consume the identical CarveSchedule.
+  // The theorem's schedule carries everything the run needs except the
+  // seed, plus the bounds printed at the end.
   const CarveSchedule schedule =
       theorem == 1   ? theorem1_schedule(n, k, 4.0)
       : theorem == 2 ? theorem2_schedule(n, k, 6.0)
@@ -88,20 +87,10 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
 
-  // Equivalence against the centralized reference of the same schedule.
-  const DecompositionRun central = run_schedule(g, schedule, seed);
-  bool identical = true;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (central.clustering().cluster_of(v) !=
-        dist.run.clustering().cluster_of(v)) {
-      identical = false;
-    }
-  }
-  std::cout << "\ncentralized reference produced "
-            << (identical ? "the identical clustering" : "A DIFFERENT result")
-            << " (" << central.clustering().num_clusters() << " clusters, "
-            << central.carve.phases_used << " phases; promised colors <= "
-            << schedule.bounds.colors << ", strong diameter <= "
-            << schedule.bounds.strong_diameter << ")\n";
-  return identical ? 0 : 1;
+  std::cout << "\ndecomposition: " << dist.run.clustering().num_clusters()
+            << " clusters, " << dist.run.carve.phases_used
+            << " phases; promised colors <= " << schedule.bounds.colors
+            << ", strong diameter <= " << schedule.bounds.strong_diameter
+            << "\n";
+  return 0;
 }

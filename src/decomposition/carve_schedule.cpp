@@ -1,7 +1,6 @@
 #include "decomposition/carve_schedule.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/assert.hpp"
 
@@ -95,70 +94,6 @@ CarveResult carve_result(std::int32_t target_phases,
   result.exhausted_within_target =
       carved == n && phases <= result.target_phases;
   return result;
-}
-
-CarveResult carve_decomposition(const Graph& g, const CarveSchedule& schedule,
-                                std::uint64_t seed, double margin,
-                                ForwardPolicy forward_policy) {
-  schedule.require_runnable();
-
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  CarveProgress progress;
-  progress.reset(g.num_vertices());
-  std::vector<double> radii(n, 0.0);
-  std::vector<double> unit_scratch(n);
-  bool radius_overflow = false;
-
-  // Cap runaway loops: even beta close to 0 empties the graph in one
-  // phase, so this bound is never hit in practice.
-  const std::int32_t hard_cap =
-      schedule.target_phases() * 16 + g.num_vertices() + 16;
-
-  while (!progress.live.empty()) {
-    DSND_CHECK(progress.phase < hard_cap, "carving failed to converge");
-    // Las Vegas recarve loop: resample the whole phase (fresh per-retry
-    // salt) while Lemma 1's event holds and the schedule replays it. The
-    // batched sampler draws from the same per-(seed, phase, v, retry)
-    // streams the scalar one does.
-    progress.phases_used = progress.phase + 1;
-    for (std::int32_t retry = 0;; ++retry) {
-      const RadiusBatchStats stats = carve_radius_sample_batch(
-          seed, progress.phase, schedule.beta_at(progress.phase), retry,
-          progress.live, /*names=*/{}, unit_scratch, radii,
-          schedule.radius_overflow_at);
-      progress.max_sampled_radius =
-          std::max(progress.max_sampled_radius, stats.max_radius);
-      if (!stats.overflow) break;
-      if (!schedule.replays(retry)) {
-        radius_overflow = true;
-        break;
-      }
-      ++progress.retries;
-    }
-
-    const PhaseState state = run_phase_broadcast(
-        g, progress.alive, radii, schedule.phase_rounds, forward_policy);
-    for (const VertexId v : progress.live) {
-      const auto vi = static_cast<std::size_t>(v);
-      if (phase_join_decision(state.best[vi], state.second[vi], margin)) {
-        progress.join(v, state.best[vi].center);
-      }
-    }
-    progress.advance_phase();
-  }
-  return carve_result(schedule.target_phases(), schedule.phase_rounds,
-                      progress, /*names=*/{}, radius_overflow);
-}
-
-DecompositionRun run_schedule(const Graph& g, const CarveSchedule& schedule,
-                              std::uint64_t seed) {
-  DSND_REQUIRE(g.num_vertices() >= 1, "graph must be nonempty");
-  DecompositionRun run;
-  run.carve = carve_decomposition(g, schedule, seed);
-  run.bounds = schedule.bounds;
-  run.k = schedule.k;
-  run.c = schedule.c;
-  return run;
 }
 
 }  // namespace dsnd

@@ -10,19 +10,21 @@
 //
 // CarveSchedule captures everything a run needs *except* the seed: the
 // per-phase betas, the per-phase broadcast round budget (ceil(k)), the
-// Lemma 1 overflow threshold, and the bounds the theorem promises. Both
-// execution backends consume the same schedule:
+// Lemma 1 overflow threshold, and the bounds the theorem promises. One
+// implementation runs it, the CONGEST protocol on the simulator
+// (carving_protocol.hpp):
 //
-//   run_schedule(g, schedule, seed)              centralized reference
-//   run_schedule_distributed(g, schedule, seed)  CONGEST protocol
-//                                                (carving_protocol.hpp)
+//   run_schedule(g, schedule, seed)              the carve and its bounds
+//   run_schedule_distributed(g, schedule, seed)  the same carve, plus the
+//                                                simulator's accounting
+//                                                and engine options
 //
-// and produce bit-identical clusterings on the same seed, so the bounds
-// and parameters are derived exactly once per theorem. The theorem
-// factories theorem{1,2,3}_schedule() (elkin_neiman.hpp, multistage.hpp,
-// high_radius.hpp) plus a seed are the one way to ask for a carve; the
-// E9 ablations (join margin, top-1 forwarding) are the only run-time
-// knobs, and only carve_decomposition() accepts them.
+// so the bounds and parameters are derived exactly once per theorem. The
+// theorem factories theorem{1,2,3}_schedule() (elkin_neiman.hpp,
+// multistage.hpp, high_radius.hpp) plus a seed are the one way to ask
+// for a carve. The E9 ablations (join margin, top-1 forwarding) are not
+// served: they run on the dense reference carver the tests hold the
+// protocol against (tests/reference_carver.hpp).
 #pragma once
 
 #include <cstdint>
@@ -58,7 +60,7 @@ struct TheoremBounds {
 
 /// A fully derived carving schedule: the per-phase betas plus everything
 /// the theorems promise about running them. Seed-independent, so one
-/// schedule can drive many runs (and both backends).
+/// schedule can drive many runs.
 struct CarveSchedule {
   /// Human-readable tag ("theorem1(k=4)") for traces and benches.
   std::string name;
@@ -138,31 +140,24 @@ struct DecompositionRun {
   const Clustering& clustering() const { return carve.clustering; }
 };
 
-/// The centralized reference: runs the schedule phase by phase until
-/// every vertex is clustered, drawing r_v from the per-(seed, phase,
-/// vertex, retry) streams. margin and forward_policy are the E9
-/// ablations: the paper joins on m1 - m2 > 1 with top-2 forwarding, a
-/// smaller margin or top-1 forwarding voids its guarantees, and the
-/// distributed backend implements the paper's rules only.
-CarveResult carve_decomposition(
-    const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
-    double margin = 1.0, ForwardPolicy forward_policy = ForwardPolicy::kTop2);
-
 /// The CarveResult of a run whose state is `progress`, for every backend
-/// (both carve backends, and Linial–Saks): clusters ordered by phase, then
-/// by first member in name order (`names` maps vertex ids to names;
-/// empty = identity), plus the round accounting at phase_rounds + 1
-/// rounds per attempt. target_phases is the scheduled phase count;
-/// radius_overflow: the run accepted overflowed samples.
+/// (the carve protocol, the reference carver, and Linial–Saks): clusters
+/// ordered by phase, then by first member in name order (`names` maps
+/// vertex ids to names; empty = identity), plus the round accounting at
+/// phase_rounds + 1 rounds per attempt. target_phases is the scheduled
+/// phase count; radius_overflow: the run accepted overflowed samples.
 CarveResult carve_result(std::int32_t target_phases,
                          std::int32_t phase_rounds,
                          const CarveProgress& progress,
                          std::span<const VertexId> names,
                          bool radius_overflow);
 
-/// carve_decomposition() with the paper's rules, plus the schedule's
-/// bounds. The CONGEST twin is run_schedule_distributed()
-/// (carving_protocol.hpp); on the same seed the two are bit-identical.
+/// Carves g with the schedule and seed and attaches the schedule's
+/// bounds: run_schedule_distributed(g, schedule, seed).run on a default
+/// engine (one thread, reliable transport), for callers that want the
+/// decomposition and not the simulator's accounting. Throws
+/// std::invalid_argument on an empty graph or an unrunnable schedule.
+/// Defined with the protocol in carving_protocol.cpp.
 DecompositionRun run_schedule(const Graph& g, const CarveSchedule& schedule,
                               std::uint64_t seed);
 

@@ -15,12 +15,13 @@
 // them connected with strong diameter <= 2k-2 provided no sampled radius
 // reached k+1 (Lemma 1's event).
 //
-// Both backends share everything here except how entries travel: the
-// centralized carver (carve_decomposition, carve_schedule.hpp) relaxes
-// ceil(k) rounds of top-2 merges in memory, the CONGEST protocol
-// (carving_protocol.hpp) sends the same entries as messages. Both feed
-// them through one merge_entry, decide with one phase_join_decision,
-// advance one CarveProgress record, and assemble the result with one
+// The library carves with one implementation, the CONGEST protocol
+// (carving_protocol.hpp), which sends these entries as messages on the
+// simulator; run_schedule and run_schedule_distributed both run it. The
+// dense reference carver in tests/reference_carver.hpp relaxes the same
+// top-2 merges in memory and is the tests' oracle. Both feed entries
+// through one merge_entry, decide with one phase_join_decision, advance
+// one CarveProgress record, and assemble the result with one
 // carve_result — so they agree bit for bit on the same seed.
 #pragma once
 
@@ -87,7 +88,7 @@ struct CarveEntry {
 /// Inserts `candidate` into a vertex's (best, second) slots, keeping one
 /// entry per center: a later entry for a stored center replaces it only
 /// if it carries a larger shifted value. Returns true if the slots
-/// changed. The one top-2 merge both backends run.
+/// changed. The one top-2 merge the protocol and the reference carver run.
 inline bool merge_entry(CarveEntry& best, CarveEntry& second,
                         const CarveEntry& candidate) {
   if (!candidate.valid()) return false;
@@ -112,12 +113,6 @@ inline bool merge_entry(CarveEntry& best, CarveEntry& second,
   second = candidate;
   return true;
 }
-
-/// What each vertex forwards during the broadcast. The paper's CONGEST
-/// observation is that the top-2 suffices for exact decisions; kTop1 is
-/// an ablation showing that forwarding only the best value yields stale
-/// second-place estimates and wrong clusterings.
-enum class ForwardPolicy { kTop2, kTop1 };
 
 /// Default per-phase resample budget (CarveSchedule::max_retries_per_phase)
 /// for Lemma 1's bad event: some live vertex samples r_v >=
@@ -169,8 +164,8 @@ struct CarveResult {
   /// aggregating the overflow bit) so neighbors learn the surviving
   /// graph.
   std::int64_t rounds = 0;
-  /// How the run ended (see CarveStatus). Centralized runs and reliable
-  /// distributed runs always report kOk.
+  /// How the run ended (see CarveStatus). Reliable runs always report
+  /// kOk.
   CarveStatus status = CarveStatus::kOk;
   /// Whole-run restarts spent by the verify-and-recover loop of
   /// run_schedule_distributed under a lossy transport (attempt i > 0
@@ -198,16 +193,7 @@ struct CarveResult {
   bool operator==(const CarveResult&) const = default;
 };
 
-/// Samples r_v for vertex v in phase t: EXP(beta) via the per-(seed,
-/// phase, vertex) stream. Exposed so the distributed protocol and tests
-/// draw identical values. `retry` is the per-phase resample index of the
-/// Las Vegas recarve loop: retry 0 reproduces the historical stream;
-/// retry r > 0 mixes a fresh salt into the seed so aborted attempts
-/// never correlate with their replacements.
-double carve_radius_sample(std::uint64_t seed, std::int32_t phase,
-                           VertexId v, double beta, std::int32_t retry = 0);
-
-/// What a batched sampling pass observed: the fold both backends feed
+/// What a batched sampling pass observed: the fold every carve feeds
 /// into CarveResult::max_sampled_radius and the Lemma 1 overflow event.
 /// Combining per-chunk stats (max / OR) is order-independent, so
 /// chunk-parallel batches report identical stats for every chunking.
@@ -221,46 +207,35 @@ struct RadiusBatchStats {
   }
 };
 
-/// Batched twin of carve_radius_sample: fills radii[v] for every v in
-/// `vertices` (radii is indexed by vertex id; entries of vertices not
+/// Samples r_v ~ EXP(beta) for phase `phase`: fills radii[v] for every v
+/// in `vertices` (radii is indexed by vertex id; entries of vertices not
 /// listed are untouched) and returns the max/overflow fold. Each value
-/// is drawn from the IDENTICAL per-(seed, phase, name, retry) stream the
-/// scalar sampler uses — `names` maps vertex ids to the stream key
-/// (empty = identity; layout runs pass the original ids) — so the
-/// batched and scalar paths are bit-for-bit equal (pinned by test).
+/// is drawn from its own per-(seed, phase, name, retry) stream — `names`
+/// maps vertex ids to the stream key (empty = identity; layout runs pass
+/// the original ids) — so it does not depend on the batch it rides in.
+/// `retry` is the per-phase resample index of the Las Vegas recarve
+/// loop: retry 0 is the unsalted stream, retry r > 0 mixes a fresh salt
+/// into the seed so aborted attempts never correlate with their
+/// replacements. The scalar carve_radius_sample of the reference carver
+/// (tests/reference_carver.hpp) draws the same bits (pinned by test).
 /// Two passes: stream seeding + the uniform draw into `unit_scratch`
 /// (which must hold at least vertices.size() doubles), then the
-/// log1p transform over the dense scratch — the same inverse-CDF call
-/// as the scalar path, element for element, so vectorizing the first
-/// pass can never change a bit of the second.
+/// log1p transform over the dense scratch, one inverse-CDF call per
+/// element, so vectorizing the first pass can never change a bit of the
+/// second.
 RadiusBatchStats carve_radius_sample_batch(
     std::uint64_t seed, std::int32_t phase, double beta, std::int32_t retry,
     std::span<const VertexId> vertices, std::span<const VertexId> names,
     std::span<double> unit_scratch, std::span<double> radii,
     double overflow_at);
 
-/// Runs one phase over the vertices with alive[v] != 0. Returns for every
-/// vertex its top-2 entries after `phase_rounds` rounds of truncated
-/// broadcast (entries of dead vertices are invalid). Used by
-/// carve_decomposition (carve_schedule.hpp) and, with the same semantics,
-/// by the tests that cross-check the relaxation against ground-truth BFS.
-struct PhaseState {
-  std::vector<CarveEntry> best;    // per vertex
-  std::vector<CarveEntry> second;  // per vertex
-};
-
-PhaseState run_phase_broadcast(
-    const Graph& g, const std::vector<char>& alive,
-    const std::vector<double>& radii, std::int32_t phase_rounds,
-    ForwardPolicy policy = ForwardPolicy::kTop2);
-
 /// Join rule applied to a vertex's phase state (the m1 - m2 > margin test).
 bool phase_join_decision(const CarveEntry& best, const CarveEntry& second,
                          double margin);
 
-/// The carving state both backends (and both Linial–Saks backends)
-/// advance: who is still live, what each carved vertex chose, and the
-/// run-level counters. carve_result
+/// The carving state the protocol, the reference carver and both
+/// Linial–Saks backends advance: who is still live, what each carved
+/// vertex chose, and the run-level counters. carve_result
 /// (carve_schedule.hpp) assembles a CarveResult from it, and the
 /// protocol's phase-boundary checkpoint (checkpoint.hpp) is a copy of it.
 /// Indexed by the backend's vertex ids; the chosen centers are names

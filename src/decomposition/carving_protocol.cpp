@@ -596,4 +596,10 @@ DistributedRun run_schedule_distributed(const LayoutGraph& lg,
   return run_schedule_distributed(context, schedule, seed);
 }
 
+DecompositionRun run_schedule(const Graph& g, const CarveSchedule& schedule,
+                              std::uint64_t seed) {
+  DSND_REQUIRE(g.num_vertices() >= 1, "graph must be nonempty");
+  return run_schedule_distributed(g, schedule, seed).run;
+}
+
 }  // namespace dsnd

@@ -1,8 +1,9 @@
-// Generic CONGEST carving protocol: the message-passing realization of
-// carve_decomposition() for an arbitrary beta schedule, which makes all
-// three theorems runnable as genuine distributed algorithms on the
-// synchronous simulator, in the CONGEST spirit of Section 2's closing
-// remark — run_schedule_distributed() with the theorem's factory:
+// Generic CONGEST carving protocol: the library's one carve
+// implementation, for an arbitrary beta schedule, which makes all three
+// theorems runnable as genuine distributed algorithms on the synchronous
+// simulator, in the CONGEST spirit of Section 2's closing remark —
+// run_schedule_distributed() (or run_schedule(), carve_schedule.hpp,
+// which keeps only the decomposition) with the theorem's factory:
 //   - Theorem 1: constant beta = ln(cn)/k             (theorem1_schedule)
 //   - Theorem 2: stage-decaying beta_i = ln(cn/e^i)/k (theorem2_schedule)
 //   - Theorem 3: beta = (cn)^{-1/lambda}, long phases (theorem3_schedule)
@@ -25,12 +26,12 @@
 // when it changed at this vertex, so traffic per phase is proportional
 // to the number of top-2 improvements rather than phase length.
 //
-// On the same seed the protocol is bit-identical to carve_decomposition:
-// both draw r_v from stream (seed, phase, retry, vertex), merge entries
-// with the same merge_entry, advance the same CarveProgress record and
-// assemble the result with the same carve_result (carving.hpp,
-// carve_schedule.hpp); only how entries travel differs (asserted by the
-// parity tests).
+// On the same seed the protocol is bit-identical to the dense reference
+// carver the tests keep (tests/reference_carver.hpp): both draw r_v from
+// stream (seed, phase, retry, vertex), merge entries with the same
+// merge_entry, advance the same CarveProgress record and assemble the
+// result with the same carve_result (carving.hpp, carve_schedule.hpp);
+// only how entries travel differs (asserted by the parity tests).
 //
 // Lemma 1 recovery (max_retries_per_phase > 0, the default): when any live
 // vertex samples r_v >= radius_overflow_at at an attempt's sampling
@@ -106,11 +107,11 @@ DistributedRun run_schedule_distributed(CarveContext& context,
                                         const CarveSchedule& schedule,
                                         std::uint64_t seed);
 
-/// The CONGEST twin of run_schedule(): executes the schedule through the
-/// generic carving protocol and attaches the schedule's bounds; on the
-/// same seed the clustering is bit-identical to run_schedule(g, schedule,
-/// seed). engine_options tunes the simulator (scheduling, threads) without
-/// changing the clustering.
+/// Executes the schedule through the generic carving protocol on a cold
+/// engine and attaches the schedule's bounds; run_schedule(g, schedule,
+/// seed) is this call's `run` on the default engine. engine_options
+/// tunes the simulator (scheduling, threads, transport); on a reliable
+/// transport no option changes the CarveResult.
 DistributedRun run_schedule_distributed(
     const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
     const EngineOptions& engine_options = {});

@@ -5,10 +5,10 @@
 // (O(log n), O(log n)) decomposition in O(log^2 n) rounds.
 //
 // theorem1_schedule() derives the constant-beta carve schedule and the
-// promised bounds once; run_schedule() runs it on the centralized carver
-// and run_schedule_distributed() (carving_protocol.hpp) runs the *same*
-// schedule as a CONGEST protocol — bit-identical clusterings on the same
-// seed.
+// promised bounds once; run_schedule() carves it and
+// run_schedule_distributed() (carving_protocol.hpp) runs the same carve
+// with the simulator's accounting — both on the one CONGEST protocol, so
+// the clusterings are bit-identical on the same seed.
 #pragma once
 
 #include <cstdint>

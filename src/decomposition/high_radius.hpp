@@ -7,8 +7,8 @@
 // and pay radius k = (cn)^{1/lambda} ln(cn) instead. Same carving with a
 // real-valued k: theorem3_schedule() derives lambda phases at
 // beta = (cn)^{-1/lambda} with ceil(k) broadcast rounds each, which
-// run_schedule() carves centrally and run_schedule_distributed()
-// (carving_protocol.hpp) as a CONGEST protocol.
+// run_schedule() and run_schedule_distributed() (carving_protocol.hpp)
+// carve on the one CONGEST protocol.
 #pragma once
 
 #include <cstdint>

@@ -10,8 +10,8 @@
 // 4k (cn)^{1/k}.
 //
 // theorem2_schedule() packages the decaying schedule + bounds, which
-// run_schedule() carves centrally and run_schedule_distributed()
-// (carving_protocol.hpp) as a CONGEST protocol.
+// run_schedule() and run_schedule_distributed() (carving_protocol.hpp)
+// carve on the one CONGEST protocol.
 #pragma once
 
 #include <cstdint>

@@ -91,9 +91,8 @@ std::shared_ptr<const ServiceResult> DecompositionService::execute(
 
   if (request.deliverable == Deliverable::kCover) {
     // Covers carve the power graph. Its topology differs from the
-    // registered graph, so the pooled context does not apply; the
-    // centralized carver produces the identical clustering (the PR 3
-    // parity contract) without a throwaway engine build.
+    // registered graph, so the pooled context does not apply: run_schedule
+    // carves it on a cold one-thread engine and keeps no sim accounting.
     power_storage.emplace(graph_power(g, 2 * request.cover_radius + 1));
     carved_graph = &*power_storage;
     result->run.run =

@@ -13,10 +13,10 @@
 //                                  seed, deliverable, cover radius)
 //        hit  -> shared_ptr to the cached result, zero recarve
 //        miss -> execute:
-//                  cover -> carve G^{2W+1} with run_schedule (the same
-//                           clustering as the distributed protocol, by
-//                           the backend parity contract), expand W hops
-//                           via expand_clusters_to_cover
+//                  cover -> carve G^{2W+1} with run_schedule (a cold
+//                           one-thread engine: the power graph's topology
+//                           has no pooled context), expand W hops via
+//                           expand_clusters_to_cover
 //                  other -> ContextPool::acquire(fingerprint): the
 //                           graph's warm context (same-graph requests
 //                           serialize on it; distinct graphs run in
@@ -29,7 +29,7 @@
 //             -> cache insert (validated kOk results only)
 //
 // The service serves the paper's exact rules only; the E9 ablations (join
-// margin, top-1 forwarding) run through carve_decomposition. Results
+// margin, top-1 forwarding) run on the tests' reference carver. Results
 // are bit-identical to a standalone run_schedule_distributed (or, for
 // covers, build_neighborhood_cover) for every (graph, schedule, seed),
 // every thread count, every submission order, and every warm/cold state
@@ -82,8 +82,8 @@ struct ServiceRequest {
 };
 
 /// The immutable result a response points at (shared: cache hits alias
-/// the original). run.sim is all-zero for cover requests, whose carve is
-/// centralized.
+/// the original). run.sim is all-zero for cover requests, which carve
+/// through run_schedule and keep only its DecompositionRun.
 struct ServiceResult {
   DistributedRun run;
   std::optional<MisResult> mis;

@@ -4,8 +4,8 @@
 // everything that determines it bit for bit: the graph's structural
 // fingerprint, a signature hash over every CarveSchedule field, the
 // carve seed, the deliverable, and the cover radius. There is no backend
-// component: non-cover requests always carve on the distributed
-// protocol, covers always carve centralized. Because runs are pure
+// component: every request carves on the one CONGEST protocol (covers on
+// a one-thread engine over G^{2W+1}). Because runs are pure
 // functions of that tuple — the bit-identity contract the whole tree is
 // built on — a hit can be served as a shared_ptr to the original result
 // with no recarve and no copy.

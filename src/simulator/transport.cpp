@@ -135,6 +135,14 @@ void FaultyTransport::begin_run(const TransportGeometry& geometry) {
   }
   std::sort(rejoin_events_.begin(), rejoin_events_.end());
 
+  // Occurrence counters: zero stamps never match a block (the first
+  // block is stamp 1), so every counter starts stale.
+  occurrence_count_.assign(static_cast<std::size_t>(geometry.num_vertices),
+                           0);
+  occurrence_stamp_.assign(static_cast<std::size_t>(geometry.num_vertices),
+                           0);
+  block_stamp_ = 0;
+
   pending_ = 0;
   round_faults_ = FaultCounters{};
 }
@@ -227,9 +235,10 @@ void FaultyTransport::exchange(const std::size_t round,
         if (h.from != block_sender) {
           // A sender's records are contiguous within a bucket (a vertex
           // executes once per round, appending in send order), so the
-          // per-(from, to) occurrence scratch resets per sender block.
+          // per-(from, to) occurrence counters restart per sender block:
+          // a new stamp makes every receiver's counter stale.
           block_sender = h.from;
-          occurrence_.clear();
+          ++block_stamp_;
         }
         if (down(h.from, round)) {  // the whole block is lost
           round_faults_.crashed += h.count;
@@ -241,16 +250,12 @@ void FaultyTransport::exchange(const std::size_t round,
              ++index) {
           const VertexId to =
               geometry_.adjacency[static_cast<std::size_t>(index)];
-          std::uint32_t occurrence = 0;
-          bool found = false;
-          for (auto& [seen, count] : occurrence_) {
-            if (seen == to) {
-              occurrence = count++;
-              found = true;
-              break;
-            }
+          const auto ti = static_cast<std::size_t>(to);
+          if (occurrence_stamp_[ti] != block_stamp_) {
+            occurrence_stamp_[ti] = block_stamp_;
+            occurrence_count_[ti] = 0;
           }
-          if (!found) occurrence_.emplace_back(to, 1u);
+          const std::uint32_t occurrence = occurrence_count_[ti]++;
 
           // Crash-RECOVERY receivers lose inbound traffic while down;
           // placed before any RNG draw so legacy plans (which never take

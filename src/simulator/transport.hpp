@@ -324,8 +324,12 @@ class FaultyTransport final : public Transport {
   // without scanning the per-vertex arrays each round.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> rejoin_events_;
   std::size_t rejoin_cursor_ = 0;
-  // Occurrence scratch: (to, count) pairs for the current sender's block.
-  std::vector<std::pair<VertexId, std::uint32_t>> occurrence_;
+  // Occurrence numbers, O(1) per message copy: per receiver, how many
+  // copies the current sender block has addressed to it, valid only while
+  // its stamp equals block_stamp_ (bumped once per sender block).
+  std::vector<std::uint32_t> occurrence_count_;
+  std::vector<std::uint64_t> occurrence_stamp_;
+  std::uint64_t block_stamp_ = 0;
   std::size_t pending_ = 0;
   FaultCounters round_faults_;
 };

@@ -2,11 +2,11 @@
 //
 // The library never uses std::random_device or global state: every random
 // algorithm takes an explicit 64-bit seed, and per-(phase, vertex) streams
-// are derived with stream_seed(). This is what makes the centralized
-// reference implementation and the message-passing protocol of the
-// Elkin–Neiman algorithm bit-identical: both sample r_v for vertex v in
-// phase t from Xoshiro256ss(stream_seed(seed, t, v)) without sharing any
-// generator state.
+// are derived with stream_seed(). This is what makes the message-passing
+// protocol of the Elkin–Neiman algorithm bit-identical to the dense
+// reference carver the tests keep, at every thread count: both sample r_v
+// for vertex v in phase t from Xoshiro256ss(stream_seed(seed, t, v))
+// without sharing any generator state.
 #pragma once
 
 #include <array>

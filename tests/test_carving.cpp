@@ -9,6 +9,7 @@
 #include "decomposition/carve_schedule.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
+#include "reference_carver.hpp"
 #include "support/rng.hpp"
 
 namespace dsnd {
@@ -40,10 +41,10 @@ TEST(CarveEntry, InvalidNeverBeats) {
 }
 
 TEST(CarveEntry, MergeKeepsTheTopTwoCenters) {
-  // The one top-2 merge both backends run. An improved entry for the
-  // stored second center can overtake the best; a reliable synchronous
-  // broadcast never delivers one (a center's first entry is its
-  // shortest), but a delayed message under faults can.
+  // The one top-2 merge the protocol and the reference carver run. An
+  // improved entry for the stored second center can overtake the best; a
+  // reliable synchronous broadcast never delivers one (a center's first
+  // entry is its shortest), but a delayed message under faults can.
   CarveEntry best;
   CarveEntry second;
   EXPECT_TRUE(merge_entry(best, second, CarveEntry{5.0, 1, 1}));   // 4
@@ -263,14 +264,18 @@ TEST(Carve, SingleVertexGraph) {
 }
 
 TEST(Carve, RejectsBadParams) {
+  // The oracle and the library's carve reject the same bad schedules.
   const Graph g = make_path(4);
   CarveSchedule schedule;
   EXPECT_THROW(carve_decomposition(g, schedule, 1), std::invalid_argument);
+  EXPECT_THROW(run_schedule(g, schedule, 1), std::invalid_argument);
   schedule.betas = {0.0};
   EXPECT_THROW(carve_decomposition(g, schedule, 1), std::invalid_argument);
+  EXPECT_THROW(run_schedule(g, schedule, 1), std::invalid_argument);
   schedule.betas = {1.0};
   schedule.phase_rounds = 0;
   EXPECT_THROW(carve_decomposition(g, schedule, 1), std::invalid_argument);
+  EXPECT_THROW(run_schedule(g, schedule, 1), std::invalid_argument);
 }
 
 TEST(PhaseBroadcast, Top1ForwardingIsInexact) {

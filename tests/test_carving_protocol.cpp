@@ -1,6 +1,7 @@
 // Equivalence of the generic distributed carving protocol with the
-// centralized carver for all three theorem schedules (Theorem 1 is
-// covered again, more extensively, in test_elkin_neiman_distributed).
+// dense reference carver (tests/reference_carver.hpp) for all three
+// theorem schedules (Theorem 1 is covered again, more extensively, in
+// test_elkin_neiman_distributed).
 #include "decomposition/carving_protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -12,21 +13,10 @@
 #include "decomposition/multistage.hpp"
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
+#include "reference_carver.hpp"
 
 namespace dsnd {
 namespace {
-
-void expect_same_clustering(const Clustering& a, const Clustering& b) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  ASSERT_EQ(a.num_clusters(), b.num_clusters());
-  for (VertexId v = 0; v < a.num_vertices(); ++v) {
-    ASSERT_EQ(a.cluster_of(v), b.cluster_of(v)) << "v=" << v;
-  }
-  for (ClusterId c = 0; c < a.num_clusters(); ++c) {
-    ASSERT_EQ(a.center_of(c), b.center_of(c)) << "c=" << c;
-    ASSERT_EQ(a.color_of(c), b.color_of(c)) << "c=" << c;
-  }
-}
 
 /// A schedule outside the three theorem factories: `phase_rounds`
 /// broadcast rounds per phase with Lemma 1's threshold one above.
@@ -47,23 +37,17 @@ TEST(CarvingProtocol, GenericScheduleMatchesCentralized) {
     betas.push_back(1.5 / (1.0 + 0.1 * i));
   }
   const CarveSchedule schedule = hand_rolled(std::move(betas), 4);
-  const CarveResult central = carve_decomposition(g, schedule, 23);
   const DistributedRun dist = run_schedule_distributed(g, schedule, 23);
-  expect_same_clustering(central.clustering, dist.run.clustering());
-  EXPECT_EQ(central.phases_used, dist.run.carve.phases_used);
-  EXPECT_EQ(central.rounds, dist.run.carve.rounds);
-  EXPECT_EQ(central.radius_overflow, dist.run.carve.radius_overflow);
-  EXPECT_EQ(central.carved_per_phase, dist.run.carve.carved_per_phase);
+  EXPECT_EQ(carve_decomposition(g, schedule, 23), dist.run.carve);
 }
 
 TEST(CarvingProtocol, MultistageDistributedMatchesCentralized) {
   for (std::uint64_t seed : {1ULL, 2ULL}) {
     const Graph g = make_grid2d(9, 9);
     const CarveSchedule schedule = theorem2_schedule(g.num_vertices(), 3);
-    const DecompositionRun central = run_schedule(g, schedule, seed);
     const DistributedRun dist = run_schedule_distributed(g, schedule, seed);
-    expect_same_clustering(central.clustering(), dist.run.clustering());
-    EXPECT_EQ(central.carve.phases_used, dist.run.carve.phases_used);
+    EXPECT_EQ(carve_decomposition(g, schedule, seed), dist.run.carve)
+        << "seed=" << seed;
     EXPECT_LE(dist.sim.max_message_words, kCarveProtocolMaxWords);
   }
 }
@@ -72,10 +56,9 @@ TEST(CarvingProtocol, HighRadiusDistributedMatchesCentralized) {
   for (std::uint64_t seed : {1ULL, 2ULL}) {
     const Graph g = make_gnp(64, 0.1, seed);
     const CarveSchedule schedule = theorem3_schedule(g.num_vertices(), 3);
-    const DecompositionRun central = run_schedule(g, schedule, seed);
     const DistributedRun dist = run_schedule_distributed(g, schedule, seed);
-    expect_same_clustering(central.clustering(), dist.run.clustering());
-    EXPECT_EQ(central.carve.phases_used, dist.run.carve.phases_used);
+    EXPECT_EQ(carve_decomposition(g, schedule, seed), dist.run.carve)
+        << "seed=" << seed;
     EXPECT_LE(dist.sim.max_message_words, kCarveProtocolMaxWords);
   }
 }

@@ -293,7 +293,7 @@ TEST(Checkpoint, ExhaustedBudgetsFallBackAndStayNamed) {
 TEST(Checkpoint, ReliableRunsNeverRollBack) {
   // On a reliable transport the recovery loop is never consulted: no
   // rollbacks, no replayed phases, no rejoins — and the result matches
-  // the centralized reference through the usual parity (spot-checked via
+  // the dense reference carver through the usual parity (spot-checked via
   // status and validity here; the full parity matrix lives in
   // test_distributed_parity).
   const Graph g = make_gnp(128, 0.05, 5);

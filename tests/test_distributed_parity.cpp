@@ -1,8 +1,9 @@
 // The acceptance matrix for the schedule-driven carving core: for every
 // theorem x graph family x seed, the CONGEST run must be bit-identical
-// to its centralized reference on the same seed (cluster assignment,
-// centers, colors, phase count) with O(1)-word messages — the parity
-// property Theorem 1 has always had, extended to Theorems 2 and 3.
+// to the dense reference carver (tests/reference_carver.hpp) on the same
+// seed — the whole CarveResult: cluster assignment, centers, colors,
+// phase count and every counter — with O(1)-word messages, for all three
+// theorems and for the service's cover input.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,8 @@
 #include "decomposition/high_radius.hpp"
 #include "decomposition/multistage.hpp"
 #include "graph/generators.hpp"
+#include "graph/power.hpp"
+#include "reference_carver.hpp"
 
 namespace dsnd {
 namespace {
@@ -26,38 +29,20 @@ Graph make_family(const std::string& family, VertexId n,
   return family_by_name("rgg").make(n, seed);
 }
 
-/// Runs `schedule` on both backends and checks them against each other.
+/// Runs `schedule` on the engine and checks it against the reference
+/// carver: the whole CarveResult, the Las Vegas recovery accounting
+/// included.
 void expect_parity(const Graph& g, const CarveSchedule& schedule,
                    std::uint64_t seed, const std::string& label) {
-  const DecompositionRun central = run_schedule(g, schedule, seed);
   const DistributedRun dist = run_schedule_distributed(g, schedule, seed);
-  ASSERT_EQ(dist.run.carve.phases_used, central.carve.phases_used) << label;
-  ASSERT_EQ(dist.run.carve.rounds, central.carve.rounds) << label;
-  EXPECT_EQ(dist.run.carve.radius_overflow, central.carve.radius_overflow)
-      << label;
-  // The Las Vegas recovery accounting is part of the parity contract.
-  EXPECT_EQ(dist.run.carve.retries, central.carve.retries) << label;
-  EXPECT_EQ(dist.run.carve.extra_rounds, central.carve.extra_rounds)
-      << label;
-  EXPECT_EQ(dist.run.carve.carved_per_phase, central.carve.carved_per_phase)
-      << label;
-  const Clustering& a = central.clustering();
-  const Clustering& b = dist.run.clustering();
-  ASSERT_EQ(a.num_clusters(), b.num_clusters()) << label;
-  for (VertexId v = 0; v < a.num_vertices(); ++v) {
-    ASSERT_EQ(a.cluster_of(v), b.cluster_of(v)) << label << " v=" << v;
-  }
-  for (ClusterId c = 0; c < a.num_clusters(); ++c) {
-    ASSERT_EQ(a.center_of(c), b.center_of(c)) << label << " c=" << c;
-    ASSERT_EQ(a.color_of(c), b.color_of(c)) << label << " c=" << c;
-  }
+  EXPECT_EQ(carve_decomposition(g, schedule, seed), dist.run.carve) << label;
   // The engine's message metrics certify the CONGEST claim.
   EXPECT_LE(dist.sim.max_message_words, kCarveProtocolMaxWords) << label;
-  // Bounds travel with the schedule on both paths.
+  // Bounds travel with the schedule.
   EXPECT_DOUBLE_EQ(dist.run.bounds.strong_diameter,
-                   central.bounds.strong_diameter)
+                   schedule.bounds.strong_diameter)
       << label;
-  EXPECT_DOUBLE_EQ(dist.run.bounds.colors, central.bounds.colors) << label;
+  EXPECT_DOUBLE_EQ(dist.run.bounds.colors, schedule.bounds.colors) << label;
 }
 
 TEST(DistributedParity, Theorem2AcrossFamiliesAndSeeds) {
@@ -89,6 +74,16 @@ TEST(DistributedParity, Theorem1OnRgg) {
     const Graph g = make_family("rgg", 96, seed);
     expect_parity(g, theorem1_schedule(g.num_vertices(), 4), seed * 613 + 11,
                   "T1 rgg seed=" + std::to_string(seed));
+  }
+}
+
+TEST(DistributedParity, ServiceCoverInput) {
+  // The service's cover input: a W = 1 cover of a 2000-vertex ring
+  // carves G^3 with Theorem 1's schedule for n = 2000.
+  const Graph g = graph_power(make_cycle(2000), 3);
+  for (const std::uint64_t seed : kSeeds) {
+    expect_parity(g, theorem1_schedule(2000, 0, 4.0), seed,
+                  "cover G^3 seed=" + std::to_string(seed));
   }
 }
 

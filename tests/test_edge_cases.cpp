@@ -14,6 +14,7 @@
 #include "decomposition/supergraph.hpp"
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
+#include "reference_carver.hpp"
 #include "simulator/engine.hpp"
 
 namespace dsnd {
@@ -82,15 +83,12 @@ TEST(EdgeCases, BarbellBridgesSurviveCarving) {
 }
 
 TEST(EdgeCases, DistributedOnCompleteGraph) {
-  // Dense worst case for message counts; equivalence must still hold.
+  // Dense worst case for message counts; equivalence with the reference
+  // carver must still hold.
   const Graph g = make_complete(40);
   const CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 2);
   const DistributedRun dist = run_schedule_distributed(g, schedule, 9);
-  const DecompositionRun central = run_schedule(g, schedule, 9);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(dist.run.clustering().cluster_of(v),
-              central.clustering().cluster_of(v));
-  }
+  EXPECT_EQ(carve_decomposition(g, schedule, 9), dist.run.carve);
 }
 
 TEST(EdgeCases, EdgelessGraphEverywhere) {

@@ -8,6 +8,7 @@
 #include "decomposition/supergraph.hpp"
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
+#include "reference_carver.hpp"
 
 namespace dsnd {
 namespace {

@@ -12,6 +12,7 @@
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
+#include "reference_carver.hpp"
 #include "support/rng.hpp"
 
 namespace dsnd {

@@ -1,12 +1,13 @@
 // Lemma 1 recovery (the Las Vegas recarve loop): when a live vertex
-// samples r_v >= radius_overflow_at, both backends must abort the phase
+// samples r_v >= radius_overflow_at, the protocol and the dense
+// reference carver (tests/reference_carver.hpp) must abort the phase
 // before joining, resample with a fresh per-retry salt, and replay —
 // so the output is valid unconditionally, the whp guarantee upgraded to
 // Las Vegas. These tests pin the deterministic seeds found for PR 5:
 // a small-graph reproduction of the 10M-vertex seed-42 bench event
 // where a zero retry budget (the pre-PR-5 behavior) returns a flagged,
 // disconnected cluster and the default budget returns a valid
-// decomposition, bit-identical across backends and thread counts.
+// decomposition, bit-identical to the reference at every thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "decomposition/elkin_neiman.hpp"
 #include "decomposition/validation.hpp"
 #include "graph/generators.hpp"
+#include "reference_carver.hpp"
 
 namespace dsnd {
 namespace {
@@ -40,25 +42,6 @@ bool fast_valid(const Graph& g, const Clustering& clustering) {
       validate_decomposition_fast(g, clustering);
   return report.complete && report.proper_phase_coloring &&
          report.all_clusters_connected;
-}
-
-void expect_same_run(const CarveResult& a, const CarveResult& b) {
-  ASSERT_EQ(a.phases_used, b.phases_used);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.extra_rounds, b.extra_rounds);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.radius_overflow, b.radius_overflow);
-  EXPECT_DOUBLE_EQ(a.max_sampled_radius, b.max_sampled_radius);
-  EXPECT_EQ(a.carved_per_phase, b.carved_per_phase);
-  ASSERT_EQ(a.clustering.num_clusters(), b.clustering.num_clusters());
-  for (VertexId v = 0; v < a.clustering.num_vertices(); ++v) {
-    ASSERT_EQ(a.clustering.cluster_of(v), b.clustering.cluster_of(v))
-        << "v=" << v;
-  }
-  for (ClusterId c = 0; c < a.clustering.num_clusters(); ++c) {
-    ASSERT_EQ(a.clustering.center_of(c), b.clustering.center_of(c));
-    ASSERT_EQ(a.clustering.color_of(c), b.clustering.color_of(c));
-  }
 }
 
 TEST(Recarve, TruncatePinsLegacyFlaggedInvalidBehavior) {
@@ -103,76 +86,78 @@ TEST(Recarve, RetryRecoversThePreviouslyDisconnectedRun) {
 }
 
 TEST(Recarve, BackendsAgreeBitForBitAcrossThreadCounts) {
-  // The acceptance matrix of the recarve loop: centralized vs CONGEST
+  // The acceptance matrix of the recarve loop: the reference vs CONGEST
   // under forced retries, for shard counts 1, 2, 4, and 7 (7 does not
   // divide 64 — unequal shards), including the retry/round accounting.
   const Graph g = repro_graph();
   for (const std::int32_t max_retries : {kDefaultMaxRetriesPerPhase, 0}) {
     const CarveSchedule schedule = repro_schedule(max_retries);
-    const CarveResult central = carve_decomposition(g, schedule, 1);
+    const CarveResult reference = carve_decomposition(g, schedule, 1);
     for (const unsigned threads : {1u, 2u, 4u, 7u}) {
       EngineOptions engine;
       engine.threads = threads;
       const DistributedRun dist =
           run_schedule_distributed(g, schedule, 1, engine);
       SCOPED_TRACE(std::string("threads=") + std::to_string(threads));
-      expect_same_run(central, dist.run.carve);
+      EXPECT_EQ(reference, dist.run.carve);
       // The simulator really ran the replayed attempts: its round count
       // is the carve accounting (quiescence may trim the trailing
       // announce round, never more).
       EXPECT_GE(static_cast<std::int64_t>(dist.sim.rounds),
-                central.rounds - 1);
+                reference.rounds - 1);
     }
   }
 }
 
 TEST(Recarve, TheoremEntryPointsThreadThePolicy) {
-  // The schedule-level knobs reach both backends: a lowered threshold
-  // forces retries through the Theorem 1 schedule.
+  // The schedule-level knobs reach run_schedule: a lowered threshold
+  // forces retries through the Theorem 1 schedule, exactly as in the
+  // reference carver.
   const Graph g = make_gnp(96, 6.0 / 95.0, 5);
   CarveSchedule schedule = theorem1_schedule(96, 4, 4.0);
   schedule.radius_overflow_at = 3.0;
-  const DecompositionRun central = run_schedule(g, schedule, 1);
-  const DistributedRun dist = run_schedule_distributed(g, schedule, 1);
-  EXPECT_GE(central.carve.retries, 1);
-  EXPECT_FALSE(central.carve.radius_overflow);
-  expect_same_run(central.carve, dist.run.carve);
-  EXPECT_TRUE(fast_valid(g, central.clustering()));
+  const DecompositionRun run = run_schedule(g, schedule, 1);
+  EXPECT_GE(run.carve.retries, 1);
+  EXPECT_FALSE(run.carve.radius_overflow);
+  EXPECT_EQ(carve_decomposition(g, schedule, 1), run.carve);
+  EXPECT_TRUE(fast_valid(g, run.clustering()));
   // The honest round claim: measured rounds decompose exactly into the
   // executed phases plus the billed recovery cost, and on the success
   // event they must stay within the whp bound plus that cost (modulo
   // the per-phase announcement round k * lambda does not count) — the
   // comparison benches and docs prescribe via rounds_with_retries.
   const std::int64_t phase_len = schedule.phase_rounds + 1;
-  EXPECT_EQ(central.carve.rounds,
-            static_cast<std::int64_t>(central.carve.phases_used) * phase_len +
-                central.carve.extra_rounds);
-  if (central.carve.exhausted_within_target) {
+  EXPECT_EQ(run.carve.rounds,
+            static_cast<std::int64_t>(run.carve.phases_used) * phase_len +
+                run.carve.extra_rounds);
+  if (run.carve.exhausted_within_target) {
     EXPECT_LE(
-        static_cast<double>(central.carve.rounds),
-        central.bounds.rounds_with_retries(central.carve.extra_rounds) +
-            static_cast<double>(central.carve.phases_used));
+        static_cast<double>(run.carve.rounds),
+        run.bounds.rounds_with_retries(run.carve.extra_rounds) +
+            static_cast<double>(run.carve.phases_used));
   }
 }
 
 TEST(Recarve, ExhaustedBudgetFallsBackToTruncation) {
   // radius_overflow_at = 0 makes every attempt overflow: the loop burns
   // exactly max_retries_per_phase retries per phase, then accepts the
-  // truncated samples and reports the flag — in both backends alike.
+  // truncated samples and reports the flag — in the protocol and the
+  // reference alike.
   const Graph g = make_path(12);
   CarveSchedule schedule;
   schedule.betas.assign(16, 1.0);
   schedule.phase_rounds = 2;
   schedule.radius_overflow_at = 0.0;
   schedule.max_retries_per_phase = 2;
-  const CarveResult central = carve_decomposition(g, schedule, 7);
-  EXPECT_TRUE(central.radius_overflow);
-  EXPECT_EQ(central.retries, central.phases_used * 2);
+  const CarveResult reference = carve_decomposition(g, schedule, 7);
+  EXPECT_TRUE(reference.radius_overflow);
+  EXPECT_EQ(reference.retries, reference.phases_used * 2);
   const DistributedRun dist = run_schedule_distributed(g, schedule, 7);
-  expect_same_run(central, dist.run.carve);
+  EXPECT_EQ(reference, dist.run.carve);
 }
 
 TEST(Recarve, BothBackendsRejectNegativeRetryBudgets) {
+  // The protocol and the reference carver reject bad budgets alike.
   const Graph g = make_path(4);
   CarveSchedule schedule;
   schedule.betas = {1.0};
@@ -181,8 +166,8 @@ TEST(Recarve, BothBackendsRejectNegativeRetryBudgets) {
   EXPECT_THROW(carve_decomposition(g, schedule, 1), std::invalid_argument);
   EXPECT_THROW(run_schedule_distributed(g, schedule, 1),
                std::invalid_argument);
-  // The same single check rejects a beta <= 0 on both backends, before
-  // any round: c * n < 1 makes every Theorem 1 beta = ln(cn)/k negative.
+  // The same single check rejects a beta <= 0 in both, before any
+  // round: c * n < 1 makes every Theorem 1 beta = ln(cn)/k negative.
   // n = 5000 puts the distributed sampling pass above the parallel
   // threshold, so at two threads a missing check would surface on a
   // worker thread instead of the caller's.

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "decomposition/carving_protocol.hpp"
@@ -26,6 +27,7 @@
 #include "decomposition/multistage.hpp"
 #include "graph/generators.hpp"
 #include "simulator/engine.hpp"
+#include "support/rng.hpp"
 
 namespace dsnd {
 namespace {
@@ -422,6 +424,85 @@ TEST(Transport, ReorderIsDeterministicAndAPermutation) {
   }
   // The chosen seed must actually exercise the reorder path.
   EXPECT_TRUE(any_reordered);
+}
+
+/// Round 0: every vertex sends three unicasts to its first neighbor, one
+/// broadcast, then two unicasts to its second neighbor; payload i is the
+/// send's index. Records each inbox as (sender, payload) pairs.
+class RepeatedSends final : public Protocol {
+ public:
+  void begin(const Graph& g) override {
+    graph_ = &g;
+    inboxes_.assign(static_cast<std::size_t>(g.num_vertices()), {});
+  }
+  void on_round(VertexId v, std::size_t round,
+                std::span<const MessageView> inbox, Outbox& out) override {
+    for (const MessageView& msg : inbox) {
+      inboxes_[static_cast<std::size_t>(v)].emplace_back(msg.from,
+                                                         msg.words[0]);
+    }
+    if (round != 0) return;
+    const std::span<const VertexId> row = graph_->neighbors(v);
+    for (std::uint64_t i = 0; i < 3; ++i) out.send(row[0], {i});
+    out.send_to_all_neighbors({std::uint64_t{3}});
+    for (std::uint64_t i = 4; i < 6; ++i) out.send(row[1], {i});
+  }
+  bool finished() const override { return false; }
+
+  const Graph* graph_ = nullptr;
+  std::vector<std::vector<std::pair<VertexId, std::uint64_t>>> inboxes_;
+};
+
+TEST(Transport, OccurrenceNumbersCountRepeatsPerReceiver) {
+  // The k-th copy from one sender to one receiver in a round is
+  // occurrence k - 1, however the copies are split between unicasts and
+  // broadcasts and whatever else the sender addresses in between. The
+  // reference model replays RepeatedSends' stream in sender order and
+  // keeps each copy whose (seed, round, from + 1, to + 1, occurrence)
+  // draw survives the drop rate.
+  const Graph g = make_cycle(24);
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.drop_rate = 0.5;
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  std::vector<std::vector<std::pair<VertexId, std::uint64_t>>> expected(n);
+  std::uint64_t expected_drops = 0;
+  for (VertexId from = 0; from < g.num_vertices(); ++from) {
+    const std::span<const VertexId> row = g.neighbors(from);
+    std::vector<std::pair<VertexId, std::uint64_t>> sends;
+    for (std::uint64_t i = 0; i < 3; ++i) sends.emplace_back(row[0], i);
+    for (const VertexId to : row) sends.emplace_back(to, 3);
+    for (std::uint64_t i = 4; i < 6; ++i) sends.emplace_back(row[1], i);
+    std::vector<std::uint32_t> occurrences(n, 0);
+    for (const auto& [to, payload] : sends) {
+      const std::uint32_t occurrence =
+          occurrences[static_cast<std::size_t>(to)]++;
+      Xoshiro256ss rng(stream_seed(
+          stream_seed(plan.seed, 0, static_cast<std::uint64_t>(from) + 1),
+          static_cast<std::uint64_t>(to) + 1, occurrence));
+      if (uniform_unit(rng) < plan.drop_rate) {
+        ++expected_drops;
+      } else {
+        expected[static_cast<std::size_t>(to)].emplace_back(from, payload);
+      }
+    }
+  }
+  ASSERT_GT(expected_drops, 0u);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    FaultyTransport transport(plan);
+    EngineOptions engine;
+    engine.threads = threads;
+    engine.transport = &transport;
+    RepeatedSends protocol;
+    SyncEngine sim(g, engine);
+    const SimMetrics metrics = sim.run(protocol, 4);
+    EXPECT_EQ(metrics.faults.dropped, expected_drops)
+        << "threads=" << threads;
+    for (std::size_t v = 0; v < n; ++v) {
+      EXPECT_EQ(protocol.inboxes_[v], expected[v])
+          << "threads=" << threads << " v=" << v;
+    }
+  }
 }
 
 /// Never finishes and runs every vertex every round: the protocol shape

@@ -22,6 +22,7 @@
 #include "decomposition/high_radius.hpp"
 #include "decomposition/multistage.hpp"
 #include "graph/generators.hpp"
+#include "reference_carver.hpp"
 #include "simulator/engine.hpp"
 #include "simulator/transport.hpp"
 
