@@ -1,5 +1,6 @@
 // E10 — google-benchmark microbenches for the library's kernels: graph
-// generation, BFS, full decompositions (a cold carve through
+// generation (a 1M RGG at 4 threads among them), relabeling (the
+// grid-bucket layout of a 1M RGG), BFS, full decompositions (a cold carve through
 // run_schedule, and a warm CONGEST carve of a 20k and a 1M RGG on a
 // reused context), the MPX partition, Luby's MIS, validation (the fast
 // gate on a 1M RGG carve), and the service's deliverable kernels at the
@@ -50,6 +51,35 @@ void BM_GridGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_GridGeneration)->Arg(32)->Arg(128);
 
+double rgg_radius(VertexId n) {
+  // Expected average degree n * pi * r^2 = 8.
+  return std::sqrt(8.0 / (3.14159265358979 * n));
+}
+
+/// make_rgg_geometric at 4 threads, the pipeline's generation layer.
+void BM_RggGeneration(benchmark::State& state) {
+  const auto n = static_cast<VertexId>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(make_rgg_geometric(n, rgg_radius(n), 42, 4));
+  }
+}
+BENCHMARK(BM_RggGeneration)->Arg(1000000)->Unit(benchmark::kMillisecond);
+
+/// The pipeline's relabeling layer: the grid-bucket layout of a
+/// point-order RGG and apply_layout under it.
+void BM_ApplyLayoutRgg(benchmark::State& state) {
+  const auto n = static_cast<VertexId>(state.range(0));
+  const double radius = rgg_radius(n);
+  const GeometricGraph rgg = make_rgg_geometric(n, radius, 42, 4);
+  const auto cells =
+      static_cast<std::int32_t>(std::max(1.0, std::floor(1.0 / radius)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(make_layout_graph(
+        rgg.graph, grid_bucket_layout(rgg.x, rgg.y, cells)));
+  }
+}
+BENCHMARK(BM_ApplyLayoutRgg)->Arg(1000000)->Unit(benchmark::kMillisecond);
+
 void BM_Bfs(benchmark::State& state) {
   const Graph g = bench_graph(state.range(0));
   for (auto _ : state) {
@@ -74,7 +104,7 @@ BENCHMARK(BM_ElkinNeiman)->Arg(1024)->Arg(4096)
 /// the service and the 1M pipeline carve.
 void BM_DistributedCarveRgg(benchmark::State& state) {
   const auto n = static_cast<VertexId>(state.range(0));
-  const double radius = std::sqrt(8.0 / (3.14159265358979 * n));
+  const double radius = rgg_radius(n);
   const GeometricGraph rgg = make_rgg_geometric(n, radius, 42);
   const auto cells =
       static_cast<std::int32_t>(std::max(1.0, std::floor(1.0 / radius)));
@@ -145,8 +175,7 @@ BENCHMARK(BM_ValidateDecomposition)->Arg(1024)->Arg(4096)
 /// c = 4), built once: the gate every validated carve passes.
 void BM_ValidateDecompositionFast(benchmark::State& state) {
   const VertexId n = 1000000;
-  const Graph g =
-      make_rgg(n, std::sqrt(8.0 / (3.14159265358979 * n)), 42);
+  const Graph g = make_rgg(n, rgg_radius(n), 42);
   const DecompositionRun run =
       run_schedule(g, theorem1_schedule(n, 0, 4.0), 7);
   for (auto _ : state) {

@@ -249,31 +249,109 @@ FastDecompositionReport validate_decomposition_fast(
                "clustering does not match graph");
   FastDecompositionReport report;
   report.complete = clustering.is_complete();
-  report.proper_phase_coloring = phase_coloring_is_proper(g, clustering);
   report.num_clusters = clustering.num_clusters();
   report.num_colors = clustering.num_colors();
 
-  const ClusterMembers members = clustering.members_csr();
-  BfsArena arena(g.num_vertices());
+  // Every assigned vertex gets a position: its index in member order
+  // (clusters in id order, members in increasing vertex order), so each
+  // cluster is one run of positions.
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const auto num_clusters = static_cast<std::size_t>(report.num_clusters);
+  struct Slot {
+    ClusterId cluster;
+    VertexId position;
+  };
+  std::vector<Slot> slot(n);
+  std::vector<std::int32_t> color(num_clusters);
+  std::vector<VertexId> start(num_clusters + 1, 0);
+  for (std::size_t c = 0; c < num_clusters; ++c) {
+    color[c] = clustering.color_of(static_cast<ClusterId>(c));
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    const ClusterId c = clustering.cluster_of(static_cast<VertexId>(v));
+    slot[v].cluster = c;
+    if (c != kNoCluster) ++start[static_cast<std::size_t>(c) + 1];
+  }
+  for (std::size_t c = 0; c < num_clusters; ++c) start[c + 1] += start[c];
+  const auto assigned = static_cast<std::size_t>(start[num_clusters]);
+  {
+    std::vector<VertexId> cursor(start.begin(), start.end() - 1);
+    for (Slot& at : slot) {
+      if (at.cluster == kNoCluster) continue;
+      at.position = cursor[static_cast<std::size_t>(at.cluster)]++;
+    }
+  }
+
+  // One pass over g in vertex order decides the phase coloring (an edge
+  // between two clusters of one color) and keeps every edge inside a
+  // cluster as a position, recording where each position's kept row
+  // starts and its length. Edges at unassigned vertices are skipped.
+  bool proper = true;
+  const std::span<const std::int64_t> g_offsets = g.csr_offsets();
+  const std::span<const VertexId> g_adjacency = g.csr_adjacency();
+  const std::size_t entries = g_adjacency.size();
+  constexpr std::size_t kAhead = 32;
+  std::vector<VertexId> kept;
+  kept.reserve(entries);  // pages never written stay free
+  std::vector<std::size_t> kept_at(assigned);
+  std::vector<std::int64_t> offsets(assigned + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const Slot at = slot[v];
+    if (at.cluster == kNoCluster) continue;
+    const std::size_t first = kept.size();
+    for (auto i = static_cast<std::size_t>(g_offsets[v]);
+         i < static_cast<std::size_t>(g_offsets[v + 1]); ++i) {
+      if (i + kAhead < entries) {
+        __builtin_prefetch(slot.data() + g_adjacency[i + kAhead]);
+      }
+      const Slot other = slot[static_cast<std::size_t>(g_adjacency[i])];
+      if (other.cluster == at.cluster) {
+        kept.push_back(other.position);
+      } else if (other.cluster != kNoCluster &&
+                 color[static_cast<std::size_t>(other.cluster)] ==
+                     color[static_cast<std::size_t>(at.cluster)]) {
+        proper = false;
+      }
+    }
+    const auto position = static_cast<std::size_t>(at.position);
+    kept_at[position] = first;
+    offsets[position + 1] = static_cast<std::int64_t>(kept.size() - first);
+  }
+  report.proper_phase_coloring = proper;
+
+  // The cluster-induced graph on positions: every component lies inside
+  // one cluster, and since positions ascend with vertex id inside a
+  // cluster, its rows list each member's same-cluster neighbours in the
+  // order g does. A sweep from a position therefore visits the vertices
+  // a sweep restricted to the cluster would, in the same order.
+  for (std::size_t p = 0; p < assigned; ++p) offsets[p + 1] += offsets[p];
+  std::vector<VertexId> adjacency(static_cast<std::size_t>(offsets[assigned]));
+  for (std::size_t p = 0; p < assigned; ++p) {
+    const auto row = kept.begin() + static_cast<std::ptrdiff_t>(kept_at[p]);
+    std::copy(row, row + (offsets[p + 1] - offsets[p]),
+              adjacency.begin() + offsets[p]);
+  }
+  const Graph induced =
+      Graph::from_csr(std::move(offsets), std::move(adjacency));
+
+  BfsArena arena(induced.num_vertices());
   std::int64_t total_size = 0;
-  for (ClusterId c = 0; c < clustering.num_clusters(); ++c) {
-    const auto cluster = members.of(c);
-    DSND_CHECK(!cluster.empty(), "empty cluster in clustering");
-    const auto size = static_cast<VertexId>(cluster.size());
+  for (std::size_t c = 0; c < num_clusters; ++c) {
+    const VertexId size = start[c + 1] - start[c];
+    DSND_CHECK(size > 0, "empty cluster in clustering");
     total_size += static_cast<std::int64_t>(size);
     report.max_cluster_size = std::max(report.max_cluster_size, size);
 
-    const VertexId center = clustering.center_of(c);
-    const bool center_is_member = clustering.cluster_of(center) == c;
+    const VertexId center = clustering.center_of(static_cast<ClusterId>(c));
+    const Slot at_center = slot[static_cast<std::size_t>(center)];
+    const bool center_is_member =
+        at_center.cluster == static_cast<ClusterId>(c);
     if (!center_is_member) ++report.centerless_clusters;
-    const VertexId root = center_is_member ? center : cluster.front();
+    const VertexId root = center_is_member ? at_center.position : start[c];
 
-    const auto in_cluster = [&clustering, c](VertexId v) {
-      return clustering.cluster_of(v) == c;
-    };
     // Sweep 1 from the root: connectivity, the exact center radius (when
     // the root is the center), and the 2*ecc upper bound.
-    const SweepResult first = sweep(g, root, in_cluster, arena);
+    const SweepResult first = sweep(induced, root, AdmitAll{}, arena);
     const bool connected = first.reached == size;
     if (!connected) ++report.disconnected_clusters;
     fold_max(report.max_radius_from_center,
@@ -284,7 +362,7 @@ FastDecompositionReport validate_decomposition_fast(
     // bound (exact on trees).
     if (connected) {
       const SweepResult second =
-          sweep(g, first.farthest, in_cluster, arena);
+          sweep(induced, first.farthest, AdmitAll{}, arena);
       fold_max(report.strong_diameter_lower, second.ecc);
     } else {
       fold_max(report.strong_diameter_lower, kInfiniteDiameter);

@@ -8,20 +8,23 @@
 // engine scale.
 //
 // validate_decomposition_fast is the O(n + m) batch tier for the
-// million-vertex engine runs: two restricted BFS sweeps per cluster over
-// shared scratch arrays (no induced-subgraph copies, no per-cluster
-// allocations). It checks completeness, the phase coloring, connectivity
-// and center radius *exactly*, and brackets the strong diameter between
-// a double-sweep lower bound and the 2 * radius upper bound — the upper
-// bound is precisely the certificate the paper's Claim 3 provides
+// million-vertex engine runs: two BFS sweeps per cluster over shared
+// scratch arrays (no per-cluster allocations). It checks completeness,
+// the phase coloring, connectivity and center radius *exactly*, and
+// brackets the strong diameter between a double-sweep lower bound and
+// the 2 * radius upper bound — the upper bound is precisely the
+// certificate the paper's Claim 3 provides
 // (radius <= k-1 from the center gives strong diameter <= 2k-2), so
 // is_strong_decomposition() on the fast report is a sound, conservative
 // check of the theorems' guarantees — and the one gate both the lossy
 // recovery loop and the service apply before answering kOk.
 //
-// Neither tier copies subgraphs: every sweep is the library's bfs()
-// (graph/traversal.hpp) restricted by comparing cluster ids, over one
-// BfsArena per call.
+// Every sweep is the library's bfs() (graph/traversal.hpp) over one
+// BfsArena per call. The brute-force tier restricts it by comparing
+// cluster ids. The fast tier builds the cluster-induced subgraph once, in
+// one pass over g in vertex order that also decides the coloring: its
+// vertices are positions in member order, so each sweep reads one
+// cluster's contiguous rows instead of chasing g's rows at random.
 #pragma once
 
 #include <cstdint>
@@ -116,10 +119,14 @@ struct FastDecompositionReport {
   /// No color bound: a run carves to completion, so overtime phases may
   /// use more colors than the schedule's lambda.
   bool is_strong_decomposition(double diameter_bound) const;
+
+  /// Every field equal.
+  bool operator==(const FastDecompositionReport&) const = default;
 };
 
-/// Batch validator for engine-scale runs: O(n + m) total, two restricted
-/// BFS sweeps per cluster over arena scratch shared across clusters.
+/// Batch validator for engine-scale runs: O(n + m) total, two BFS sweeps
+/// per cluster on the cluster-induced subgraph, over arena scratch
+/// shared across clusters.
 FastDecompositionReport validate_decomposition_fast(
     const Graph& g, const Clustering& clustering);
 

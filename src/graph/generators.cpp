@@ -56,12 +56,13 @@ void parallel_chunks(std::size_t items, unsigned threads, Fn&& fn) {
 }
 
 /// Counting-CSR assembly over per-chunk edge lists (shared by make_gnp
-/// and make_rgg_geometric): degree count, prefix sum, and a cursor
-/// scatter of both directions walking chunks in order. make_gnp's
+/// and make_hyperbolic_geometric): degree count, prefix sum, and a
+/// cursor scatter of both directions walking chunks in order. make_gnp's
 /// row-major edge streams leave every row sorted by construction
 /// (lower neighbors in increasing w during the row's own step, upper
 /// neighbors in increasing row afterwards — lower < row < upper), so it
-/// skips the per-row sort; cell-scan-order streams (rgg) request it.
+/// skips the per-row sort; band-scan-order streams (hyperbolic) request
+/// it. make_rgg_geometric needs no edge list: it writes its rows directly.
 Graph csr_from_chunk_edges(std::size_t count,
                            const std::vector<std::vector<Edge>>& chunk_edges,
                            bool sort_rows, unsigned workers) {
@@ -634,55 +635,89 @@ GeometricGraph make_rgg_geometric(VertexId n, double radius,
     ++cell_start[cell + 1];
   }
   for (std::size_t c = 0; c < cells; ++c) cell_start[c + 1] += cell_start[c];
-  std::vector<VertexId> members(count);
+
+  // The points in cell order, coordinates beside their ids: both passes
+  // below read a point's 3x3 block as three contiguous runs of slots.
+  struct CellPoint {
+    double x;
+    double y;
+    VertexId id;
+  };
+  std::vector<CellPoint> points(count);
   {
     std::vector<std::size_t> fill(cell_start.begin(), cell_start.end() - 1);
     for (std::size_t i = 0; i < count; ++i) {
       const auto cell = static_cast<std::size_t>(cell_coord(y[i])) *
                             static_cast<std::size_t>(side) +
                         static_cast<std::size_t>(cell_coord(x[i]));
-      members[fill[cell]++] = static_cast<VertexId>(i);
+      points[fill[cell]++] = {x[i], y[i], static_cast<VertexId>(i)};
     }
   }
 
-  // Edge enumeration in point chunks: chunk c finds the partners j > i of
-  // its own points i, so every pair is found exactly once and the union
-  // over chunks never depends on the chunking.
+  // Calls visit(partner) for every other point within the radius of the
+  // point in `slot`. The distance test is symmetric (a - b is exactly
+  // -(b - a)), so each pair is found from both ends and no edge list is
+  // needed: a point's partners are its row.
   const double r2 = radius * radius;
-  std::vector<std::vector<Edge>> chunk_edges(workers);
-  parallel_chunks(count, workers,
-                  [&](unsigned worker, std::size_t begin, std::size_t end) {
-    std::vector<Edge>& edges = chunk_edges[worker];
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::int32_t cx = cell_coord(x[i]);
-      const std::int32_t cy = cell_coord(y[i]);
-      for (std::int32_t gy = std::max(cy - 1, 0);
-           gy <= std::min(cy + 1, side - 1); ++gy) {
-        for (std::int32_t gx = std::max(cx - 1, 0);
-             gx <= std::min(cx + 1, side - 1); ++gx) {
-          const auto cell = static_cast<std::size_t>(gy) *
-                                static_cast<std::size_t>(side) +
-                            static_cast<std::size_t>(gx);
-          for (std::size_t slot = cell_start[cell];
-               slot < cell_start[cell + 1]; ++slot) {
-            const auto j = static_cast<std::size_t>(members[slot]);
-            if (j <= i) continue;  // each pair once
-            const double dx = x[i] - x[j];
-            const double dy = y[i] - y[j];
-            if (dx * dx + dy * dy <= r2) {
-              edges.push_back(Edge{static_cast<VertexId>(i),
-                                   static_cast<VertexId>(j)});
-            }
-          }
-        }
+  auto for_each_partner = [&](std::size_t slot, auto&& visit) {
+    const CellPoint& p = points[slot];
+    const std::int32_t cx = cell_coord(p.x);
+    const std::int32_t cy = cell_coord(p.y);
+    const auto x_lo = static_cast<std::size_t>(std::max(cx - 1, 0));
+    const auto x_hi = static_cast<std::size_t>(std::min(cx + 1, side - 1));
+    for (std::int32_t gy = std::max(cy - 1, 0);
+         gy <= std::min(cy + 1, side - 1); ++gy) {
+      const std::size_t row = static_cast<std::size_t>(gy) *
+                              static_cast<std::size_t>(side);
+      for (std::size_t other = cell_start[row + x_lo];
+           other < cell_start[row + x_hi + 1]; ++other) {
+        const CellPoint& q = points[other];
+        const double dx = p.x - q.x;
+        const double dy = p.y - q.y;
+        if (dx * dx + dy * dy <= r2 && other != slot) visit(q.id);
       }
     }
-  });
+  };
 
-  // Rows receive cell-scan-order entries, so the assembly sorts each
-  // (tiny, avg degree ~ n*pi*r^2) row.
-  result.graph =
-      csr_from_chunk_edges(count, chunk_edges, /*sort_rows=*/true, workers);
+  // Pass 1 counts each point's row, pass 2 writes it at its offset and
+  // sorts it; both run in chunks of cell-order slots, and a point's row
+  // does not depend on the chunking.
+  std::vector<std::int64_t> offsets(count + 1, 0);
+  parallel_chunks(count, workers,
+                  [&](unsigned, std::size_t begin, std::size_t end) {
+                    for (std::size_t slot = begin; slot < end; ++slot) {
+                      std::int64_t degree = 0;
+                      for_each_partner(slot, [&](VertexId) { ++degree; });
+                      offsets[static_cast<std::size_t>(points[slot].id) +
+                              1] = degree;
+                    }
+                  });
+  for (std::size_t v = 0; v < count; ++v) offsets[v + 1] += offsets[v];
+  std::vector<VertexId> adjacency(static_cast<std::size_t>(offsets[count]));
+  std::vector<char> overflowed(workers, 0);
+  parallel_chunks(
+      count, workers,
+      [&](unsigned worker, std::size_t begin, std::size_t end) {
+        for (std::size_t slot = begin; slot < end; ++slot) {
+          const auto id = static_cast<std::size_t>(points[slot].id);
+          const auto row = adjacency.begin() + offsets[id];
+          const auto row_end = adjacency.begin() + offsets[id + 1];
+          auto out = row;
+          for_each_partner(slot, [&](VertexId partner) {
+            if (out == row_end) {
+              overflowed[worker] = 1;
+              return;
+            }
+            *out++ = partner;
+          });
+          if (out != row_end) overflowed[worker] = 1;
+          std::sort(row, out);
+        }
+      });
+  DSND_CHECK(std::none_of(overflowed.begin(), overflowed.end(),
+                          [](char flag) { return flag != 0; }),
+             "rgg rows differ between the count and the fill");
+  result.graph = Graph::from_csr(std::move(offsets), std::move(adjacency));
   return result;
 }
 

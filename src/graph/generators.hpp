@@ -121,8 +121,9 @@ struct GeometricGraph {
 /// the 3x3 block): expected O(n + m) work, so million-vertex instances
 /// are cheap. Expected average degree ~ n * pi * radius^2.
 /// Stream splitting: point i's coordinates come from its own stream
-/// stream_seed(seed, tag, i), and edges are enumerated in chunks of
-/// points, so generation parallelizes without changing the output.
+/// stream_seed(seed, tag, i), and rows are counted, then written, in
+/// chunks of cell-order points, so generation parallelizes without
+/// changing the output.
 GeometricGraph make_rgg_geometric(VertexId n, double radius,
                                   std::uint64_t seed, unsigned threads = 1);
 

@@ -81,21 +81,53 @@ Graph apply_layout(const Graph& g, const Permutation& layout) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
   DSND_REQUIRE(layout.to_new.size() == n && layout.to_old.size() == n,
                "layout size must match the graph");
+  // Row v of the result has the degree of old vertex to_old[v].
+  const std::span<const std::int64_t> old_offsets = g.csr_offsets();
+  const std::span<const VertexId> old_adjacency = g.csr_adjacency();
   std::vector<std::int64_t> offsets(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    offsets[v + 1] =
-        offsets[v] +
-        g.degree(layout.to_old[v]);
+    const auto old_v = static_cast<std::size_t>(layout.to_old[v]);
+    DSND_REQUIRE(old_v < n, "layout entry out of range");
+    offsets[v + 1] = offsets[v] + old_offsets[old_v + 1] - old_offsets[old_v];
   }
+  // Filled by transposition: walking new ids v in ascending order, v is
+  // appended to the row of each new neighbour. Rows are symmetric, so
+  // every row receives its entries in increasing order and needs no sort.
+  // Old rows are read in layout order, so each is prefetched 16 steps
+  // ahead (its offset 32). The fill stops at a full row: the rows hold
+  // exactly offsets[n] entries, so a broken symmetry invariant fails the
+  // check below instead of writing out of bounds.
+  constexpr std::size_t kAhead = 16;
   std::vector<VertexId> adjacency(static_cast<std::size_t>(offsets[n]));
+  std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
+  bool out_of_range = false;
+  bool overflow = false;
   for (std::size_t v = 0; v < n; ++v) {
-    auto out = adjacency.begin() + offsets[v];
-    for (const VertexId w : g.neighbors(layout.to_old[v])) {
-      *out++ = layout.to_new[static_cast<std::size_t>(w)];
+    if (v + 2 * kAhead < n) {
+      __builtin_prefetch(old_offsets.data() + layout.to_old[v + 2 * kAhead]);
     }
-    std::sort(adjacency.begin() + offsets[v],
-              adjacency.begin() + offsets[v + 1]);
+    if (v + kAhead < n) {
+      const auto ahead = static_cast<std::size_t>(layout.to_old[v + kAhead]);
+      __builtin_prefetch(old_adjacency.data() + old_offsets[ahead]);
+    }
+    const auto old_v = static_cast<std::size_t>(layout.to_old[v]);
+    for (std::int64_t i = old_offsets[old_v]; i < old_offsets[old_v + 1];
+         ++i) {
+      const auto row = static_cast<std::size_t>(
+          layout.to_new[static_cast<std::size_t>(
+              old_adjacency[static_cast<std::size_t>(i)])]);
+      if (row >= n) {
+        out_of_range = true;
+      } else if (cursor[row] == offsets[row + 1]) {
+        overflow = true;
+      } else {
+        adjacency[static_cast<std::size_t>(cursor[row]++)] =
+            static_cast<VertexId>(v);
+      }
+    }
   }
+  DSND_REQUIRE(!out_of_range, "layout entry out of range");
+  DSND_CHECK(!overflow, "apply_layout needs a symmetric graph");
   return Graph::from_csr(std::move(offsets), std::move(adjacency));
 }
 

@@ -54,7 +54,12 @@ Permutation grid_bucket_layout(std::span<const double> x,
                                std::span<const double> y,
                                std::int32_t cells_per_side);
 
-/// Rebuilds g with every vertex v renamed to layout.to_new[v]. O(n + m).
+/// Rebuilds g with every vertex v renamed to layout.to_new[v]. O(n + m):
+/// the new rows are filled by transposition, walking new ids in
+/// ascending order and appending each to its new neighbours' rows, so
+/// they come out sorted with no sort. g must be symmetric: a new row
+/// that would receive more entries than its degree throws
+/// std::logic_error instead of writing out of bounds.
 Graph apply_layout(const Graph& g, const Permutation& layout);
 
 /// A relabeled graph bundled with the layout that produced it — what the

@@ -148,7 +148,6 @@ GraphCheckReport check_csr(std::span<const std::int64_t> offsets,
 
   // Row-local checks: range, self-loops, ordering, duplicates.
   std::vector<VertexId> degrees(static_cast<std::size_t>(n), 0);
-  std::vector<bool> row_sorted(static_cast<std::size_t>(n), true);
   for (VertexId v = 0; v < n; ++v) {
     if (!row_usable[static_cast<std::size_t>(v)]) continue;
     const std::int64_t begin = offsets[static_cast<std::size_t>(v)];
@@ -182,7 +181,6 @@ GraphCheckReport check_csr(std::span<const std::int64_t> offsets,
                    "row of vertex " + std::to_string(v) +
                        " not sorted: " + std::to_string(w) + " after " +
                        std::to_string(prev));
-          row_sorted[static_cast<std::size_t>(v)] = false;
         }
       }
       prev = w;
@@ -190,26 +188,60 @@ GraphCheckReport check_csr(std::span<const std::int64_t> offsets,
     }
   }
 
-  // Symmetry: every entry needs its reverse — binary search in sorted
-  // rows (the common case, O(m log deg) total), linear scan in rows
-  // already flagged as unsorted so the verdict stays exact.
+  // Symmetry: entry w in row v needs v in row w, that is w in row v of
+  // the transpose. The transpose of the usable rows' valid entries,
+  // built in source order, has sorted rows, so the entries of a sorted
+  // row are looked up in their own transposed row by one merge walk. An
+  // entry below its predecessor (an unsorted row, or one whose order an
+  // out-of-range entry breaks) restarts the walk with a binary search.
+  const auto counts_as_edge = [&](VertexId v, VertexId w) {
+    return w >= 0 && w < n && w != v &&
+           row_usable[static_cast<std::size_t>(w)];
+  };
+  const auto for_each_edge_entry = [&](auto&& fn) {
+    for (VertexId v = 0; v < n; ++v) {
+      if (!row_usable[static_cast<std::size_t>(v)]) continue;
+      for (std::int64_t i = offsets[static_cast<std::size_t>(v)];
+           i < offsets[static_cast<std::size_t>(v) + 1]; ++i) {
+        const VertexId w = adjacency[static_cast<std::size_t>(i)];
+        if (counts_as_edge(v, w)) fn(v, w);
+      }
+    }
+  };
+  std::vector<std::int64_t> transpose_start(static_cast<std::size_t>(n) + 1,
+                                            0);
+  for_each_edge_entry([&](VertexId, VertexId w) {
+    ++transpose_start[static_cast<std::size_t>(w) + 1];
+  });
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+    transpose_start[v + 1] += transpose_start[v];
+  }
+  std::vector<VertexId> transpose(
+      static_cast<std::size_t>(transpose_start.back()));
+  {
+    std::vector<std::int64_t> cursor(transpose_start.begin(),
+                                     transpose_start.end() - 1);
+    for_each_edge_entry([&](VertexId v, VertexId w) {
+      transpose[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(w)]++)] = v;
+    });
+  }
   for (VertexId v = 0; v < n; ++v) {
     if (!row_usable[static_cast<std::size_t>(v)]) continue;
+    const auto reverse_begin =
+        transpose.begin() + transpose_start[static_cast<std::size_t>(v)];
+    const auto reverse_end =
+        transpose.begin() + transpose_start[static_cast<std::size_t>(v) + 1];
+    auto walk = reverse_begin;
+    VertexId prev = -1;
     for (std::int64_t i = offsets[static_cast<std::size_t>(v)];
          i < offsets[static_cast<std::size_t>(v) + 1]; ++i) {
       const VertexId w = adjacency[static_cast<std::size_t>(i)];
-      if (w < 0 || w >= n || w == v) continue;  // already reported
-      if (!row_usable[static_cast<std::size_t>(w)]) continue;
-      const auto begin = adjacency.begin() +
-                         static_cast<std::ptrdiff_t>(
-                             offsets[static_cast<std::size_t>(w)]);
-      const auto end = adjacency.begin() +
-                       static_cast<std::ptrdiff_t>(
-                           offsets[static_cast<std::size_t>(w) + 1]);
-      const bool found = row_sorted[static_cast<std::size_t>(w)]
-                             ? std::binary_search(begin, end, v)
-                             : std::find(begin, end, v) != end;
-      if (!found) {
+      if (!counts_as_edge(v, w)) continue;  // reported above, or unusable
+      if (w < prev) walk = std::lower_bound(reverse_begin, reverse_end, w);
+      while (walk != reverse_end && *walk < w) ++walk;
+      prev = w;
+      if (walk == reverse_end || *walk != w) {
         sink.add(GraphIssueKind::kAsymmetric,
                  "vertex " + std::to_string(w) + " appears in the row of " +
                      std::to_string(v) + " but not vice versa");

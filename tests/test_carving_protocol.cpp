@@ -41,6 +41,16 @@ TEST(CarvingProtocol, GenericScheduleMatchesCentralized) {
   EXPECT_EQ(carve_decomposition(g, schedule, 23), dist.run.carve);
 }
 
+TEST(CarvingProtocol, Theorem3OnRggMatchesCentralized) {
+  // Theorem 3's long phases carry entries many hops, so second entries
+  // decide joins far from their centers: a protocol forwarding only its
+  // best entry diverges from the oracle on this input.
+  const Graph g = family_by_name("rgg").make(2000, 6);
+  const CarveSchedule schedule = theorem3_schedule(g.num_vertices(), 3);
+  const DistributedRun dist = run_schedule_distributed(g, schedule, 29);
+  EXPECT_EQ(carve_decomposition(g, schedule, 29), dist.run.carve);
+}
+
 TEST(CarvingProtocol, MultistageDistributedMatchesCentralized) {
   for (std::uint64_t seed : {1ULL, 2ULL}) {
     const Graph g = make_grid2d(9, 9);

@@ -135,9 +135,23 @@ TEST(Chkgraph, UnsortedRowIsCaught) {
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has(GraphIssueKind::kUnsortedRow))
       << format_report(report);
-  // The symmetry pass must still find reverse edges in the unsorted row
-  // (it falls back to a linear scan), so no spurious asymmetry.
+  // The symmetry pass must still find the unsorted row's reverse edges
+  // (a descent restarts its merge walk with a binary search), so no
+  // spurious asymmetry.
   EXPECT_FALSE(report.has(GraphIssueKind::kAsymmetric))
+      << format_report(report);
+}
+
+TEST(Chkgraph, OutOfRangeEntryLeavesNoSpuriousAsymmetry) {
+  // Row 1 is {5, -1, 2}: the out-of-range entry hides that 2 follows 5,
+  // so the row is not reported unsorted. Every reverse edge exists, and
+  // the out-of-range entry must be the only issue; a binary search in
+  // row 1 for 5 would miss it.
+  const std::vector<std::int64_t> offsets = {0, 0, 3, 4, 4, 4, 5};
+  const std::vector<VertexId> adjacency = {5, -1, 2, 1, 1};
+  const GraphCheckReport report = check_csr(offsets, adjacency);
+  EXPECT_EQ(report.total_issues, 1) << format_report(report);
+  EXPECT_TRUE(report.has(GraphIssueKind::kOutOfRange))
       << format_report(report);
 }
 

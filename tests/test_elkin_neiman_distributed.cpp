@@ -31,6 +31,20 @@ TEST(Distributed, BitIdenticalToCentralizedReference) {
   }
 }
 
+TEST(Distributed, BitIdenticalToReferenceOnHyperbolicHubs) {
+  // Hubs hear many centers at once, so a vertex's second entry often
+  // decides a neighbour's join: a protocol forwarding only its best entry
+  // diverges from the oracle here, while the small inputs above miss it.
+  for (const std::uint64_t seed : {3ULL, 4ULL}) {
+    const Graph g = family_by_name("hyperbolic").make(1024, seed);
+    const CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 4);
+    const DistributedRun dist =
+        run_schedule_distributed(g, schedule, seed * 7 + 1);
+    EXPECT_EQ(carve_decomposition(g, schedule, seed * 7 + 1), dist.run.carve)
+        << "hyperbolic seed=" << seed;
+  }
+}
+
 TEST(Distributed, MessagesAreCongestWidth) {
   const Graph g = make_gnp(80, 0.08, 3);
   const DistributedRun dist =

@@ -225,6 +225,41 @@ TEST(Generators, RggIndependentOfChunkCount) {
   }
 }
 
+TEST(Generators, RggFingerprintsPinned) {
+  // Fingerprints recorded from an edge-list construction (each pair found
+  // once, from its lower point, then scattered into rows): the rows built
+  // in cell order must be that graph at every thread count. Covers one
+  // point, one cell (radius > 0.5), four cells (radius 0.5), a complete
+  // graph (radius 1) and the average-degree-8 radius the benchmarks use.
+  struct Pin {
+    VertexId n;
+    double radius;
+    std::uint64_t seed;
+    std::int64_t edges;
+    std::uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {1, 0.5, 1, 0, 0xe4162fe96a516f08ULL},
+      {2, 1.0, 3, 1, 0x78444275bf3e4164ULL},
+      {50, 0.6, 7, 674, 0x0620069c0b6329cdULL},
+      {64, 1.0, 4, 1981, 0xd456a35d18f8e91dULL},
+      {300, 0.5, 2, 20636, 0x0aa55ccc006ca325ULL},
+      {2000, 0.05, 11, 15195, 0xa2974eac7330b5ceULL},
+      {5000, 0.02, 5, 15371, 0xcf143bcc40b86b35ULL},
+      {20000, 0.011283791670955126, 42, 79491, 0xbe1556d42463cf87ULL},
+      {100000, 0.0050462650440403203, 9, 397913, 0x30fbffe132725324ULL},
+  };
+  for (const Pin& pin : pins) {
+    for (const unsigned threads : {1u, 3u, 4u}) {
+      const Graph g = make_rgg(pin.n, pin.radius, pin.seed, threads);
+      EXPECT_EQ(g.num_edges(), pin.edges)
+          << "n=" << pin.n << " threads=" << threads;
+      EXPECT_EQ(g.fingerprint(), pin.fingerprint)
+          << "n=" << pin.n << " threads=" << threads;
+    }
+  }
+}
+
 TEST(Generators, CycleIndependentOfChunkCount) {
   EXPECT_EQ(make_cycle(101, 4), make_cycle(101, 1));
   EXPECT_EQ(make_cycle(3, 8), make_cycle(3));

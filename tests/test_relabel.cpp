@@ -3,12 +3,16 @@
 // the contract the perf work rests on — a carving run on a relabeled
 // graph must be BIT-IDENTICAL to the run on the original labeling, for
 // every theorem schedule, graph family, and engine thread count.
+// apply_layout must also build exactly the graph the reference relabeling
+// (tests/reference_kernels.hpp) builds.
 #include "graph/relabel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
 #include <stdexcept>
 #include <string>
 
@@ -17,6 +21,8 @@
 #include "decomposition/high_radius.hpp"
 #include "decomposition/multistage.hpp"
 #include "graph/generators.hpp"
+#include "reference_kernels.hpp"
+#include "simulator/transport.hpp"
 
 namespace dsnd {
 namespace {
@@ -65,6 +71,108 @@ TEST(Relabel, ApplyLayoutPreservesTopology) {
         layout.to_new[static_cast<std::size_t>(u)],
         layout.to_new[static_cast<std::size_t>(v)]));
   });
+}
+
+Permutation random_layout(VertexId n, std::uint64_t seed) {
+  std::vector<VertexId> to_new(static_cast<std::size_t>(n));
+  std::iota(to_new.begin(), to_new.end(), 0);
+  std::mt19937_64 rng(seed);
+  std::shuffle(to_new.begin(), to_new.end(), rng);
+  return Permutation::from_to_new(std::move(to_new));
+}
+
+TEST(Relabel, ApplyLayoutEqualsReference) {
+  const GeometricGraph rgg = make_rgg_geometric(3000, 0.03, 8);
+  const Graph gnp = make_gnp(2000, 0.004, 9);
+  const Graph hyperbolic = family_by_name("hyperbolic").make(2000, 10);
+  for (const auto& [label, g] :
+       {std::pair<const char*, const Graph*>{"rgg", &rgg.graph},
+        {"gnp", &gnp},
+        {"hyperbolic", &hyperbolic}}) {
+    std::vector<std::pair<std::string, Permutation>> layouts;
+    layouts.emplace_back("identity", Permutation::identity(g->num_vertices()));
+    layouts.emplace_back("bfs", bfs_layout(*g));
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      layouts.emplace_back("random " + std::to_string(seed),
+                           random_layout(g->num_vertices(), seed));
+    }
+    for (const auto& [name, layout] : layouts) {
+      const Graph relabeled = apply_layout(*g, layout);
+      EXPECT_EQ(relabeled, reference_apply_layout(*g, layout))
+          << label << " " << name;
+      // Undoing the layout gives back g.
+      EXPECT_EQ(apply_layout(relabeled, layout.inverse()), *g)
+          << label << " " << name;
+    }
+  }
+  for (const std::int32_t cells : {1, 7, 33}) {
+    const Permutation layout = grid_bucket_layout(rgg.x, rgg.y, cells);
+    EXPECT_EQ(apply_layout(rgg.graph, layout),
+              reference_apply_layout(rgg.graph, layout))
+        << "grid-bucket cells=" << cells;
+  }
+  const Graph edgeless = Graph::from_edges(5, {});
+  const Permutation shuffled = random_layout(5, 4);
+  EXPECT_EQ(apply_layout(edgeless, shuffled), edgeless);
+  EXPECT_EQ(apply_layout(edgeless, shuffled),
+            reference_apply_layout(edgeless, shuffled));
+  const Graph empty = apply_layout(Graph(), Permutation::identity(0));
+  EXPECT_EQ(empty.num_vertices(), 0);
+  EXPECT_EQ(empty, reference_apply_layout(Graph(), Permutation::identity(0)));
+  EXPECT_THROW(apply_layout(edgeless, Permutation::identity(4)),
+               std::invalid_argument);
+}
+
+TEST(Relabel, ApplyLayoutRefusesAnAsymmetricGraph) {
+  // from_csr does not check symmetry. Rows 0, 1 and 2 list 1, 2 and 1:
+  // the fill appends 0 and 2 to row 1, which has room for its degree, one
+  // entry. It must stop at the row's end instead of writing past it.
+  const Graph asymmetric = Graph::from_csr({0, 1, 2, 3}, {1, 2, 1});
+  EXPECT_THROW(apply_layout(asymmetric, Permutation::identity(3)),
+               std::logic_error);
+}
+
+TEST(Relabel, ApplyLayoutRejectsOutOfRangeEntries) {
+  // A Permutation built field by field is not checked; apply_layout must
+  // refuse its out-of-range entries rather than index with them.
+  const Graph path = make_path(3);
+  EXPECT_THROW(apply_layout(path, Permutation{{0, 7, 2}, {0, 1, 2}}),
+               std::invalid_argument);
+  EXPECT_THROW(apply_layout(path, Permutation{{0, 1, 2}, {0, -1, 2}}),
+               std::invalid_argument);
+}
+
+TEST(Relabel, LossyLayoutContextValidatesOnTheRebuiltOriginal) {
+  // On a lossy transport a layout CarveContext validates every attempt
+  // against the original graph, rebuilt as apply_layout of the inverse
+  // layout. That graph must be the original, and a run it accepts must
+  // pass the reference validator on the original graph.
+  const GeometricGraph rgg = make_rgg_geometric(600, 0.07, 12);
+  const LayoutGraph lg =
+      make_layout_graph(rgg.graph, grid_bucket_layout(rgg.x, rgg.y, 14));
+  const Graph rebuilt = apply_layout(lg.graph, lg.layout.inverse());
+  EXPECT_EQ(rebuilt, rgg.graph);
+  EXPECT_EQ(rebuilt, reference_apply_layout(lg.graph, lg.layout.inverse()));
+
+  const CarveSchedule schedule = theorem1_schedule(600, 4, 4.0);
+  int accepted = 0;
+  for (const std::uint64_t seed : {5ULL, 6ULL, 7ULL}) {
+    FaultPlan plan;
+    plan.seed = 41 * seed;
+    plan.drop_rate = 0.02;
+    FaultyTransport transport(plan);
+    EngineOptions engine;
+    engine.transport = &transport;
+    const DistributedRun run =
+        run_schedule_distributed(lg, schedule, seed, engine);
+    if (run.run.carve.status != CarveStatus::kOk) continue;
+    ++accepted;
+    EXPECT_TRUE(reference_validate_decomposition_fast(rgg.graph,
+                                                      run.run.clustering())
+                    .is_strong_decomposition(schedule.bounds.strong_diameter))
+        << "seed=" << seed;
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(Relabel, BfsLayoutPacksRingNeighbors) {
