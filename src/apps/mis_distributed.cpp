@@ -72,10 +72,10 @@ class MisPipelineProtocol final : public Protocol {
   void begin_workers(unsigned workers) override { accum_.reset(workers); }
 
   /// The pipeline is time-driven: vertices act at fixed steps of their
-  /// class window (seed/convergecast/solve/downcast/announce) with
-  /// possibly empty inboxes, so it opts out of active scheduling.
-  bool needs_spontaneous_rounds() const override { return true; }
-
+  /// class window (seed/convergecast/solve/downcast/announce). Steps
+  /// reached by mail (adoption, relays, bookkeeping) need nothing more;
+  /// every step a vertex acts on with a possibly empty inbox is
+  /// scheduled as a self-wake.
   void on_round(VertexId v, std::size_t round,
                 std::span<const MessageView> inbox, Outbox& out) override {
     const auto vi = static_cast<std::size_t>(v);
@@ -84,6 +84,15 @@ class MisPipelineProtocol final : public Protocol {
     const auto step = static_cast<std::int32_t>(round % per_class);
     const ClusterId cluster = clustering_.cluster_of(v);
     const std::int32_t my_class = clustering_.color_of(cluster);
+
+    // Round 0 runs every vertex: each wakes for its class's announce
+    // step, and each center for its window's start (round 0 for class 0).
+    if (round == 0) {
+      const std::size_t window =
+          static_cast<std::size_t>(my_class) * per_class;
+      out.wake_self_in(window + static_cast<std::size_t>(3 * k_));
+      if (depth_[vi] == 0 && window > 0) out.wake_self_in(window);
+    }
 
     // Bookkeeping that applies regardless of the active class: frozen
     // decisions announced by neighbors, tree adoption, buffered
@@ -131,7 +140,9 @@ class MisPipelineProtocol final : public Protocol {
     if (my_class != class_index) return;
 
     // Tree building: the center seeds at step 0; adopters forward the
-    // wave one step after adopting.
+    // wave one step after adopting. Each then wakes for its next step:
+    // the center's solve (2k), a depth-d adopter's convergecast
+    // (2k - 1 - d).
     if (step < k_) {
       const bool seeded = depth_[vi] == 0 && step == 0;
       const bool adopted_now = depth_[vi] == step && step > 0;
@@ -141,6 +152,8 @@ class MisPipelineProtocol final : public Protocol {
             out.send(w, {kTagTree, static_cast<std::uint64_t>(cluster)});
           }
         }
+        out.wake_self_in(
+            static_cast<std::size_t>(seeded ? 2 * k_ : 2 * k_ - 1 - 2 * step));
       }
       return;
     }

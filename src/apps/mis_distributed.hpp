@@ -31,7 +31,9 @@ namespace dsnd {
 struct DistributedMisResult {
   std::vector<char> in_mis;
   SimMetrics sim;
-  /// Rounds budgeted per color class: 2 * (2k - 2) + 4.
+  /// Rounds budgeted per color class: 3k + 2 (k steps of tree building,
+  /// k of convergecast, the solve, k - 1 of downcast, the announce and
+  /// the step it arrives in).
   std::int32_t rounds_per_class = 0;
   std::int32_t classes = 0;
 };
@@ -40,7 +42,8 @@ struct DistributedMisResult {
 /// radius (distance center -> member inside the cluster) at most k - 1,
 /// which is what the Elkin–Neiman algorithms guarantee for parameter k.
 /// Clusters must be connected and contain their centers. The pipeline is
-/// time-driven, so it opts out of active scheduling; engine_options can
+/// time-driven: a vertex wakes itself for each step it acts on without
+/// mail, so the engine runs only vertices with work. engine_options can
 /// still enable parallel rounds.
 DistributedMisResult mis_distributed_pipeline(
     const Graph& g, const Clustering& clustering, std::int32_t k,

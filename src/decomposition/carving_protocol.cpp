@@ -89,10 +89,9 @@ class CarvingProtocol final : public Protocol {
       // Rollback: resume from the last validated checkpoint, a copy of
       // the record into retained buffers. Nothing else needs restoring —
       // best_/second_/sent_* are rewritten at the attempt's step 0 and
-      // never read for carved vertices, and round 0 runs EVERY vertex in
-      // scheduled mode, so no wake-calendar snapshot is needed: carved
-      // vertices return early via alive, live ones re-arm their own wake
-      // chain.
+      // never read for carved vertices, and round 0 runs EVERY vertex,
+      // so no wake-calendar snapshot is needed: carved vertices return
+      // early via alive, live ones re-arm their own wake chain.
       DSND_CHECK(arena_ != nullptr && arena_->checkpoint.captured &&
                      arena_->checkpoint.progress.alive.size() == n,
                  "restore armed without a matching checkpoint");

@@ -110,7 +110,7 @@ DistributedRun run_schedule_distributed(CarveContext& context,
 /// Executes the schedule through the generic carving protocol on a cold
 /// engine and attaches the schedule's bounds; run_schedule(g, schedule,
 /// seed) is this call's `run` on the default engine. engine_options
-/// tunes the simulator (scheduling, threads, transport); on a reliable
+/// tunes the simulator (threads, transport); on a reliable
 /// transport no option changes the CarveResult.
 DistributedRun run_schedule_distributed(
     const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,

@@ -101,7 +101,6 @@ class LinialSaksProtocol final : public Protocol {
 
   void begin(const Graph& g) override {
     const auto n = static_cast<std::size_t>(g.num_vertices());
-    graph_ = &g;
     progress_.reset(g.num_vertices());
     frontier_.assign(n, {});
     radii_.resize(n);
@@ -153,7 +152,7 @@ class LinialSaksProtocol final : public Protocol {
     if (step == 0) {
       const LsEntry own{v, static_cast<std::int32_t>(radii_[vi]), 0};
       frontier_[vi].assign(1, own);
-      forward(v, own, out);
+      forward(own, out);
       // Quiet flooding steps run on inbox arrivals; the deciding step
       // must run even if nothing arrived.
       out.wake_self_in(static_cast<std::size_t>(params_.k));
@@ -166,7 +165,7 @@ class LinialSaksProtocol final : public Protocol {
       const LsEntry entry{static_cast<VertexId>(msg.words[1]),
                           static_cast<std::int32_t>(msg.words[2]),
                           static_cast<std::int32_t>(msg.words[3])};
-      if (insert(vi, entry) && step < params_.k) forward(v, entry, out);
+      if (insert(vi, entry) && step < params_.k) forward(entry, out);
     }
 
     if (step < params_.k) return;
@@ -232,18 +231,15 @@ class LinialSaksProtocol final : public Protocol {
     return true;
   }
 
-  void forward(VertexId v, const LsEntry& entry, Outbox& out) {
+  void forward(const LsEntry& entry, Outbox& out) {
     if (entry.dist + 1 > entry.radius) return;  // range exhausted
-    for (VertexId w : graph_->neighbors(v)) {
-      out.send(w, {kTagEntry, static_cast<std::uint64_t>(entry.id),
-                   static_cast<std::uint64_t>(entry.radius),
-                   static_cast<std::uint64_t>(entry.dist + 1)});
-    }
+    out.send_to_all_neighbors({kTagEntry, static_cast<std::uint64_t>(entry.id),
+                               static_cast<std::uint64_t>(entry.radius),
+                               static_cast<std::uint64_t>(entry.dist + 1)});
   }
 
   const LsParams params_;
   const std::uint64_t seed_;
-  const Graph* graph_ = nullptr;
   // The run's record: workers write their own vertices' slots during the
   // deciding step; everything else moves only in on_round_begin.
   CarveProgress progress_;

@@ -67,7 +67,7 @@ DecompositionRun linial_saks_decomposition(const Graph& g,
 
 /// The same decomposition as a CONGEST protocol: on the same options its
 /// CarveResult equals linial_saks_decomposition's field for field.
-/// engine_options tunes the simulator (scheduling, threads) without
+/// engine_options tunes the simulator (threads, transport) without
 /// changing any output.
 DistributedRun linial_saks_distributed(
     const Graph& g, const LinialSaksOptions& options,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/assert.hpp"
+#include "support/rng.hpp"
 
 namespace dsnd {
 
@@ -42,15 +43,9 @@ Graph Graph::from_edges(VertexId n, std::vector<Edge> edges, bool normalize) {
     g.adjacency_[static_cast<std::size_t>(
         cursor[static_cast<std::size_t>(e.v)]++)] = e.u;
   }
-  // Rows come out sorted because the edge list is sorted by (u, v) and each
-  // row receives its entries in increasing order of the other endpoint —
-  // except the rows filled via the v side. Sort each row to be safe.
-  for (VertexId v = 0; v < n; ++v) {
-    auto begin = g.adjacency_.begin() + g.offsets_[static_cast<std::size_t>(v)];
-    auto end =
-        g.adjacency_.begin() + g.offsets_[static_cast<std::size_t>(v) + 1];
-    std::sort(begin, end);
-  }
+  // Rows come out sorted: the edge list is sorted by (u, v) with u < v,
+  // so row x first receives its lower neighbors (edges (u, x)) in
+  // ascending u, then its upper neighbors (edges (x, v)) in ascending v.
   return g;
 }
 
@@ -92,20 +87,6 @@ std::vector<Edge> Graph::edges() const {
   for_each_edge([&](VertexId u, VertexId v) { result.push_back({u, v}); });
   return result;
 }
-
-namespace {
-
-/// SplitMix64's finalizer as a running fold: mixes each word into the
-/// accumulator with full avalanche, so offset/adjacency permutations
-/// land on different fingerprints.
-std::uint64_t mix_word(std::uint64_t h, std::uint64_t word) {
-  std::uint64_t z = h + 0x9e3779b97f4a7c15ULL + word;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 std::uint64_t Graph::fingerprint() const {
   std::uint64_t h = mix_word(0x64736e6447726168ULL,  // "dsndGrah"

@@ -2,16 +2,11 @@
 
 #include <bit>
 
+#include "support/rng.hpp"
+
 namespace dsnd {
 
 namespace {
-
-std::uint64_t mix_word(std::uint64_t h, std::uint64_t word) {
-  std::uint64_t z = h + 0x9e3779b97f4a7c15ULL + word;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 std::uint64_t mix_double(std::uint64_t h, double value) {
   return mix_word(h, std::bit_cast<std::uint64_t>(value));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -99,11 +100,8 @@ void Outbox::wake_self_in(std::size_t rounds) {
   DSND_REQUIRE(rounds >= 1, "wake_self_in needs a delay of at least 1 round");
   // The sender's shard is the one this thread is executing (its index is
   // the worker's), so the wake goes straight into its calendar.
-  // Run-every-vertex mode never reads the calendar and drops the wake.
-  if (engine_.scheduled_) {
-    engine_.ring_insert(engine_.shards_[worker_],
-                        engine_.current_round_ + rounds, sender_);
-  }
+  engine_.ring_insert(engine_.shards_[worker_],
+                      engine_.current_round_ + rounds, sender_);
 }
 
 // ---------------------------------------------------------------------------
@@ -150,23 +148,24 @@ SyncEngine::SyncEngine(const Graph& g, EngineOptions options)
   if (workers_ > 1) pool_.emplace(workers_);
 }
 
-void SyncEngine::reset(Protocol& protocol) {
-  scheduled_ =
-      options_.active_scheduling && !protocol.needs_spontaneous_rounds();
+void SyncEngine::reset() {
   current_round_ = 0;
   metrics_ = SimMetrics{};
   round_messages_.clear();
 
   // A run stopped by finished(), the budget or a throw may leave mail
   // unread (and, mid-collect, marks set): start from the zeros every
-  // round boundary assumes. Staging and active lists need no reset:
-  // round 0 clears what it stages into and builds round 1's lists.
+  // round boundary assumes. Staging needs no reset: round 0 clears what
+  // it stages into. Round 0 runs every vertex: each shard's active list
+  // is its owned range.
   std::fill(inbox_slot_.begin(), inbox_slot_.end(), 0);
   for (detail::Shard& shard : shards_) {
     std::fill(shard.marks.begin(), shard.marks.end(), 0);
     std::fill(shard.mark_summary.begin(), shard.mark_summary.end(), 0);
     for (auto& bucket : shard.wake_ring) bucket.clear();
     shard.pending_wakes = 0;
+    shard.active.resize(static_cast<std::size_t>(shard.end - shard.begin));
+    std::iota(shard.active.begin(), shard.active.end(), shard.begin);
   }
   std::fill(worker_errors_.begin(), worker_errors_.end(), nullptr);
 
@@ -176,14 +175,14 @@ void SyncEngine::reset(Protocol& protocol) {
 }
 
 void SyncEngine::execute_shard(Protocol& protocol, unsigned s,
-                               unsigned parity, bool use_active) {
+                               unsigned parity) {
   detail::SendStaging& staging = staging_[parity][s];
   staging.clear_round();
   const detail::Shard& shard = shards_[s];
   // Inboxes are laid out in ascending id, the order vertices run in.
   const MessageView* const views = shard.inbox_views.data();
   std::uint32_t cursor = 0;
-  const auto run = [&](VertexId v) {
+  for (const VertexId v : shard.active) {
     std::uint32_t& slot = inbox_slot_[static_cast<std::size_t>(v)];
     std::span<const MessageView> inbox;
     if (slot != 0) {
@@ -193,11 +192,6 @@ void SyncEngine::execute_shard(Protocol& protocol, unsigned s,
     }
     Outbox out(*this, staging, v, s);
     protocol.on_round(v, current_round_, inbox, out);
-  };
-  if (use_active) {
-    for (const VertexId v : shard.active) run(v);
-  } else {
-    for (VertexId v = shard.begin; v < shard.end; ++v) run(v);
   }
 }
 
@@ -257,20 +251,18 @@ void SyncEngine::collect_shard(unsigned s, bool deliver) {
   // Fire the next round's calendar bucket. Self-wakes are local timers
   // that never pass through the transport, so a vertex whose expected
   // message was dropped still runs at its scheduled round.
-  if (scheduled_) {
-    const std::uint64_t next = static_cast<std::uint64_t>(current_round_) + 1;
-    auto& due = shard.wake_ring[next & (shard.wake_ring.size() - 1)];
-    for (const auto& [target, v] : due) shard.mark(v);
-    shard.pending_wakes -= due.size();
-    due.clear();
-    shard.active.clear();
-  }
+  const std::uint64_t next = static_cast<std::uint64_t>(current_round_) + 1;
+  auto& due = shard.wake_ring[next & (shard.wake_ring.size() - 1)];
+  for (const auto& [target, v] : due) shard.mark(v);
+  shard.pending_wakes -= due.size();
+  due.clear();
+  shard.active.clear();
 
   // One ascending walk of the marks, skipping unmarked 4096-vertex
   // blocks and clearing as it goes: each receiver's count becomes its
   // inbox's begin offset, and the next active list comes out sorted and
   // deduplicated (vertex-id order keeps execution, and hence every
-  // inbox order, identical to the run-every-vertex mode).
+  // inbox order, independent of which vertices run).
   std::uint32_t offset = 0;
   for (std::size_t block = 0; block < shard.mark_summary.size(); ++block) {
     for (std::uint64_t words = std::exchange(shard.mark_summary[block], 0);
@@ -286,7 +278,7 @@ void SyncEngine::collect_shard(unsigned s, bool deliver) {
             slot != 0) {
           offset += std::exchange(slot, offset);
         }
-        if (scheduled_) shard.active.push_back(v);
+        shard.active.push_back(v);
       }
     }
   }
@@ -311,7 +303,7 @@ void SyncEngine::collect_shard(unsigned s, bool deliver) {
 }
 
 SimMetrics SyncEngine::run(Protocol& protocol, std::size_t round_budget) {
-  reset(protocol);
+  reset();
   protocol.begin(graph_);
   protocol.begin_workers(workers_);
 
@@ -327,23 +319,18 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t round_budget) {
 
   bool quiescent = false;
   while (current_round_ < round_budget && !protocol.finished()) {
-    const bool use_active = scheduled_ && current_round_ > 0;
     std::size_t total = 0;
-    if (use_active) {
-      std::size_t pending = 0;
-      for (const detail::Shard& shard : shards_) {
-        total += shard.active.size();
-        pending += shard.pending_wakes;
-      }
-      if (total == 0 && pending == 0 && transport_->pending() == 0) {
-        // Quiescent: no inbox, no pending wake, nothing in flight in the
-        // transport — no future round can change state, so running to
-        // the cap would only burn time.
-        quiescent = true;
-        break;
-      }
-    } else {
-      total = static_cast<std::size_t>(graph_.num_vertices());
+    std::size_t pending = 0;
+    for (const detail::Shard& shard : shards_) {
+      total += shard.active.size();
+      pending += shard.pending_wakes;
+    }
+    if (total == 0 && pending == 0 && transport_->pending() == 0) {
+      // Quiescent: no inbox, no pending wake, nothing in flight in the
+      // transport — no future round can change state, so running to the
+      // cap would only burn time.
+      quiescent = true;
+      break;
     }
     metrics_.vertex_activations += total;
     // Serial pre-round hook: workers are parked (or not yet dispatched),
@@ -357,7 +344,7 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t round_budget) {
     // pool would cost more than the work.
     WorkerPool* const round_workers = total < 2 ? nullptr : pool;
     detail::guarded_dispatch(round_workers, worker_errors_, [&](unsigned s) {
-      execute_shard(protocol, s, parity, use_active);
+      execute_shard(protocol, s, parity);
     });
     // A quiet round — nothing staged, nothing in flight in the transport
     // — skips exchange+deliver outright.

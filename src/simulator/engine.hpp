@@ -12,7 +12,7 @@
 // vertex set is split into `threads`-many contiguous SHARDS. Every round
 // runs one path, shard by shard, with exactly one thread per shard:
 //
-//   stage 1 (execute): shard s runs its scheduled vertices. Sends are
+//   stage 1 (execute): shard s runs its active vertices. Sends are
 //     routed owner-computes at stage time: shard s keeps one staging
 //     bucket per destination shard (records + flat payload words); a
 //     record is a run of the sender's sorted neighbor row, so a
@@ -41,17 +41,16 @@
 // across rounds and run()s: steady-state rounds perform zero heap
 // allocations.
 //
-// Scheduling: by default only vertices with a nonempty inbox or a
-// pending self-wake (Outbox::wake_self_in) execute in a round — quiet
-// vertices cost nothing. Every vertex runs in round 0 so protocols can
-// act spontaneously once and set up their wake chains. Protocols whose
-// vertices act on a round timetable without messages or self-wakes
-// override Protocol::needs_spontaneous_rounds() to opt out, and then
-// every vertex runs every round. When a scheduled run reaches
-// quiescence — no active vertex and no pending wake — the engine stops
-// early: no future round could change state. Active lists, wake
-// calendars, and quiescence counts are all shard-local; only the O(S)
-// per-round roll-up runs on the driving thread.
+// Scheduling: every vertex runs in round 0; afterwards a vertex runs in
+// a round only if its inbox is nonempty or a self-wake it scheduled
+// (Outbox::wake_self_in) is due — quiet vertices cost nothing. A
+// protocol that acts on a round timetable schedules each step it acts
+// on with an empty inbox as a wake, starting from round 0. When a run
+// reaches quiescence — no active vertex, no pending wake, nothing in
+// flight — the engine stops early: no future round could change state.
+// Active lists, wake calendars, and quiescence counts are all
+// shard-local; only the O(S) per-round roll-up runs on the driving
+// thread.
 #pragma once
 
 #include <algorithm>
@@ -80,15 +79,8 @@ struct MessageView {
   std::span<const std::uint64_t> words;
 };
 
-/// Engine knobs. The default is deterministic single-threaded execution
-/// with active-vertex scheduling.
+/// Engine knobs. The default is deterministic single-threaded execution.
 struct EngineOptions {
-  /// When true (default), only vertices with a nonempty inbox or a due
-  /// self-wake run each round (unless the protocol opts out via
-  /// Protocol::needs_spontaneous_rounds). When false, every vertex runs
-  /// every round.
-  bool active_scheduling = true;
-
   /// Worker threads for vertex execution — also the shard count: the
   /// vertex set is split into this many contiguous ownership ranges.
   /// 1 = serial (default); 0 = hardware concurrency. Any value produces
@@ -130,8 +122,9 @@ struct alignas(64) Shard {
   std::vector<std::uint64_t> marks;
   std::vector<std::uint64_t> mark_summary;
 
-  // Active-vertex scheduling: next round's owned active list and the
-  // shard's wake calendar (power-of-two ring keyed by target round).
+  // Next round's owned active list (the whole owned range before round
+  // 0) and the shard's wake calendar (power-of-two ring keyed by target
+  // round).
   std::vector<VertexId> active;
   std::vector<std::vector<std::pair<std::uint64_t, VertexId>>> wake_ring;
   std::size_t pending_wakes = 0;
@@ -205,9 +198,9 @@ class Outbox {
   }
 
   /// Asks the engine to run this vertex again `rounds` rounds from now
-  /// (>= 1) even if its inbox is empty. The active-scheduling analogue of
-  /// spontaneous action: a protocol that must act at a future step of its
-  /// timetable schedules the wake instead of running every round.
+  /// (>= 1) even if its inbox is empty: a protocol that must act at a
+  /// future step of its timetable schedules the wake instead of running
+  /// every round.
   void wake_self_in(std::size_t rounds);
 
   /// Index of the worker executing this vertex — its shard's index, <
@@ -318,8 +311,9 @@ class Protocol {
     (void)pool;
   }
 
-  /// Called per round for each scheduled vertex with the messages
-  /// delivered to it (sent by neighbors in the previous round).
+  /// Called in each round for every vertex that has mail or a due wake
+  /// (in round 0, for every vertex), with the messages delivered to it
+  /// (sent by neighbors in the previous round).
   virtual void on_round(VertexId v, std::size_t round,
                         std::span<const MessageView> inbox, Outbox& out) = 0;
 
@@ -329,25 +323,18 @@ class Protocol {
   /// Always invoked on the driving thread between rounds, so per-worker
   /// accumulators may be summed without synchronization.
   virtual bool finished() const = 0;
-
-  /// Scheduling opt-out. Protocols whose vertices act spontaneously on a
-  /// round timetable — sending with an empty inbox at rounds they never
-  /// scheduled a wake for — return true, and the engine then runs every
-  /// vertex every round regardless of EngineOptions::active_scheduling.
-  virtual bool needs_spontaneous_rounds() const { return false; }
 };
 
 class SyncEngine {
  public:
   explicit SyncEngine(const Graph& g, EngineOptions options = {});
 
-  /// Runs `protocol` until finished(), quiescence (scheduled mode only),
-  /// or `round_budget` rounds; returns the metrics. A run that exhausts
-  /// the budget ends with the named RunStatus::kRoundBudgetExhausted
-  /// instead of hanging — essential under lossy transports, where a
-  /// dropped message can otherwise stall a protocol that polls forever.
-  /// Reusable: a second run() starts fresh but reuses all internal
-  /// buffer capacity.
+  /// Runs `protocol` until finished(), quiescence, or `round_budget`
+  /// rounds; returns the metrics. A run that exhausts the budget ends
+  /// with the named RunStatus::kRoundBudgetExhausted instead of hanging
+  /// — essential under lossy transports, where a dropped message can
+  /// otherwise stall a protocol that polls forever. Reusable: a second
+  /// run() starts fresh but reuses all internal buffer capacity.
   SimMetrics run(Protocol& protocol, std::size_t round_budget);
 
   const Graph& graph() const { return graph_; }
@@ -368,11 +355,10 @@ class SyncEngine {
     return static_cast<unsigned>(v / shard_width_);
   }
 
-  void reset(Protocol& protocol);
+  void reset();
   /// Stage 1 for one shard: clear this parity's staging and execute the
-  /// shard's scheduled vertices (in ascending id).
-  void execute_shard(Protocol& protocol, unsigned s, unsigned parity,
-                     bool use_active);
+  /// shard's active vertices (in ascending id).
+  void execute_shard(Protocol& protocol, unsigned s, unsigned parity);
   /// Stage 2 for one shard: lay out its inboxes from what the transport
   /// delivered to it, fire its due wakes, build its next active list.
   /// `deliver` is false on elided quiet rounds: the transport was not
@@ -395,7 +381,6 @@ class SyncEngine {
   std::optional<WorkerPool> pool_;
   VertexId shard_width_ = 1;  // ceil(n / workers): shard s owns
                               // [s*width, min((s+1)*width, n))
-  bool scheduled_ = false;
   std::size_t current_round_ = 0;
 
   // Double-buffered staging, indexed [round parity][source shard]. The

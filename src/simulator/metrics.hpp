@@ -18,8 +18,8 @@ namespace dsnd {
 enum class RunStatus {
   /// The protocol's finished() predicate fired.
   kFinished,
-  /// Scheduled mode reached quiescence (no active vertex, no pending
-  /// wake, no in-flight transport delivery) before finished().
+  /// The run reached quiescence (no active vertex, no pending wake, no
+  /// in-flight transport delivery) before finished().
   kQuiescent,
   /// The round budget ran out first — under a lossy transport this is
   /// the named replacement for a no-progress hang.
@@ -69,9 +69,9 @@ struct SimMetrics {
   /// Messages sent in each round (index = round). Always has exactly
   /// `rounds` entries; quiet rounds are explicit zeros.
   std::vector<std::uint64_t> messages_per_round;
-  /// Total on_round() invocations across the run. With active-vertex
-  /// scheduling this is how much work the engine actually did; without
-  /// it, exactly n * rounds.
+  /// Total on_round() invocations across the run: how much work the
+  /// engine actually did. Round 0 runs all n vertices; later rounds run
+  /// only those with mail or a due wake, so this is at most n * rounds.
   std::uint64_t vertex_activations = 0;
 
   /// How the run ended (see RunStatus). kQuiescent and kFinished are the

@@ -40,6 +40,13 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// SplitMix64's output from state h + word: a running fold with full
+/// avalanche, so permuted word sequences land on different hashes. Graph
+/// fingerprints and the result cache's schedule signatures use it.
+inline std::uint64_t mix_word(std::uint64_t h, std::uint64_t word) {
+  return SplitMix64(h + word)();
+}
+
 /// xoshiro256**: fast, high-quality 64-bit generator (Blackman & Vigna
 /// algorithm; reimplemented here). State is seeded via SplitMix64 so that
 /// any 64-bit seed, including 0, yields a well-mixed state.

@@ -63,14 +63,14 @@ namespace {
 class BroadcastStorm final : public Protocol {
  public:
   void begin(const Graph&) override {}
+  // Every vertex wakes itself every round, so the message volume is
+  // maximal.
   void on_round(VertexId v, std::size_t round,
                 std::span<const MessageView>, Outbox& out) override {
     out.send_to_all_neighbors({static_cast<std::uint64_t>(v), round});
+    out.wake_self_in(1);
   }
   bool finished() const override { return false; }
-  // Spontaneous by design: keeps every vertex sending every round so the
-  // message volume is maximal.
-  bool needs_spontaneous_rounds() const override { return true; }
 };
 
 TEST(EngineAllocations, SteadyStateRoundsAllocateNothingPerMessage) {

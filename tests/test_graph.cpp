@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
+
+#include "support/rng.hpp"
 
 namespace dsnd {
 namespace {
@@ -104,6 +107,50 @@ TEST(GraphBuilder, MergesAndIgnoresLoops) {
 TEST(GraphBuilder, RejectsOutOfRange) {
   GraphBuilder builder(2);
   EXPECT_THROW(builder.add_edge(0, 2), std::invalid_argument);
+}
+
+TEST(Graph, FromEdgesBuildsSortedRowsFromRandomLists) {
+  // Random edge lists in both orientations, with duplicates and
+  // self-loops dropped by normalize, and the same edges deduplicated
+  // without it: each result's CSR must pass from_csr's row checks, hold
+  // every edge in both rows, and list exactly the sorted, deduplicated
+  // input.
+  Xoshiro256ss rng(29);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto n = static_cast<VertexId>(1 + uniform_below(rng, 60));
+    const auto m = uniform_below(rng, 4 * static_cast<std::uint64_t>(n));
+    std::vector<Edge> input;
+    std::vector<Edge> expected;
+    for (std::uint64_t i = 0; i < m; ++i) {
+      const auto u = static_cast<VertexId>(
+          uniform_below(rng, static_cast<std::uint64_t>(n)));
+      const auto v = static_cast<VertexId>(
+          uniform_below(rng, static_cast<std::uint64_t>(n)));
+      input.push_back({u, v});
+      if (u != v) expected.push_back({std::min(u, v), std::max(u, v)});
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    std::vector<Edge> simple = expected;
+    for (Edge& e : simple) {
+      if (uniform_below(rng, 2) == 1) std::swap(e.u, e.v);
+    }
+    std::shuffle(simple.begin(), simple.end(), rng);
+
+    for (const Graph& g : {Graph::from_edges(n, input, /*normalize=*/true),
+                           Graph::from_edges(n, simple)}) {
+      const std::span<const std::int64_t> offsets = g.csr_offsets();
+      const std::span<const VertexId> adjacency = g.csr_adjacency();
+      ASSERT_NO_THROW(Graph::from_csr({offsets.begin(), offsets.end()},
+                                      {adjacency.begin(), adjacency.end()}))
+          << "trial " << trial;
+      ASSERT_EQ(g.edges(), expected) << "trial " << trial;
+      for (const Edge& e : expected) {
+        ASSERT_TRUE(g.has_edge(e.v, e.u)) << "trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(Graph, IsolatedVerticesHaveDegreeZero) {

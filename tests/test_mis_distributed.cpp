@@ -8,6 +8,7 @@
 #include "apps/mis.hpp"
 #include "decomposition/elkin_neiman.hpp"
 #include "graph/generators.hpp"
+#include "support/rng.hpp"
 
 namespace dsnd {
 namespace {
@@ -39,12 +40,52 @@ TEST(MisPipeline, MatchesCentralizedPipelineExactly) {
   }
 }
 
+TEST(MisPipeline, WakeDrivenCountsMatchEveryVertexRuns) {
+  // Counts recorded when the engine ran every vertex every round (the
+  // per-round series as a mix_word digest). Self-wakes must leave them
+  // unchanged and run at least 10x fewer vertices than n * rounds.
+  struct Pin {
+    const char* family;
+    std::size_t rounds;
+    std::uint64_t messages;
+    std::uint64_t words;
+    std::size_t max_message_words;
+    std::uint64_t per_round_digest;
+  };
+  for (const Pin& pin :
+       {Pin{"grid", 793, 4307, 11080, 24, 0x55e8e480c2cdd0d0ULL},
+        Pin{"gnp-sparse", 961, 6967, 21858, 63, 0xe9bb42ea62adb48cULL},
+        Pin{"rgg", 793, 11536, 73185, 44, 0xbd0a5ba8cb2543ceULL}}) {
+    SCOPED_TRACE(pin.family);
+    const Graph g = family_by_name(pin.family).make(1000, 3);
+    const std::int32_t k = 4;
+    const DecompositionRun run = usable_run(g, k, 1);
+    const DistributedMisResult dist =
+        mis_distributed_pipeline(g, run.clustering(), k);
+    EXPECT_EQ(dist.in_mis, mis_by_decomposition(g, run.clustering()).in_mis);
+    EXPECT_EQ(dist.sim.status, RunStatus::kFinished);
+    EXPECT_EQ(dist.sim.rounds, pin.rounds);
+    EXPECT_EQ(dist.sim.messages, pin.messages);
+    EXPECT_EQ(dist.sim.words, pin.words);
+    EXPECT_EQ(dist.sim.max_message_words, pin.max_message_words);
+    ASSERT_EQ(dist.sim.messages_per_round.size(), pin.rounds);
+    std::uint64_t digest = 0;
+    for (const std::uint64_t m : dist.sim.messages_per_round) {
+      digest = mix_word(digest, m);
+    }
+    EXPECT_EQ(digest, pin.per_round_digest);
+    EXPECT_LE(dist.sim.vertex_activations * 10,
+              static_cast<std::uint64_t>(g.num_vertices()) * pin.rounds);
+  }
+}
+
 TEST(MisPipeline, ThreadCountInvariant) {
-  // The library's one run-every-vertex protocol, so it drives the
-  // engine's whole-shard execution, and its unicasts to parents and
-  // children go out of row order (runs of one found by binary search).
-  // The answer and every engine count must not depend on the shard
-  // count, including shard widths that do not divide n (3 and 7).
+  // Far-future self-wakes (a vertex of the last color class wakes
+  // hundreds of rounds ahead) land in every shard's calendar, and the
+  // unicasts to parents and children go out of row order (runs of one
+  // found by binary search). The answer and every engine count must not
+  // depend on the shard count, including shard widths that do not
+  // divide n (3 and 7).
   for (const VertexId n : {96, 500}) {
     for (const char* family :
          {"grid", "cycle", "gnp-sparse", "random-tree", "ring-of-cliques"}) {
@@ -143,6 +184,34 @@ TEST(MisPipeline, RejectsBadInputs) {
   for (VertexId v = 3; v < 6; ++v) improper.assign(v, b);
   EXPECT_THROW(mis_distributed_pipeline(g, improper, 3),
                std::invalid_argument);
+}
+
+TEST(MisPipeline, ClusterBeyondRadiusBoundThrows) {
+  // A member the tree cannot reach within k - 1 steps never ships its
+  // record, so it is never decided; the pipeline must throw rather than
+  // return an answer. Cases: a 6-path cluster with k = 2 (radius 5), a
+  // 3-path cluster with k = 2 (radius exactly k), and a disconnected
+  // cluster {0, 2} around {1}.
+  Clustering wide(6);
+  const ClusterId whole = wide.add_cluster(0, 0);
+  for (VertexId v = 0; v < 6; ++v) wide.assign(v, whole);
+  EXPECT_THROW(mis_distributed_pipeline(make_path(6), wide, 2),
+               std::logic_error);
+
+  Clustering radius_k(3);
+  const ClusterId path = radius_k.add_cluster(0, 0);
+  for (VertexId v = 0; v < 3; ++v) radius_k.assign(v, path);
+  EXPECT_THROW(mis_distributed_pipeline(make_path(3), radius_k, 2),
+               std::logic_error);
+
+  Clustering split(3);
+  const ClusterId ends = split.add_cluster(0, 0);
+  const ClusterId middle = split.add_cluster(1, 1);
+  split.assign(0, ends);
+  split.assign(2, ends);
+  split.assign(1, middle);
+  EXPECT_THROW(mis_distributed_pipeline(make_path(3), split, 2),
+               std::logic_error);
 }
 
 }  // namespace

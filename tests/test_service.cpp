@@ -24,6 +24,7 @@
 #include "decomposition/elkin_neiman.hpp"
 #include "graph/generators.hpp"
 #include "service/decomposition_service.hpp"
+#include "service/result_cache.hpp"
 
 namespace dsnd {
 namespace {
@@ -329,6 +330,13 @@ TEST(Service, FingerprintDistinguishesGraphsAndPinsEquality) {
   const Graph b = make_gnp(500, 0.02, 2);
   EXPECT_EQ(a.fingerprint(), make_gnp(500, 0.02, 1).fingerprint());
   EXPECT_NE(a.fingerprint(), b.fingerprint());
+}
+
+TEST(Service, ScheduleSignaturePinned) {
+  // The result cache keys on this value: a change to the fold
+  // (mix_word) or to the fields it reads changes every key.
+  EXPECT_EQ(schedule_signature(theorem1_schedule(1000, 4)),
+            0xd09d310b8766532fULL);
 }
 
 TEST(Service, ReRegisteringAGraphIdIsSafeAndServesTheNewGraph) {

@@ -60,10 +60,10 @@ void expect_same_metrics(const SimMetrics& got, const SimMetrics& want) {
 
 /// Floods a token from vertex 0; records the round each vertex first saw
 /// it. Verifies synchronous one-hop-per-round semantics. Fully
-/// message-driven, so it works under active scheduling: round 0 runs
-/// every vertex (seeding the flood) and afterwards only reached vertices
-/// execute. Newly reached vertices are counted in per-worker slots, as
-/// the engine's contract asks of aggregate counters.
+/// message-driven: round 0 runs every vertex (seeding the flood) and
+/// afterwards only reached vertices execute. Newly reached vertices are
+/// counted in per-worker slots, as the engine's contract asks of
+/// aggregate counters.
 class FloodProtocol final : public Protocol {
  public:
   void begin(const Graph& g) override {
@@ -370,6 +370,31 @@ TEST(Simulator, PingPongAlternates) {
   EXPECT_EQ(events[3].value, 103u);
 }
 
+/// Runs every vertex every round: forwards each call to `inner`, then
+/// wakes the vertex for the next round (round 0 already runs every
+/// vertex). The every-vertex side of the scheduling comparisons below.
+class EveryVertex final : public Protocol {
+ public:
+  explicit EveryVertex(Protocol& inner) : inner_(inner) {}
+
+  void begin(const Graph& g) override { inner_.begin(g); }
+  void begin_workers(unsigned workers) override {
+    inner_.begin_workers(workers);
+  }
+  void on_round_begin(std::size_t round, RoundPool& pool) override {
+    inner_.on_round_begin(round, pool);
+  }
+  void on_round(VertexId v, std::size_t round,
+                std::span<const MessageView> inbox, Outbox& out) override {
+    inner_.on_round(v, round, inbox, out);
+    out.wake_self_in(1);
+  }
+  bool finished() const override { return inner_.finished(); }
+
+ private:
+  Protocol& inner_;
+};
+
 /// Vertex 0 emits a pulse every kPeriod rounds via self-wakes; everyone
 /// else only forwards pulses one hop when one arrives. Long quiet
 /// phases: most vertices are idle in most rounds.
@@ -417,30 +442,31 @@ TEST(Simulator, ActiveSchedulingSkipsQuietVertices) {
   const std::size_t rounds = 40;
 
   PulseProtocol scheduled;
-  SyncEngine scheduled_engine(g);  // active scheduling is the default
-  const SimMetrics on = scheduled_engine.run(scheduled, rounds);
+  SyncEngine engine_on(g);
+  const SimMetrics on = engine_on.run(scheduled, rounds);
 
   PulseProtocol unscheduled;
-  EngineOptions off_options;
-  off_options.active_scheduling = false;
-  SyncEngine unscheduled_engine(g, off_options);
-  const SimMetrics off = unscheduled_engine.run(unscheduled, rounds);
+  EveryVertex every_vertex(unscheduled);
+  SyncEngine engine_off(g);
+  const SimMetrics off = engine_off.run(every_vertex, rounds);
 
   // Identical protocol behavior...
   EXPECT_EQ(on.rounds, off.rounds);
   EXPECT_EQ(on.messages, off.messages);
   EXPECT_EQ(on.messages_per_round, off.messages_per_round);
   EXPECT_EQ(scheduled.total_forwarded(), unscheduled.total_forwarded());
-  // ...but the scheduled engine only ran the vertices that had work.
+  // ...but without the wrapper the engine ran only the vertices that
+  // had work.
   EXPECT_EQ(off.vertex_activations, 64u * rounds);
   EXPECT_LT(on.vertex_activations, off.vertex_activations / 4);
 }
 
 TEST(Simulator, QuiescenceStopsScheduledRunEarly) {
   // One message at round 0, then silence with no wakes pending: the
-  // scheduled engine stops once nothing can ever change again, while the
-  // unscheduled engine runs to the cap. Both report exact per-round
-  // message counts with quiet rounds as explicit zeros.
+  // engine stops once nothing can ever change again, while the same
+  // protocol run on every vertex every round runs to the cap. Both
+  // report exact per-round message counts with quiet rounds as explicit
+  // zeros.
   class OneShot final : public Protocol {
    public:
     void begin(const Graph&) override {}
@@ -453,22 +479,30 @@ TEST(Simulator, QuiescenceStopsScheduledRunEarly) {
   const Graph g = make_path(3);
 
   OneShot scheduled;
-  SyncEngine scheduled_engine(g);
-  const SimMetrics on = scheduled_engine.run(scheduled, 6);
+  SyncEngine engine_on(g);
+  const SimMetrics on = engine_on.run(scheduled, 6);
   // Round 0 sends, round 1 delivers, then quiescence.
   EXPECT_EQ(on.rounds, 2u);
   EXPECT_EQ(on.messages_per_round,
             (std::vector<std::uint64_t>{1, 0}));
 
   OneShot unscheduled;
-  EngineOptions off_options;
-  off_options.active_scheduling = false;
-  SyncEngine unscheduled_engine(g, off_options);
-  const SimMetrics off = unscheduled_engine.run(unscheduled, 6);
+  EveryVertex every_vertex(unscheduled);
+  SyncEngine engine_off(g);
+  const SimMetrics off = engine_off.run(every_vertex, 6);
   EXPECT_EQ(off.rounds, 6u);
   EXPECT_EQ(off.messages_per_round,
             (std::vector<std::uint64_t>{1, 0, 0, 0, 0, 0}));
   EXPECT_EQ(off.messages_per_round.size(), off.rounds);
+
+  // An empty graph has no vertex to run: quiescent before round 0.
+  const Graph empty;
+  OneShot idle;
+  SyncEngine empty_engine(empty);
+  const SimMetrics none = empty_engine.run(idle, 6);
+  EXPECT_EQ(none.rounds, 0u);
+  EXPECT_EQ(none.status, RunStatus::kQuiescent);
+  EXPECT_TRUE(none.messages_per_round.empty());
 }
 
 TEST(Simulator, WakeSelfRequiresPositiveDelay) {
@@ -488,21 +522,17 @@ TEST(Simulator, WakeSelfRequiresPositiveDelay) {
 }
 
 /// Same seed must give a bit-identical clustering and identical message
-/// metrics for every engine configuration: scheduling on/off, one
-/// worker or many. This is the contract that makes the scheduling and
-/// parallelism pure optimizations.
-TEST(Simulator, DeterministicAcrossSchedulingAndThreads) {
+/// metrics for every engine configuration: one worker or many. This is
+/// the contract that makes parallelism a pure optimization.
+TEST(Simulator, DeterministicAcrossThreads) {
   const Graph g = make_gnp(400, 8.0 / 399.0, 11);
   const CarveSchedule schedule = theorem1_schedule(g.num_vertices(), 4);
 
-  EngineOptions baseline;  // scheduled, serial
+  EngineOptions baseline;  // serial
   const DistributedRun reference =
       run_schedule_distributed(g, schedule, 99, baseline);
 
   std::vector<EngineOptions> variants;
-  EngineOptions unscheduled;
-  unscheduled.active_scheduling = false;
-  variants.push_back(unscheduled);
   EngineOptions two_threads;
   two_threads.threads = 2;
   variants.push_back(two_threads);
@@ -512,10 +542,6 @@ TEST(Simulator, DeterministicAcrossSchedulingAndThreads) {
   EngineOptions seven_threads;  // does not divide n: uneven shards
   seven_threads.threads = 7;
   variants.push_back(seven_threads);
-  EngineOptions unscheduled_parallel;
-  unscheduled_parallel.active_scheduling = false;
-  unscheduled_parallel.threads = 3;
-  variants.push_back(unscheduled_parallel);
 
   for (const EngineOptions& variant : variants) {
     const DistributedRun run =
@@ -531,18 +557,17 @@ TEST(Simulator, DeterministicAcrossSchedulingAndThreads) {
     }
   }
 
-  // Scheduling is the whole point: the default configuration must do
-  // strictly less vertex work than run-every-vertex mode.
-  const DistributedRun every_vertex =
-      run_schedule_distributed(g, schedule, 99, unscheduled);
+  // Scheduling is the whole point: the carve runs strictly fewer
+  // vertices than every vertex every round.
   EXPECT_LT(reference.sim.vertex_activations,
-            every_vertex.sim.vertex_activations);
+            static_cast<std::uint64_t>(g.num_vertices()) *
+                reference.sim.rounds);
 }
 
 /// Every vertex checks that its worker index stays inside the count the
 /// engine announced via begin_workers, and that vertices are executed by
 /// the worker owning their shard (contiguous ranges) whenever the round
-/// runs parallel.
+/// runs parallel. Every vertex wakes itself every round.
 class WorkerIndexProtocol final : public Protocol {
  public:
   void begin(const Graph& g) override {
@@ -558,9 +583,9 @@ class WorkerIndexProtocol final : public Protocol {
       violation_.store(true, std::memory_order_relaxed);
     }
     out.send_to_all_neighbors({static_cast<std::uint64_t>(v)});
+    out.wake_self_in(1);
   }
   bool finished() const override { return false; }
-  bool needs_spontaneous_rounds() const override { return true; }
   unsigned announced() const { return announced_; }
   bool violated() const { return violation_.load(); }
 
@@ -739,29 +764,35 @@ TEST(Simulator, RunStoppedWithMailUnreadLeavesNothingBehind) {
   // finished() stops the first run after round 1: round 1's broadcast
   // is laid out in the inboxes but never read, and the round-3 wakes
   // are still pending. The next run on the same engine (wakes at round
-  // 4) must see exactly what a fresh engine's run sees.
+  // 4) must see exactly what a fresh engine's run sees, also when every
+  // vertex runs every round.
   const Graph g = make_gnp(200, 6.0 / 199.0, 3);
   const std::size_t never = std::numeric_limits<std::size_t>::max();
-  for (const bool scheduling : {true, false}) {
+  for (const bool every_vertex : {false, true}) {
+    const auto run = [every_vertex](SyncEngine& engine,
+                                    StoppableBroadcast& protocol) {
+      if (!every_vertex) return engine.run(protocol, 8);
+      EveryVertex wrapped(protocol);
+      return engine.run(wrapped, 8);
+    };
     for (const unsigned threads : {1u, 2u, 4u}) {
-      SCOPED_TRACE(::testing::Message() << "scheduling=" << scheduling
+      SCOPED_TRACE(::testing::Message() << "every_vertex=" << every_vertex
                                         << " threads=" << threads);
       EngineOptions options;
-      options.active_scheduling = scheduling;
       options.threads = threads;
       StoppableBroadcast fresh_protocol(never, 4);
       SyncEngine fresh(g, options);
-      const SimMetrics expected = fresh.run(fresh_protocol, 8);
+      const SimMetrics expected = run(fresh, fresh_protocol);
 
       SyncEngine engine(g, options);
       StoppableBroadcast stopped(1, 3);
-      const SimMetrics first = engine.run(stopped, 8);
+      const SimMetrics first = run(engine, stopped);
       ASSERT_EQ(first.status, RunStatus::kFinished);
       ASSERT_EQ(first.rounds, 2u);
       ASSERT_GT(first.messages_per_round[1], 0u);
 
       StoppableBroadcast again(never, 4);
-      expect_same_metrics(engine.run(again, 8), expected);
+      expect_same_metrics(run(engine, again), expected);
       EXPECT_EQ(again.log(), fresh_protocol.log());
     }
   }

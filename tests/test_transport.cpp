@@ -505,15 +505,16 @@ TEST(Transport, OccurrenceNumbersCountRepeatsPerReceiver) {
   }
 }
 
-/// Never finishes and runs every vertex every round: the protocol shape
+/// Never finishes and wakes every vertex every round: the protocol shape
 /// that would spin forever without a round budget.
 class SpinForever final : public Protocol {
  public:
   void begin(const Graph&) override {}
   void on_round(VertexId, std::size_t, std::span<const MessageView>,
-                Outbox&) override {}
+                Outbox& out) override {
+    out.wake_self_in(1);
+  }
   bool finished() const override { return false; }
-  bool needs_spontaneous_rounds() const override { return true; }
 };
 
 TEST(Transport, RoundBudgetExhaustedIsNamed) {
