@@ -45,10 +45,20 @@ void append_record(std::vector<std::uint64_t>& words,
 
 class MisPipelineProtocol final : public Protocol {
  public:
+  /// A carve's colors are its phase indices, and many phases carve
+  /// nothing: each color in use gets one window, in color order.
   MisPipelineProtocol(const Clustering& clustering, std::int32_t k)
-      : clustering_(clustering), k_(k),
-        rounds_per_class_(3 * k + 2),
-        classes_(clustering.num_colors()) {}
+      : clustering_(clustering), k_(k), rounds_per_class_(3 * k + 2) {
+    std::vector<char> used(static_cast<std::size_t>(clustering.num_colors()),
+                           0);
+    for (ClusterId c = 0; c < clustering.num_clusters(); ++c) {
+      used[static_cast<std::size_t>(clustering.color_of(c))] = 1;
+    }
+    class_of_color_.assign(used.size(), -1);
+    for (std::size_t color = 0; color < used.size(); ++color) {
+      if (used[color]) class_of_color_[color] = classes_++;
+    }
+  }
 
   void begin(const Graph& g) override {
     const auto n = static_cast<std::size_t>(g.num_vertices());
@@ -83,7 +93,8 @@ class MisPipelineProtocol final : public Protocol {
     const auto class_index = static_cast<std::int32_t>(round / per_class);
     const auto step = static_cast<std::int32_t>(round % per_class);
     const ClusterId cluster = clustering_.cluster_of(v);
-    const std::int32_t my_class = clustering_.color_of(cluster);
+    const std::int32_t my_class = class_of_color_[static_cast<std::size_t>(
+        clustering_.color_of(cluster))];
 
     // Round 0 runs every vertex: each wakes for its class's announce
     // step, and each center for its window's start (round 0 for class 0).
@@ -265,7 +276,9 @@ class MisPipelineProtocol final : public Protocol {
   const Clustering& clustering_;
   const std::int32_t k_;
   const std::int32_t rounds_per_class_;
-  const std::int32_t classes_;
+  std::int32_t classes_ = 0;
+  /// Each color's window index among the colors in use (-1: unused).
+  std::vector<std::int32_t> class_of_color_;
 
   const Graph* graph_ = nullptr;
   std::vector<std::int32_t> depth_;
@@ -299,6 +312,10 @@ DistributedMisResult mis_distributed_pipeline(
 
   MisPipelineProtocol protocol(clustering, k);
   SyncEngine engine(g, engine_options);
+  // Nothing here recovers a lost message: a dropped tree, gather or
+  // decision message leaves vertices undecided or the set wrong.
+  DSND_REQUIRE(!engine.transport().lossy(),
+               "the MIS pipeline needs a reliable transport");
   const std::size_t max_rounds =
       static_cast<std::size_t>(protocol.classes()) *
       static_cast<std::size_t>(protocol.rounds_per_class());

@@ -35,6 +35,8 @@ struct DistributedMisResult {
   /// k of convergecast, the solve, k - 1 of downcast, the announce and
   /// the step it arrives in).
   std::int32_t rounds_per_class = 0;
+  /// Colors in use, one window each (a carve's colors are its phase
+  /// indices, with gaps where a phase carved nothing).
   std::int32_t classes = 0;
 };
 
@@ -44,7 +46,9 @@ struct DistributedMisResult {
 /// Clusters must be connected and contain their centers. The pipeline is
 /// time-driven: a vertex wakes itself for each step it acts on without
 /// mail, so the engine runs only vertices with work. engine_options can
-/// still enable parallel rounds.
+/// still enable parallel rounds. Nothing recovers a lost message, so a
+/// lossy transport (Transport::lossy()) is refused with
+/// std::invalid_argument.
 DistributedMisResult mis_distributed_pipeline(
     const Graph& g, const Clustering& clustering, std::int32_t k,
     const EngineOptions& engine_options = {});

@@ -233,8 +233,8 @@ RadiusBatchStats carve_radius_sample_batch(
 bool phase_join_decision(const CarveEntry& best, const CarveEntry& second,
                          double margin);
 
-/// The carving state the protocol, the reference carver and both
-/// Linial–Saks backends advance: who is still live, what each carved
+/// The carving state the protocol, the reference carver, the Linial–Saks
+/// protocol and its oracle advance: who is still live, what each carved
 /// vertex chose, and the run-level counters. carve_result
 /// (carve_schedule.hpp) assembles a CarveResult from it, and the
 /// protocol's phase-boundary checkpoint (checkpoint.hpp) is a copy of it.

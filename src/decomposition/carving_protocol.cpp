@@ -47,11 +47,10 @@ class CarvingProtocol final : public Protocol {
   }
 
   /// Attaches (or detaches, with nullptr) the phase-boundary recovery
-  /// arena. With an arena the protocol records each phase's joiners,
-  /// validates every finalized phase incrementally, and captures a
-  /// checkpoint at each validated boundary; an invalid phase ends the
-  /// run early with recovery_invalid_phase() set instead of joining bad
-  /// clusters into the output.
+  /// arena. With an arena the protocol validates every finalized phase
+  /// incrementally and captures a checkpoint at each validated boundary;
+  /// an invalid phase ends the run early with recovery_invalid_phase()
+  /// set instead of joining bad clusters into the output.
   void enable_recovery(RecoveryArena* arena) {
     arena_ = arena;
     restore_armed_ = false;
@@ -100,11 +99,6 @@ class CarvingProtocol final : public Protocol {
     } else {
       progress_.reset(g.num_vertices());
     }
-    if (arena_ != nullptr) {
-      for (std::vector<VertexId>& per_worker : arena_->joiners) {
-        per_worker.clear();
-      }
-    }
     begin_workers(1);
   }
 
@@ -112,9 +106,6 @@ class CarvingProtocol final : public Protocol {
     workers_ = workers == 0 ? 1 : workers;
     joined_.reset(workers_);
     chunk_stats_.assign(workers_, RadiusBatchStats{});
-    if (arena_ != nullptr && arena_->joiners.size() < workers_) {
-      arena_->joiners.resize(workers_);
-    }
   }
 
   // The shared round plan. The engine's global round counter no longer
@@ -230,12 +221,6 @@ class CarvingProtocol final : public Protocol {
     if (phase_join_decision(best_[vi], second_[vi], 1.0)) {
       progress_.join(v, best_[vi].center);
       ++joined_[out.worker()];
-      if (arena_ != nullptr) {
-        // Record the joiner for the boundary validation. Per-worker
-        // lists in shard execution (= ascending vertex id) order, so the
-        // worker-order concatenation is ascending for any thread count.
-        arena_->joiners[out.worker()].push_back(v);
-      }
       out.send_to_all_neighbors({kTagLeave});
     } else {
       // Survivors sample again at the next attempt's step 0.
@@ -267,13 +252,15 @@ class CarvingProtocol final : public Protocol {
   }
 
   /// Validates the clusters the just-decided phase finalized (serial —
-  /// called from the pre-round hook only).
+  /// called from the pre-round hook only). `live` is compacted only at
+  /// the phase advance, so its entries no longer alive are exactly this
+  /// phase's joiners, ascending for any thread count.
   bool phase_validates() {
     arena_->joined.clear();
-    for (std::vector<VertexId>& per_worker : arena_->joiners) {
-      arena_->joined.insert(arena_->joined.end(), per_worker.begin(),
-                            per_worker.end());
-      per_worker.clear();
+    for (const VertexId v : progress_.live) {
+      if (!progress_.alive[static_cast<std::size_t>(v)]) {
+        arena_->joined.push_back(v);
+      }
     }
     return arena_->joined.empty() ||
            arena_->validator.validate_phase(

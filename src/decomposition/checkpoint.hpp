@@ -23,7 +23,7 @@
 //                     whole-run validation against the original graph
 //                     still gates every kOk — this is an early-exit, not
 //                     a replacement).
-//   RecoveryArena     everything above plus the per-worker joiner lists,
+//   RecoveryArena     everything above plus the phase's joiner list,
 //                     owned by CarveContext so the buffers live exactly
 //                     as long as the engine/protocol pair they serve.
 //
@@ -80,16 +80,12 @@ class PhaseValidator {
 
 /// Checkpoint/rollback state retained by a CarveContext: the last
 /// validated checkpoint, the incremental validator's scratch, and the
-/// per-worker joiner lists the protocol fills at each deciding step
-/// (plain vectors, NOT PerWorker<T> — reset there would drop capacity).
+/// list of the phase's joiners the boundary validation reads.
 struct RecoveryArena {
   PhaseCheckpoint checkpoint;
   PhaseValidator validator;
-  /// joiners[w]: the vertices worker w's shard joined this phase, in
-  /// execution (= ascending vertex id) order.
-  std::vector<std::vector<VertexId>> joiners;
-  /// Concatenation scratch: the phase's joiners in worker order, which
-  /// is ascending engine-id order for every thread count.
+  /// The just-decided phase's joiners in ascending engine id, refilled
+  /// from the record at each boundary.
   std::vector<VertexId> joined;
 };
 

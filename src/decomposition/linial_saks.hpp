@@ -15,16 +15,17 @@
 // induced subgraph, and its strong diameter can be unbounded — the gap
 // that motivates the paper, measured head-to-head in bench E5.
 //
-// Both backends run on the carve core (carving.hpp): r_v is the floor of
-// the carve's EXP(beta) draw at beta = -ln p, which has LS93's tail
-// Pr[r >= j] = p^j, on the same per-(seed, phase, vertex) streams;
-// joins advance a CarveProgress record and carve_result assembles the
-// result. Only LS93's own rules are separate: the min-id broadcast and
-// the strict-retention join. The centralized backend claims vertices by
-// radius-capped BFS from the centers in id order; the distributed one is
-// a protocol on the simulator, for the message-complexity comparison
-// against the Elkin–Neiman protocol (bench E8). On the same seed the two
-// agree bit for bit.
+// One implementation: a CONGEST protocol on the simulator, for the
+// message-complexity comparison against the Elkin–Neiman protocol
+// (bench E8); linial_saks_decomposition runs it on a default engine. It
+// rides on the carve core (carving.hpp): r_v is the floor of the carve's
+// EXP(beta) draw at beta = -ln p, which has LS93's tail
+// Pr[r >= j] = p^j, on the same per-(seed, phase, vertex) streams; joins
+// advance a CarveProgress record and carve_result assembles the result.
+// Only LS93's own rules are separate: the min-id broadcast and the
+// strict-retention join. The tests hold it bit for bit against an
+// oracle (tests/reference_carver.hpp) in which centers claim the
+// unclaimed vertices by radius-capped BFS in id order.
 //
 // The protocol's messages carry one (id, radius, distance) entry — O(1)
 // words — but unlike Elkin–Neiman's top-2 rule, min-id flooding cannot
@@ -60,18 +61,21 @@ struct LinialSaksOptions {
 /// The LS93 radius distribution parameter p = n^{-1/k}.
 double linial_saks_p(VertexId n, std::int32_t k);
 
-/// Runs phases until the graph is exhausted. bounds.strong_diameter is
-/// set to the WEAK diameter bound 2k-2 (that is all LS93 promises).
-DecompositionRun linial_saks_decomposition(const Graph& g,
-                                           const LinialSaksOptions& options);
-
-/// The same decomposition as a CONGEST protocol: on the same options its
-/// CarveResult equals linial_saks_decomposition's field for field.
-/// engine_options tunes the simulator (threads, transport) without
-/// changing any output.
+/// Runs phases until the graph is exhausted, as a CONGEST protocol on
+/// the simulator. bounds.strong_diameter is set to the WEAK diameter
+/// bound 2k-2 (that is all LS93 promises). No output depends on
+/// engine_options.threads. Nothing validates or recovers, so a lossy
+/// transport (Transport::lossy()) is refused with std::invalid_argument;
+/// any other transport changes no output.
 DistributedRun linial_saks_distributed(
     const Graph& g, const LinialSaksOptions& options,
     const EngineOptions& engine_options = {});
+
+/// linial_saks_distributed(g, options).run on a default engine (one
+/// thread, reliable transport), for callers that want the decomposition
+/// and not the simulator's accounting.
+DecompositionRun linial_saks_decomposition(const Graph& g,
+                                           const LinialSaksOptions& options);
 
 /// [tag, id, radius, dist].
 inline constexpr std::size_t kLsProtocolMaxWords = 4;

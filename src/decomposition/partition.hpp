@@ -63,7 +63,8 @@ class Clustering {
   ClusterId num_clusters() const {
     return static_cast<ClusterId>(centers_.size());
   }
-  /// Number of distinct colors (= max color + 1; colors are dense).
+  /// Max color + 1. Colors need not be dense: a carve's colors are its
+  /// phase indices, and a phase may carve nothing.
   std::int32_t num_colors() const;
 
   /// Creates a cluster and returns its id.

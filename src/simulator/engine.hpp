@@ -93,8 +93,9 @@ struct EngineOptions {
   /// exchange, bit for bit.
   Transport* transport = nullptr;
 
-  /// When true (default), rounds in which no shard staged a cross-shard
-  /// message and the transport holds nothing in flight
+  /// When true (default), rounds in which no shard staged any message
+  /// (same-shard ones included, which at one thread are all of them)
+  /// and the transport holds nothing in flight
   /// (Transport::pending() == 0) skip the exchange+deliver stage
   /// entirely — no transport call, no delivery passes, no collect
   /// barrier; only wakes and active lists are updated. Results and

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "decomposition/elkin_neiman.hpp"
+#include "graph/traversal.hpp"
 #include "support/assert.hpp"
 #include "support/distributions.hpp"
 #include "support/rng.hpp"
@@ -128,6 +131,72 @@ CarveResult carve_decomposition(const Graph& g, const CarveSchedule& schedule,
   }
   return carve_result(schedule.target_phases(), schedule.phase_rounds,
                       progress, /*names=*/{}, radius_overflow);
+}
+
+CarveResult reference_linial_saks(const Graph& g,
+                                  const LinialSaksOptions& options) {
+  const VertexId n = g.num_vertices();
+  DSND_REQUIRE(n >= 1, "graph must be nonempty");
+  // LS93's parameters: radii capped at k - 1 (k >= 2, or nothing is ever
+  // retained), the expected phase count lambda = n^{1/k} ln n, and
+  // beta = -ln p, under which the floor of an EXP(beta) draw has the
+  // tail Pr[r >= j] = p^j.
+  const std::int32_t k = std::max(resolve_k(n, options.k), 2);
+  const auto lambda = static_cast<std::int32_t>(
+      std::ceil(std::pow(static_cast<double>(n), 1.0 / k) *
+                    std::log(static_cast<double>(std::max<VertexId>(n, 2))) +
+                1.0));
+  const double beta = -std::log(linial_saks_p(n, k));
+  const auto radius = [k](double draw) {
+    return std::min(std::floor(draw), static_cast<double>(k - 1));
+  };
+  const std::int32_t hard_cap = lambda * 16 + n + 16;
+
+  const auto nn = static_cast<std::size_t>(n);
+  CarveProgress progress;
+  progress.reset(n);
+  std::vector<double> draws(nn);
+  std::vector<double> unit_scratch(nn);
+  // claimed[y] == phase: a smaller-id center's broadcast reached y.
+  std::vector<std::int32_t> claimed(nn, -1);
+  BfsArena arena(n);
+
+  while (!progress.live.empty()) {
+    const std::int32_t phase = progress.phase;
+    DSND_CHECK(phase < hard_cap, "Linial–Saks failed to converge");
+    progress.phases_used = phase + 1;
+    const RadiusBatchStats stats = carve_radius_sample_batch(
+        options.seed, phase, beta, /*retry=*/0, progress.live,
+        /*names=*/{}, unit_scratch, draws,
+        /*overflow_at=*/std::numeric_limits<double>::infinity());
+    progress.max_sampled_radius =
+        std::max(progress.max_sampled_radius, radius(stats.max_radius));
+
+    // The phase's graph G_t: joiners leave only at the phase advance.
+    const auto in_phase = [&progress, phase](VertexId u) {
+      const auto ui = static_cast<std::size_t>(u);
+      return progress.alive[ui] != 0 || progress.chosen_phase[ui] == phase;
+    };
+    // Each live y goes to the minimum-id center whose r_v-hop broadcast
+    // reaches it in G_t: centers claim unclaimed vertices by radius-capped
+    // BFS in increasing id order, so an earlier claim always wins the id
+    // tie-break. Retention rule: y joins iff d(y, center) < r_center.
+    for (const VertexId v : progress.live) {
+      const auto r = static_cast<std::int32_t>(
+          radius(draws[static_cast<std::size_t>(v)]));
+      for (const VertexId u : bfs(g, {&v, 1}, arena, in_phase, r)) {
+        std::int32_t& claim = claimed[static_cast<std::size_t>(u)];
+        if (claim == phase) continue;
+        claim = phase;
+        if (arena.distance(u) < r) progress.join(u, v);
+      }
+      arena.reset();
+    }
+    progress.advance_phase();
+  }
+  // k + 1 rounds per phase: k broadcast rounds plus one announcement.
+  return carve_result(lambda, k, progress, /*names=*/{},
+                      /*radius_overflow=*/false);
 }
 
 void PrintTo(const CarveResult& result, std::ostream* os) {

@@ -15,6 +15,11 @@
 // (a join margin other than 1, top-1 forwarding) that bench_ablation
 // measures, and the scalar radius sampler the batched one is pinned
 // against.
+//
+// The same holds for the Linial–Saks baseline: the library runs only its
+// protocol (decomposition/linial_saks.hpp), and reference_linial_saks
+// realizes LS93 a second way, by radius-capped BFS claims, sharing only
+// carve_radius_sample_batch, CarveProgress and carve_result with it.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +28,7 @@
 
 #include "decomposition/carve_schedule.hpp"
 #include "decomposition/carving.hpp"
+#include "decomposition/linial_saks.hpp"
 #include "graph/graph.hpp"
 
 namespace dsnd {
@@ -66,6 +72,16 @@ PhaseState run_phase_broadcast(
 CarveResult carve_decomposition(
     const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
     double margin = 1.0, ForwardPolicy forward_policy = ForwardPolicy::kTop2);
+
+/// Linial–Saks by claims: each phase draws every live vertex's radius
+/// (the floor of its EXP(-ln p) draw, capped at k - 1), then the centers,
+/// in increasing id, claim the unclaimed vertices within their radius by
+/// BFS through the phase's graph; a claimed vertex joins iff its distance
+/// is strictly below the radius. k, lambda and beta come from resolve_k
+/// and linial_saks_p. Must equal linial_saks_distributed(g,
+/// options).run.carve for every engine option.
+CarveResult reference_linial_saks(const Graph& g,
+                                  const LinialSaksOptions& options);
 
 /// GoogleTest's printer for a CarveResult, so a failed equality shows the
 /// counters instead of raw bytes.

@@ -8,6 +8,7 @@
 #include "apps/mis.hpp"
 #include "decomposition/elkin_neiman.hpp"
 #include "graph/generators.hpp"
+#include "simulator/transport.hpp"
 #include "support/rng.hpp"
 
 namespace dsnd {
@@ -40,22 +41,25 @@ TEST(MisPipeline, MatchesCentralizedPipelineExactly) {
   }
 }
 
-TEST(MisPipeline, WakeDrivenCountsMatchEveryVertexRuns) {
-  // Counts recorded when the engine ran every vertex every round (the
-  // per-round series as a mix_word digest). Self-wakes must leave them
-  // unchanged and run at least 10x fewer vertices than n * rounds.
+TEST(MisPipeline, CountsPinned) {
+  // Recorded values, the per-round series as a mix_word digest. Messages,
+  // words and widths date from when the engine ran every vertex every
+  // round, activations from the first self-waking pipeline; rounds and
+  // the digest were re-recorded when the pipeline gave windows only to
+  // the colors in use.
   struct Pin {
     const char* family;
     std::size_t rounds;
     std::uint64_t messages;
     std::uint64_t words;
     std::size_t max_message_words;
+    std::uint64_t vertex_activations;
     std::uint64_t per_round_digest;
   };
   for (const Pin& pin :
-       {Pin{"grid", 793, 4307, 11080, 24, 0x55e8e480c2cdd0d0ULL},
-        Pin{"gnp-sparse", 961, 6967, 21858, 63, 0xe9bb42ea62adb48cULL},
-        Pin{"rgg", 793, 11536, 73185, 44, 0xbd0a5ba8cb2543ceULL}}) {
+       {Pin{"grid", 541, 4307, 11080, 24, 7329, 0xf3b14407a7bbaffcULL},
+        Pin{"gnp-sparse", 541, 6967, 21858, 63, 9301, 0xb9c471cc9dba1afcULL},
+        Pin{"rgg", 583, 11536, 73185, 44, 10512, 0x2642c28dc04e7ef4ULL}}) {
     SCOPED_TRACE(pin.family);
     const Graph g = family_by_name(pin.family).make(1000, 3);
     const std::int32_t k = 4;
@@ -74,8 +78,7 @@ TEST(MisPipeline, WakeDrivenCountsMatchEveryVertexRuns) {
       digest = mix_word(digest, m);
     }
     EXPECT_EQ(digest, pin.per_round_digest);
-    EXPECT_LE(dist.sim.vertex_activations * 10,
-              static_cast<std::uint64_t>(g.num_vertices()) * pin.rounds);
+    EXPECT_EQ(dist.sim.vertex_activations, pin.vertex_activations);
   }
 }
 
@@ -123,7 +126,10 @@ TEST(MisPipeline, RoundsAreClassesTimesBudget) {
   const DistributedMisResult dist =
       mis_distributed_pipeline(g, run.clustering(), k);
   EXPECT_EQ(dist.rounds_per_class, 3 * k + 2);
-  EXPECT_EQ(dist.classes, run.clustering().num_colors());
+  // One window per color in use, not per color index up to the largest.
+  EXPECT_EQ(dist.classes,
+            mis_by_decomposition(g, run.clustering()).cost.color_classes);
+  EXPECT_LT(dist.classes, run.clustering().num_colors());
   // The engine stops as soon as the last class decides, which happens
   // within the final class's budget.
   EXPECT_LE(dist.sim.rounds,
@@ -132,6 +138,34 @@ TEST(MisPipeline, RoundsAreClassesTimesBudget) {
   EXPECT_GT(dist.sim.rounds,
             static_cast<std::size_t>(dist.classes - 1) *
                 static_cast<std::size_t>(dist.rounds_per_class));
+}
+
+TEST(MisPipeline, RefusesLossyTransport) {
+  // Nothing in the pipeline recovers a lost message, so a transport that
+  // can lose traffic is refused; a zero-fault plan is a plain relay.
+  const Graph g = make_gnp(120, 0.05, 2);
+  const std::int32_t k = 4;
+  const DecompositionRun run = usable_run(g, k, 2);
+  const DistributedMisResult reliable =
+      mis_distributed_pipeline(g, run.clustering(), k);
+
+  FaultPlan drops;
+  drops.seed = 5;
+  drops.drop_rate = 0.05;
+  FaultyTransport lossy(drops);
+  EngineOptions lossy_engine;
+  lossy_engine.transport = &lossy;
+  EXPECT_THROW(mis_distributed_pipeline(g, run.clustering(), k, lossy_engine),
+               std::invalid_argument);
+
+  FaultyTransport zero((FaultPlan()));
+  EngineOptions zero_engine;
+  zero_engine.transport = &zero;
+  const DistributedMisResult relayed =
+      mis_distributed_pipeline(g, run.clustering(), k, zero_engine);
+  EXPECT_EQ(relayed.in_mis, reliable.in_mis);
+  EXPECT_EQ(relayed.sim.messages_per_round, reliable.sim.messages_per_round);
+  EXPECT_EQ(relayed.sim.words, reliable.sim.words);
 }
 
 TEST(MisPipeline, LocalModelMessagesAreWide) {
