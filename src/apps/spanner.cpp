@@ -23,7 +23,7 @@ void add_bfs_tree(const Graph& g, VertexId root, VertexId size,
   const auto tree =
       bfs(g, {&root, 1}, arena, in_cluster, kNoDepthLimit,
           [&edges](VertexId u, VertexId w) {
-            edges.push_back({std::min(u, w), std::max(u, w)});
+            edges.push_back({u, w});
           });
   DSND_CHECK(static_cast<VertexId>(tree.size()) == size,
              "spanner tree construction requires connected clusters");
@@ -31,10 +31,10 @@ void add_bfs_tree(const Graph& g, VertexId root, VertexId size,
 }
 
 SpannerResult finish(const Graph& g, std::vector<Edge> edges) {
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   SpannerResult result;
-  result.spanner = Graph::from_edges(g.num_vertices(), std::move(edges));
+  // Overlapping cover clusters can contribute one edge twice.
+  result.spanner =
+      Graph::from_edges(g.num_vertices(), std::move(edges), /*normalize=*/true);
   result.edges = result.spanner.num_edges();
   result.stretch = measure_stretch(g, result.spanner);
   return result;

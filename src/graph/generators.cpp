@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
 #include "support/assert.hpp"
+#include "support/parallel_chunks.hpp"
 #include "support/rng.hpp"
 
 namespace dsnd {
@@ -33,144 +35,11 @@ unsigned resolve_threads(unsigned threads, std::size_t items) {
   return std::min(threads, cap);
 }
 
-/// Runs fn(chunk_index, begin, end) over a contiguous partition of
-/// [0, items) — inline when one thread suffices. The partition only
-/// distributes work; each unit draws from its own stream, so results
-/// never depend on the chunking.
-template <typename Fn>
-void parallel_chunks(std::size_t items, unsigned threads, Fn&& fn) {
-  if (threads <= 1 || items < 2) {
-    fn(0u, std::size_t{0}, items);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  const std::size_t chunk = (items + threads - 1) / threads;
-  for (unsigned t = 0; t < threads; ++t) {
-    const std::size_t begin = std::min(items, t * chunk);
-    const std::size_t end = std::min(items, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back([&fn, t, begin, end] { fn(t, begin, end); });
-  }
-  for (std::thread& thread : pool) thread.join();
-}
-
-/// Counting-CSR assembly over per-chunk edge lists (shared by make_gnp
-/// and make_hyperbolic_geometric): degree count, prefix sum, and a
-/// cursor scatter of both directions walking chunks in order. make_gnp's
-/// row-major edge streams leave every row sorted by construction
-/// (lower neighbors in increasing w during the row's own step, upper
-/// neighbors in increasing row afterwards — lower < row < upper), so it
-/// skips the per-row sort; band-scan-order streams (hyperbolic) request
-/// it. make_rgg_geometric needs no edge list: it writes its rows directly.
-Graph csr_from_chunk_edges(std::size_t count,
-                           const std::vector<std::vector<Edge>>& chunk_edges,
-                           bool sort_rows, unsigned workers) {
-  std::vector<std::int64_t> offsets(count + 1, 0);
-  for (const auto& edges : chunk_edges) {
-    for (const Edge& e : edges) {
-      ++offsets[static_cast<std::size_t>(e.u) + 1];
-      ++offsets[static_cast<std::size_t>(e.v) + 1];
-    }
-  }
-  for (std::size_t v = 0; v < count; ++v) offsets[v + 1] += offsets[v];
-  std::vector<VertexId> adjacency(
-      static_cast<std::size_t>(offsets[count]));
-  std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& edges : chunk_edges) {
-    for (const Edge& e : edges) {
-      adjacency[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(e.v)]++)] = e.u;
-      adjacency[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(e.u)]++)] = e.v;
-    }
-  }
-  if (sort_rows) {
-    parallel_chunks(count, workers,
-                    [&](unsigned, std::size_t begin, std::size_t end) {
-                      for (std::size_t v = begin; v < end; ++v) {
-                        std::sort(adjacency.begin() + offsets[v],
-                                  adjacency.begin() + offsets[v + 1]);
-                      }
-                    });
-  }
-  return Graph::from_csr(std::move(offsets), std::move(adjacency));
-}
-
-/// Deterministic dedup + symmetric CSR over canonicalized (u < v,
-/// loop-free) edge samples, shared by the sample-then-dedup generators
-/// (kronecker, barabasi_albert). Counting-scatter the samples into
-/// per-u half rows (walking chunks in order, so the multiset is
-/// chunk-count invariant), sort + unique each row, then scatter the
-/// distinct edges row-major: row u receives lower neighbors (from
-/// earlier rows, increasing) before its own upper neighbors
-/// (increasing), so every row comes out sorted without a second sort.
-/// O(samples + m log deg).
-Graph symmetric_csr_from_canonical_samples(
-    std::size_t count, const std::vector<std::vector<Edge>>& chunk_edges,
-    unsigned workers) {
-  std::vector<std::int64_t> half_start(count + 1, 0);
-  for (const auto& edges : chunk_edges) {
-    for (const Edge& e : edges) {
-      ++half_start[static_cast<std::size_t>(e.u) + 1];
-    }
-  }
-  for (std::size_t u = 0; u < count; ++u) half_start[u + 1] += half_start[u];
-  std::vector<VertexId> half_adj(
-      static_cast<std::size_t>(half_start[count]));
-  {
-    std::vector<std::int64_t> fill(half_start.begin(), half_start.end() - 1);
-    for (const auto& edges : chunk_edges) {
-      for (const Edge& e : edges) {
-        half_adj[static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(e.u)]++)] = e.v;
-      }
-    }
-  }
-  std::vector<std::int64_t> half_len(count, 0);
-  parallel_chunks(count, workers,
-                  [&](unsigned, std::size_t begin, std::size_t end) {
-                    for (std::size_t u = begin; u < end; ++u) {
-                      const auto row_begin =
-                          half_adj.begin() +
-                          static_cast<std::ptrdiff_t>(half_start[u]);
-                      const auto row_end =
-                          half_adj.begin() +
-                          static_cast<std::ptrdiff_t>(half_start[u + 1]);
-                      std::sort(row_begin, row_end);
-                      half_len[u] = std::unique(row_begin, row_end) -
-                                    row_begin;
-                    }
-                  });
-
-  std::vector<std::int64_t> offsets(count + 1, 0);
-  for (std::size_t u = 0; u < count; ++u) {
-    offsets[u + 1] += half_len[u];
-    for (std::int64_t i = half_start[u]; i < half_start[u] + half_len[u];
-         ++i) {
-      ++offsets[static_cast<std::size_t>(
-                    half_adj[static_cast<std::size_t>(i)]) +
-                1];
-    }
-  }
-  for (std::size_t u = 0; u < count; ++u) offsets[u + 1] += offsets[u];
-  std::vector<VertexId> adjacency(
-      static_cast<std::size_t>(offsets[count]));
-  {
-    std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t u = 0; u < count; ++u) {
-      for (std::int64_t i = half_start[u]; i < half_start[u] + half_len[u];
-           ++i) {
-        const VertexId v = half_adj[static_cast<std::size_t>(i)];
-        adjacency[static_cast<std::size_t>(
-            cursor[u]++)] = v;
-        adjacency[static_cast<std::size_t>(
-            cursor[static_cast<std::size_t>(v)]++)] =
-            static_cast<VertexId>(u);
-      }
-    }
-  }
-  return Graph::from_csr(std::move(offsets), std::move(adjacency));
+/// A vertex count computed in 64 bits, checked before anything is sized.
+VertexId vertex_count(std::int64_t n) {
+  DSND_REQUIRE(n <= std::numeric_limits<VertexId>::max(),
+               "vertex count exceeds INT32_MAX");
+  return static_cast<VertexId>(n);
 }
 
 }  // namespace
@@ -211,7 +80,7 @@ Graph make_cycle(VertexId n, unsigned threads) {
 
 Graph make_grid2d(VertexId rows, VertexId cols) {
   DSND_REQUIRE(rows >= 1 && cols >= 1, "grid dimensions must be positive");
-  GraphBuilder builder(rows * cols);
+  GraphBuilder builder(vertex_count(std::int64_t{rows} * cols));
   auto id = [cols](VertexId r, VertexId c) { return r * cols + c; };
   for (VertexId r = 0; r < rows; ++r) {
     for (VertexId c = 0; c < cols; ++c) {
@@ -224,7 +93,7 @@ Graph make_grid2d(VertexId rows, VertexId cols) {
 
 Graph make_torus2d(VertexId rows, VertexId cols) {
   DSND_REQUIRE(rows >= 3 && cols >= 3, "torus dimensions must be >= 3");
-  GraphBuilder builder(rows * cols);
+  GraphBuilder builder(vertex_count(std::int64_t{rows} * cols));
   auto id = [cols](VertexId r, VertexId c) { return r * cols + c; };
   for (VertexId r = 0; r < rows; ++r) {
     for (VertexId c = 0; c < cols; ++c) {
@@ -237,7 +106,8 @@ Graph make_torus2d(VertexId rows, VertexId cols) {
 
 Graph make_grid3d(VertexId x, VertexId y, VertexId z) {
   DSND_REQUIRE(x >= 1 && y >= 1 && z >= 1, "grid dimensions must be positive");
-  GraphBuilder builder(x * y * z);
+  const VertexId xy = vertex_count(std::int64_t{x} * y);
+  GraphBuilder builder(vertex_count(std::int64_t{xy} * z));
   auto id = [y, z](VertexId a, VertexId b, VertexId c) {
     return (a * y + b) * z + c;
   };
@@ -271,7 +141,7 @@ Graph make_star(VertexId n) {
 
 Graph make_complete_bipartite(VertexId a, VertexId b) {
   DSND_REQUIRE(a >= 1 && b >= 1, "bipartite sides must be nonempty");
-  GraphBuilder builder(a + b);
+  GraphBuilder builder(vertex_count(std::int64_t{a} + b));
   for (VertexId u = 0; u < a; ++u) {
     for (VertexId v = 0; v < b; ++v) builder.add_edge(u, a + v);
   }
@@ -312,7 +182,7 @@ Graph make_hypercube(int dim) {
 Graph make_ring_of_cliques(VertexId num_cliques, VertexId clique_size) {
   DSND_REQUIRE(num_cliques >= 3, "ring needs at least three cliques");
   DSND_REQUIRE(clique_size >= 1, "clique size must be positive");
-  GraphBuilder builder(num_cliques * clique_size);
+  GraphBuilder builder(vertex_count(std::int64_t{num_cliques} * clique_size));
   auto id = [clique_size](VertexId clique, VertexId member) {
     return clique * clique_size + member;
   };
@@ -330,8 +200,8 @@ Graph make_ring_of_cliques(VertexId num_cliques, VertexId clique_size) {
 Graph make_barbell(VertexId clique_size, VertexId path_len) {
   DSND_REQUIRE(clique_size >= 2, "barbell cliques need >= 2 vertices");
   DSND_REQUIRE(path_len >= 1, "barbell path needs >= 1 edge");
-  const VertexId n = 2 * clique_size + (path_len - 1);
-  GraphBuilder builder(n);
+  GraphBuilder builder(
+      vertex_count(2 * std::int64_t{clique_size} + (path_len - 1)));
   for (VertexId i = 0; i < clique_size; ++i) {
     for (VertexId j = i + 1; j < clique_size; ++j) {
       builder.add_edge(i, j);
@@ -353,7 +223,7 @@ Graph make_barbell(VertexId clique_size, VertexId path_len) {
 Graph make_lollipop(VertexId clique_size, VertexId path_len) {
   DSND_REQUIRE(clique_size >= 2, "lollipop clique needs >= 2 vertices");
   DSND_REQUIRE(path_len >= 1, "lollipop path needs >= 1 edge");
-  GraphBuilder builder(clique_size + path_len);
+  GraphBuilder builder(vertex_count(std::int64_t{clique_size} + path_len));
   for (VertexId i = 0; i < clique_size; ++i) {
     for (VertexId j = i + 1; j < clique_size; ++j) builder.add_edge(i, j);
   }
@@ -369,9 +239,7 @@ Graph make_gnp(VertexId n, double p, std::uint64_t seed, unsigned threads) {
   DSND_REQUIRE(n >= 1, "G(n,p) needs at least one vertex");
   DSND_REQUIRE(p >= 0.0 && p <= 1.0, "probability must be in [0, 1]");
   const auto count = static_cast<std::size_t>(n);
-  if (p == 0.0) {
-    return Graph::from_csr(std::vector<std::int64_t>(count + 1, 0), {});
-  }
+  if (p == 0.0) return Graph::from_edges(n, {});
   if (p == 1.0) return make_complete(n);
 
   // Row streams: row v skip-samples its lower neighbors {w < v} from
@@ -415,8 +283,7 @@ Graph make_gnp(VertexId n, double p, std::uint64_t seed, unsigned threads) {
     }
   });
 
-  return csr_from_chunk_edges(count, chunk_edges, /*sort_rows=*/false,
-                              workers);
+  return Graph::from_edge_chunks(n, chunk_edges);
 }
 
 Graph make_gnm(VertexId n, std::int64_t m, std::uint64_t seed) {
@@ -563,7 +430,7 @@ Graph make_barabasi_albert(VertexId n, VertexId m, std::uint64_t seed,
   };
 
   // Self-attachment draws and duplicate (u, v) picks are dropped by the
-  // dedup, matching the usual simple-graph reading — except on a
+  // normalizing build, matching the usual simple-graph reading — except on a
   // vertex's FIRST slot, where a self-draw deterministically falls back
   // to the previous vertex. That guarantees every vertex u >= 1 keeps
   // an edge to an earlier vertex, so the graph is connected exactly
@@ -577,18 +444,14 @@ Graph make_barabasi_albert(VertexId n, VertexId m, std::uint64_t seed,
                           std::size_t end) {
         std::vector<Edge>& edges = chunk_edges[worker];
         for (std::size_t i = begin; i < end; ++i) {
-          auto u = static_cast<VertexId>(i / static_cast<std::size_t>(m));
+          const auto u = static_cast<VertexId>(i / static_cast<std::size_t>(m));
           VertexId v = resolve(2 * static_cast<std::uint64_t>(i) + 1);
-          if (u == v) {
-            const bool first_slot = i % static_cast<std::size_t>(m) == 0;
-            if (!first_slot || u == 0) continue;
-            v = u - 1;
-          }
-          edges.push_back(u < v ? Edge{u, v} : Edge{v, u});
+          const bool first_slot = i % static_cast<std::size_t>(m) == 0;
+          if (v == u && first_slot && u != 0) v = u - 1;
+          edges.push_back(Edge{u, v});
         }
       });
-  return symmetric_csr_from_canonical_samples(static_cast<std::size_t>(n),
-                                              chunk_edges, workers);
+  return Graph::from_edge_chunks(n, chunk_edges, /*normalize=*/true);
 }
 
 GeometricGraph make_rgg_geometric(VertexId n, double radius,
@@ -875,9 +738,7 @@ HyperbolicGraph make_hyperbolic_geometric(VertexId n, double avg_degree,
     }
   });
 
-  // Band-scan order is not row order, so the assembly sorts each row.
-  result.graph =
-      csr_from_chunk_edges(count, chunk_edges, /*sort_rows=*/true, workers);
+  result.graph = Graph::from_edge_chunks(n, chunk_edges);
   return result;
 }
 
@@ -902,9 +763,8 @@ Graph make_kronecker(int scale, std::int64_t edge_factor,
   constexpr double kC = 0.19;
 
   // Sample pass: directed sample e recursively picks one of the four
-  // quadrants per bit level from its own stream, top bit first. Samples
-  // are canonicalized to u < v; self-loops are dropped here, duplicate
-  // samples survive until the dedup pass below.
+  // quadrants per bit level from its own stream, top bit first.
+  // Self-loops and repeated samples are dropped by the normalizing build.
   std::vector<std::vector<Edge>> chunk_edges(workers);
   parallel_chunks(samples, workers,
                   [&](unsigned worker, std::size_t begin, std::size_t end) {
@@ -929,13 +789,11 @@ Graph make_kronecker(int scale, std::int64_t edge_factor,
           v = static_cast<VertexId>(v | 1);
         }
       }
-      if (u == v) continue;
-      if (u > v) std::swap(u, v);
       edges.push_back(Edge{u, v});
     }
   });
 
-  return symmetric_csr_from_canonical_samples(count, chunk_edges, workers);
+  return Graph::from_edge_chunks(n, chunk_edges, /*normalize=*/true);
 }
 
 namespace {

@@ -16,8 +16,10 @@ namespace dsnd {
 // --- Deterministic families ---------------------------------------------
 
 // Chunk-parallel generators (make_cycle, make_gnp, make_rgg) take a
-// `threads` argument (default 1; 0 = hardware concurrency) and build the
-// CSR directly via Graph::from_csr — no edge-list sort. Randomness is
+// `threads` argument (default 1; 0 = hardware concurrency). make_cycle
+// and make_rgg write their CSR rows directly (Graph::from_csr); make_gnp
+// hands its per-thread edge lists to Graph::from_edge_chunks, the one
+// edge-list kernel, which sorts rows on one thread per chunk. Randomness is
 // stream-split KaGen-style: every unit of work (a G(n,p) row, an RGG
 // point) draws from its own stream_seed-derived generator, so the output
 // is a function of (parameters, seed) alone — bit-identical for every
@@ -71,9 +73,9 @@ Graph make_lollipop(VertexId clique_size, VertexId path_len);
 /// Stream splitting: row v's lower neighbors {w < v} are skip-sampled
 /// (Batagelj–Brandes geometric jumps) from the row's own stream
 /// stream_seed(seed, tag, v), so rows can be generated in parallel chunks
-/// and the graph never depends on the chunking. The CSR is assembled with
-/// a counting scatter whose row-major order leaves every row sorted —
-/// total work O(n + m), no comparison sort.
+/// and the graph never depends on the chunking. The chunks' edge lists
+/// go through Graph::from_edge_chunks; their row-major order leaves
+/// every row sorted, so the kernel's row sort only checks them.
 Graph make_gnp(VertexId n, double p, std::uint64_t seed,
                unsigned threads = 1);
 
@@ -135,9 +137,10 @@ Graph make_rgg(VertexId n, double radius, std::uint64_t seed,
 //
 // Both generators below follow the chunk-parallel stream-split contract:
 // every unit of work (a hyperbolic point, a Kronecker edge sample) draws
-// from its own stream_seed-derived generator and the CSR is assembled via
-// Graph::from_csr, so the output is bit-identical for every thread/chunk
-// count (pinned by tests/test_scale_free.cpp).
+// from its own stream_seed-derived generator and the per-thread edge
+// lists go through Graph::from_edge_chunks, so the output is
+// bit-identical for every thread/chunk count (pinned by
+// tests/test_scale_free.cpp).
 
 /// A graph whose vertices carry native hyperbolic-disk coordinates —
 /// the scale-free analogue of GeometricGraph.

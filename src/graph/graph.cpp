@@ -3,49 +3,89 @@
 #include <algorithm>
 
 #include "support/assert.hpp"
+#include "support/parallel_chunks.hpp"
 #include "support/rng.hpp"
 
 namespace dsnd {
 
-Graph Graph::from_edges(VertexId n, std::vector<Edge> edges, bool normalize) {
+void edge_rows(VertexId n, std::span<const std::vector<Edge>> chunks,
+               std::vector<std::int64_t>& offsets,
+               std::vector<VertexId>& adjacency) {
   DSND_REQUIRE(n >= 0, "vertex count must be nonnegative");
-  for (auto& e : edges) {
-    DSND_REQUIRE(e.u >= 0 && e.u < n && e.v >= 0 && e.v < n,
-                 "edge endpoint out of range");
-    if (e.u > e.v) std::swap(e.u, e.v);
+  const auto count = static_cast<std::size_t>(n);
+  offsets.assign(count + 1, 0);
+  for (const std::vector<Edge>& edges : chunks) {
+    for (const Edge& e : edges) {
+      DSND_REQUIRE(e.u >= 0 && e.u < n && e.v >= 0 && e.v < n,
+                   "edge endpoint out of range");
+      ++offsets[static_cast<std::size_t>(e.u) + 1];
+      if (e.v != e.u) ++offsets[static_cast<std::size_t>(e.v) + 1];
+    }
   }
-  std::sort(edges.begin(), edges.end());
-  if (normalize) {
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    std::erase_if(edges, [](const Edge& e) { return e.u == e.v; });
-  } else {
-    DSND_REQUIRE(std::adjacent_find(edges.begin(), edges.end()) == edges.end(),
-                 "duplicate edge in edge list");
-    DSND_REQUIRE(std::none_of(edges.begin(), edges.end(),
-                              [](const Edge& e) { return e.u == e.v; }),
-                 "self-loop in edge list");
+  for (std::size_t v = 0; v < count; ++v) offsets[v + 1] += offsets[v];
+  adjacency.assign(static_cast<std::size_t>(offsets[count]), 0);
+  std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const std::vector<Edge>& edges : chunks) {
+    for (const Edge& e : edges) {
+      adjacency[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(e.u)]++)] = e.v;
+      if (e.v == e.u) continue;
+      adjacency[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(e.v)]++)] = e.u;
+    }
   }
+  // A row the scatter already left sorted (G(n, p)'s row-major pairs,
+  // GraphBuilder's lattices) is only checked.
+  parallel_chunks(count, static_cast<unsigned>(chunks.size()),
+                  [&](unsigned, std::size_t begin, std::size_t end) {
+                    for (std::size_t v = begin; v < end; ++v) {
+                      const auto row = adjacency.begin() + offsets[v];
+                      const auto row_end = adjacency.begin() + offsets[v + 1];
+                      if (!std::is_sorted(row, row_end)) {
+                        std::sort(row, row_end);
+                      }
+                    }
+                  });
+}
 
+Graph Graph::from_edges(VertexId n, std::vector<Edge> edges, bool normalize) {
+  return from_edge_chunks(n, {&edges, 1}, normalize);
+}
+
+Graph Graph::from_edge_chunks(VertexId n,
+                              std::span<const std::vector<Edge>> chunks,
+                              bool normalize) {
   Graph g;
-  g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const Edge& e : edges) {
-    ++g.offsets_[static_cast<std::size_t>(e.u) + 1];
-    ++g.offsets_[static_cast<std::size_t>(e.v) + 1];
+  edge_rows(n, chunks, g.offsets_, g.adjacency_);
+  // One pass over the sorted rows: a repeat sits beside its twin, and a
+  // self-loop is the row's own id. Without normalize the first repeat
+  // throws, then any self-loop; with it, the kept entries move down in
+  // place and each row's end follows them. A write never lands above the
+  // entry being read, so the entry before it still holds the input.
+  std::vector<VertexId>& adjacency = g.adjacency_;
+  std::int64_t begin = 0;
+  std::int64_t kept = 0;
+  bool self_loop = false;
+  for (std::size_t v = 0; v + 1 < g.offsets_.size(); ++v) {
+    const std::int64_t end = g.offsets_[v + 1];
+    for (std::int64_t i = begin; i < end; ++i) {
+      const VertexId w = adjacency[static_cast<std::size_t>(i)];
+      const bool repeat =
+          i > begin && w == adjacency[static_cast<std::size_t>(i - 1)];
+      if (!repeat && w != static_cast<VertexId>(v)) {
+        adjacency[static_cast<std::size_t>(kept++)] = w;
+        continue;
+      }
+      if (normalize) continue;
+      DSND_REQUIRE(!repeat, "duplicate edge in edge list");
+      self_loop = true;
+    }
+    g.offsets_[v + 1] = kept;
+    begin = end;
   }
-  for (std::size_t i = 1; i < g.offsets_.size(); ++i) {
-    g.offsets_[i] += g.offsets_[i - 1];
-  }
-  g.adjacency_.resize(static_cast<std::size_t>(edges.size()) * 2);
-  std::vector<std::int64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const Edge& e : edges) {
-    g.adjacency_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(e.u)]++)] = e.v;
-    g.adjacency_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(e.v)]++)] = e.u;
-  }
-  // Rows come out sorted: the edge list is sorted by (u, v) with u < v,
-  // so row x first receives its lower neighbors (edges (u, x)) in
-  // ascending u, then its upper neighbors (edges (x, v)) in ascending v.
+  DSND_REQUIRE(!self_loop, "self-loop in edge list");
+  adjacency.resize(static_cast<std::size_t>(kept));
+  adjacency.shrink_to_fit();
   return g;
 }
 
@@ -108,8 +148,6 @@ GraphBuilder::GraphBuilder(VertexId n) : n_(n) {
 void GraphBuilder::add_edge(VertexId u, VertexId v) {
   DSND_REQUIRE(u >= 0 && u < n_ && v >= 0 && v < n_,
                "edge endpoint out of range");
-  if (u == v) return;
-  if (u > v) std::swap(u, v);
   edges_.push_back({u, v});
 }
 

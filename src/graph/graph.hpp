@@ -17,7 +17,8 @@ namespace dsnd {
 
 using VertexId = std::int32_t;
 
-/// An undirected edge with endpoints in canonical (u < v) order.
+/// An undirected edge. Graph::edges() lists each in canonical (u < v)
+/// order; the builders take either orientation.
 struct Edge {
   VertexId u = 0;
   VertexId v = 0;
@@ -31,19 +32,27 @@ class Graph {
   /// The empty graph on zero vertices.
   Graph() = default;
 
-  /// Builds a graph on n vertices from an edge list. Self-loops and
-  /// duplicate edges (in either orientation) are rejected unless
-  /// normalize is true, in which case they are dropped/merged.
+  /// Builds a graph on n vertices from an edge list, in either
+  /// orientation. Self-loops and duplicate edges are rejected (a
+  /// duplicate is reported first) unless normalize is true, in which case
+  /// they are dropped.
   static Graph from_edges(VertexId n, std::vector<Edge> edges,
                           bool normalize = false);
 
-  /// Adopts a prebuilt CSR verbatim — the O(n + m) path the chunk-parallel
-  /// generators use to skip the edge-list sort entirely. offsets must have
-  /// n+1 monotone entries ending at adjacency.size(); every row must be
-  /// strictly increasing (sorted, no duplicates) with in-range entries and
-  /// no self-loops — all of which is checked. The caller guarantees
-  /// symmetry (v in row u iff u in row v); that invariant is not re-checked
-  /// here because the generators produce both directions from one edge set.
+  /// from_edges over an edge list split into chunks (the chunk-parallel
+  /// generators' per-thread lists); the rows are sorted on one thread
+  /// per chunk. The graph does not depend on the chunking.
+  static Graph from_edge_chunks(VertexId n,
+                                std::span<const std::vector<Edge>> chunks,
+                                bool normalize = false);
+
+  /// Adopts a prebuilt CSR verbatim, for builders that write their rows
+  /// without an edge list (make_rgg_geometric, make_cycle, relabeling,
+  /// the file readers). offsets must have n+1 monotone entries ending at
+  /// adjacency.size(); every row must be strictly increasing (sorted, no
+  /// duplicates) with in-range entries and no self-loops — all of which
+  /// is checked. The caller guarantees symmetry (v in row u iff u in
+  /// row v); that invariant is not re-checked here.
   static Graph from_csr(std::vector<std::int64_t> offsets,
                         std::vector<VertexId> adjacency);
 
@@ -108,6 +117,17 @@ class Graph {
   std::vector<std::int64_t> offsets_;  // size n+1
   std::vector<VertexId> adjacency_;    // size 2m, rows sorted
 };
+
+/// The one edge-list kernel: CSR rows on n vertices from edge pairs in
+/// chunks. Counts both endpoints of every pair (one outside [0, n)
+/// throws std::invalid_argument), scatters the pairs in chunk order — a
+/// self-loop once into its row — and sorts each row, on one thread per
+/// chunk. Self-loops and repeats stay in: Graph::from_edges rejects or
+/// drops them, and the file readers keep them for check_csr to name.
+/// offsets gets n + 1 entries.
+void edge_rows(VertexId n, std::span<const std::vector<Edge>> chunks,
+               std::vector<std::int64_t>& offsets,
+               std::vector<VertexId>& adjacency);
 
 /// Incremental edge-list builder; deduplicates and drops self-loops at
 /// build() time, so generators can add edges without bookkeeping.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -60,36 +59,6 @@ VertexId vertex_id(std::int64_t value, std::int64_t base, std::int64_t n,
   return static_cast<VertexId>(value - base);
 }
 
-/// Scatters edges into sorted rows: each edge into both endpoint rows,
-/// a self-loop into its one row.
-ParsedGraph rows_from_edges(std::int64_t n, std::int64_t m,
-                            const std::vector<Edge>& edges) {
-  ParsedGraph parsed;
-  parsed.header_edges = m;
-  std::vector<std::int64_t>& offsets = parsed.offsets;
-  offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const Edge& e : edges) {
-    ++offsets[static_cast<std::size_t>(e.u)];
-    if (e.v != e.u) ++offsets[static_cast<std::size_t>(e.v)];
-  }
-  // Degrees become row ends; filling each row backwards leaves its start.
-  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  parsed.adjacency.resize(static_cast<std::size_t>(offsets.back()));
-  const auto place = [&](VertexId v, VertexId w) {
-    const auto at = --offsets[static_cast<std::size_t>(v)];
-    parsed.adjacency[static_cast<std::size_t>(at)] = w;
-  };
-  for (const Edge& e : edges) {
-    place(e.u, e.v);
-    if (e.v != e.u) place(e.v, e.u);
-  }
-  for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
-    std::sort(parsed.adjacency.begin() + offsets[v],
-              parsed.adjacency.begin() + offsets[v + 1]);
-  }
-  return parsed;
-}
-
 ParsedGraph parse_edge_list(std::istream& in) {
   std::int64_t n = 0;
   std::int64_t m = 0;
@@ -108,7 +77,11 @@ ParsedGraph parse_edge_list(std::istream& in) {
     }
     edges.push_back({vertex_id(u, 0, n, where), vertex_id(v, 0, n, where)});
   }
-  return rows_from_edges(n, m, edges);
+  ParsedGraph parsed;
+  parsed.header_edges = m;
+  edge_rows(static_cast<VertexId>(n), {&edges, 1}, parsed.offsets,
+            parsed.adjacency);
+  return parsed;
 }
 
 ParsedGraph parse_dimacs(std::istream& in) {
@@ -147,7 +120,11 @@ ParsedGraph parse_dimacs(std::istream& in) {
     }
   }
   if (!have_header) fail("dimacs: missing problem line");
-  return rows_from_edges(n, m, edges);
+  ParsedGraph parsed;
+  parsed.header_edges = m;
+  edge_rows(static_cast<VertexId>(n), {&edges, 1}, parsed.offsets,
+            parsed.adjacency);
+  return parsed;
 }
 
 ParsedGraph parse_metis(std::istream& in) {

@@ -62,7 +62,10 @@ struct ParsedGraph {
 /// m > INT64_MAX / 2, a truncated file, an endpoint outside [0, n), METIS
 /// header flags, a second DIMACS problem line or an edge before it. Rows
 /// grow as they are read: nothing is sized from m, nor from n before the
-/// rows or edges the header promises have been read.
+/// rows or edges the header promises have been read. The n + 1 offsets
+/// are then sized from n, so a header with m = 0 and a large n can throw
+/// std::bad_alloc when they cannot be allocated. The edge-list and DIMACS
+/// rows come from edge_rows (graph/graph.hpp).
 ParsedGraph parse_graph(std::istream& in, GraphFormat format);
 
 /// The header check: empty when the rows hold exactly 2m entries, else

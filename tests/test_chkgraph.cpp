@@ -229,9 +229,11 @@ struct ChkgraphRun {
   std::string out;
 };
 
-ChkgraphRun run_chkgraph(const std::string& path) {
-  const std::string command =
-      std::string("'") + CHKGRAPH_PATH + "' '" + path + "' 2>/dev/null";
+/// Runs chkgraph on `path` through the shell, after `shell_prefix`.
+ChkgraphRun run_chkgraph(const std::string& path,
+                         const std::string& shell_prefix = "") {
+  const std::string command = shell_prefix + "'" + CHKGRAPH_PATH + "' '" +
+                              path + "' 2>&1";
   ChkgraphRun run;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) {
@@ -306,6 +308,26 @@ TEST(Chkgraph, BinaryAgreesWithLoadGraph) {
     }
     std::remove(path.c_str());
   }
+}
+
+TEST(Chkgraph, UnallocatableGraphExitsTwo) {
+  // "200000000 0" is a legal edge list whose n + 1 offsets take 1.6 GB:
+  // under a 1 GB address-space limit the parse throws std::bad_alloc,
+  // which chkgraph reports as unreadable. A run that lost the limit
+  // would still cost 1.6 GB, not more. Sanitizer runtimes reserve more
+  // address space than the limit allows, so they cannot start under it.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes cannot start under ulimit -v";
+#endif
+  const std::string path = testing::TempDir() + "dsnd_chkgraph_" +
+                           std::to_string(getpid()) + "_huge_n.el";
+  std::ofstream(path) << "200000000 0\n";
+  const ChkgraphRun run = run_chkgraph(path, "ulimit -v 1000000 && ");
+  EXPECT_EQ(run.exit_code, 2) << run.out;
+  EXPECT_NE(run.out.find("cannot allocate the graph the file declares"),
+            std::string::npos)
+      << run.out;
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "graph/properties.hpp"
@@ -258,6 +259,162 @@ TEST(Generators, RggFingerprintsPinned) {
           << "n=" << pin.n << " threads=" << threads;
     }
   }
+}
+
+TEST(Generators, FamilyFingerprintsPinned) {
+  // Recorded from the edge-list construction that sorted each edge list
+  // before scattering it; every family must keep its graph exactly.
+  struct Pin {
+    const char* family;
+    VertexId n;
+    std::uint64_t seed;
+    std::int64_t edges;
+    std::uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {"path", 7, 1, 6, 0x28314ab8e045826fULL},
+      {"path", 7, 2, 6, 0x28314ab8e045826fULL},
+      {"path", 300, 1, 299, 0xf0a271e1458eef22ULL},
+      {"path", 300, 2, 299, 0xf0a271e1458eef22ULL},
+      {"path", 5000, 1, 4999, 0x6d507b959d1f1a14ULL},
+      {"path", 5000, 2, 4999, 0x6d507b959d1f1a14ULL},
+      {"cycle", 7, 1, 7, 0x7f84204cfdf1f6f1ULL},
+      {"cycle", 7, 2, 7, 0x7f84204cfdf1f6f1ULL},
+      {"cycle", 300, 1, 300, 0x4926b5532e473f60ULL},
+      {"cycle", 300, 2, 300, 0x4926b5532e473f60ULL},
+      {"cycle", 5000, 1, 5000, 0x5e2c3eb4c33d18c4ULL},
+      {"cycle", 5000, 2, 5000, 0x5e2c3eb4c33d18c4ULL},
+      {"grid", 7, 1, 4, 0x29b2e331d4b5a76aULL},
+      {"grid", 7, 2, 4, 0x29b2e331d4b5a76aULL},
+      {"grid", 300, 1, 544, 0x35032704d2c58c65ULL},
+      {"grid", 300, 2, 544, 0x35032704d2c58c65ULL},
+      {"grid", 5000, 1, 9660, 0x6095a2edba40fa20ULL},
+      {"grid", 5000, 2, 9660, 0x6095a2edba40fa20ULL},
+      {"balanced-tree", 7, 1, 6, 0x38d19214abf188a6ULL},
+      {"balanced-tree", 7, 2, 6, 0x38d19214abf188a6ULL},
+      {"balanced-tree", 300, 1, 254, 0x2b1f16deb54c1963ULL},
+      {"balanced-tree", 300, 2, 254, 0x2b1f16deb54c1963ULL},
+      {"balanced-tree", 5000, 1, 4094, 0x6b16630fab63e5eeULL},
+      {"balanced-tree", 5000, 2, 4094, 0x6b16630fab63e5eeULL},
+      {"random-tree", 7, 1, 6, 0xb41e426df349c46aULL},
+      {"random-tree", 7, 2, 6, 0xd99531de66920410ULL},
+      {"random-tree", 300, 1, 299, 0x88470f2ddec89118ULL},
+      {"random-tree", 300, 2, 299, 0x5acbf959c18cd8cbULL},
+      {"random-tree", 5000, 1, 4999, 0x8b0f84f1917ce1b7ULL},
+      {"random-tree", 5000, 2, 4999, 0x281909cd9db9a794ULL},
+      {"gnp-sparse", 7, 1, 21, 0x4b6709079e5824a7ULL},
+      {"gnp-sparse", 7, 2, 21, 0x4b6709079e5824a7ULL},
+      {"gnp-sparse", 300, 1, 918, 0xa1f22bba5349a560ULL},
+      {"gnp-sparse", 300, 2, 890, 0xeab7a0b8ebcaa67fULL},
+      {"gnp-sparse", 5000, 1, 14813, 0xdc4afaec5eaaabb3ULL},
+      {"gnp-sparse", 5000, 2, 15126, 0xb16c9caa05cf63beULL},
+      {"gnp-dense", 7, 1, 6, 0x15cebf3dac45da82ULL},
+      {"gnp-dense", 7, 2, 1, 0x7296d73b791e8e4bULL},
+      {"gnp-dense", 300, 1, 5706, 0x5f8011cba668a3efULL},
+      {"gnp-dense", 300, 2, 5546, 0x90985e3e7e6b1db0ULL},
+      {"gnp-dense", 5000, 1, 1560960, 0x6326d98497e3dde9ULL},
+      {"gnp-dense", 5000, 2, 1561474, 0xb2beb7b5e603da16ULL},
+      {"random-regular", 7, 1, 16, 0x8eeb38d55aaf32feULL},
+      {"random-regular", 7, 2, 16, 0xfc72cb407f074301ULL},
+      {"random-regular", 300, 1, 600, 0xdb09eca5864f06bcULL},
+      {"random-regular", 300, 2, 600, 0xe2c04d168105976dULL},
+      {"random-regular", 5000, 1, 10000, 0xa5266bf704d2d640ULL},
+      {"random-regular", 5000, 2, 10000, 0x95430514b1067d1dULL},
+      {"hypercube", 7, 1, 4, 0x29b2e331d4b5a76aULL},
+      {"hypercube", 7, 2, 4, 0x29b2e331d4b5a76aULL},
+      {"hypercube", 300, 1, 1024, 0xc971a9471e20faa9ULL},
+      {"hypercube", 300, 2, 1024, 0xc971a9471e20faa9ULL},
+      {"hypercube", 5000, 1, 24576, 0x14f120c60c7feca7ULL},
+      {"hypercube", 5000, 2, 24576, 0x14f120c60c7feca7ULL},
+      {"ring-of-cliques", 7, 1, 87, 0xd3f404241a28c95cULL},
+      {"ring-of-cliques", 7, 2, 87, 0xd3f404241a28c95cULL},
+      {"ring-of-cliques", 300, 1, 1073, 0x7313b2f3b35cf1ddULL},
+      {"ring-of-cliques", 300, 2, 1073, 0x7313b2f3b35cf1ddULL},
+      {"ring-of-cliques", 5000, 1, 18125, 0x70f20cb844645755ULL},
+      {"ring-of-cliques", 5000, 2, 18125, 0x70f20cb844645755ULL},
+      {"small-world", 7, 1, 24, 0xa9ae885b919e374bULL},
+      {"small-world", 7, 2, 24, 0x0ce8bccbc84fb87aULL},
+      {"small-world", 300, 1, 900, 0x8aa14455dd6384a7ULL},
+      {"small-world", 300, 2, 900, 0xd5065a4bdb19b736ULL},
+      {"small-world", 5000, 1, 15000, 0xe24f60e4f14555f3ULL},
+      {"small-world", 5000, 2, 15000, 0xfe6e0a955c6c13d6ULL},
+      {"rgg", 7, 1, 13, 0xb430c4eae3066305ULL},
+      {"rgg", 7, 2, 15, 0xa706749d6ba02c0aULL},
+      {"rgg", 300, 1, 1102, 0x2ba089fbe462d2f6ULL},
+      {"rgg", 300, 2, 1035, 0xbadddc0dfeddfbceULL},
+      {"rgg", 5000, 1, 19484, 0xa74ff84bffffd0fdULL},
+      {"rgg", 5000, 2, 19802, 0xbe2efab10ea547e1ULL},
+      {"hyperbolic", 7, 1, 163, 0x11bf4829021cb68dULL},
+      {"hyperbolic", 7, 2, 179, 0xc668a44e50dce2c1ULL},
+      {"hyperbolic", 300, 1, 815, 0x5a6d185df036c9d1ULL},
+      {"hyperbolic", 300, 2, 903, 0x805d81f7e979ac50ULL},
+      {"hyperbolic", 5000, 1, 19211, 0x876b12a0c1ede719ULL},
+      {"hyperbolic", 5000, 2, 19158, 0xf6985385ba36c323ULL},
+      {"kronecker", 7, 1, 6, 0xca8b120086767090ULL},
+      {"kronecker", 7, 2, 5, 0x949fe75fa0be0a23ULL},
+      {"kronecker", 300, 1, 1294, 0xf7360141154b3b78ULL},
+      {"kronecker", 300, 2, 1327, 0xde3575d64dae1e0dULL},
+      {"kronecker", 5000, 1, 26760, 0xc232e00c1d80d87eULL},
+      {"kronecker", 5000, 2, 26751, 0xa84873de6d30c3d1ULL},
+      {"ba", 7, 1, 14, 0x35f61452caea4602ULL},
+      {"ba", 7, 2, 15, 0xdd12f6a68965b122ULL},
+      {"ba", 300, 1, 1143, 0x2ed8baa5ec27b731ULL},
+      {"ba", 300, 2, 1143, 0xbff776104e8d2491ULL},
+      {"ba", 5000, 1, 19888, 0x5c9b89be65c31d36ULL},
+      {"ba", 5000, 2, 19887, 0x8771509e15f03c7bULL},
+  };
+  for (const Pin& pin : pins) {
+    const Graph g = family_by_name(pin.family).make(pin.n, pin.seed);
+    EXPECT_EQ(g.num_edges(), pin.edges)
+        << pin.family << " n=" << pin.n << " seed=" << pin.seed;
+    EXPECT_EQ(g.fingerprint(), pin.fingerprint)
+        << pin.family << " n=" << pin.n << " seed=" << pin.seed;
+  }
+}
+
+TEST(Generators, ChunkedGeneratorFingerprintsPinned) {
+  // The four generators that hand per-thread edge lists to
+  // Graph::from_edge_chunks, at about 10^5 vertices, recorded from their
+  // earlier per-generator scatters; 4 threads sort the rows in 4 chunks.
+  struct Pin {
+    const char* name;
+    Graph (*make)(unsigned threads);
+    std::int64_t edges;
+    std::uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {"gnp",
+       [](unsigned t) { return make_gnp(100000, 8.0 / 99999.0, 7, t); },
+       400117, 0x43557ddaff90d138ULL},
+      {"hyperbolic",
+       [](unsigned t) { return make_hyperbolic(100000, 8.0, 2.8, 7, t); },
+       394343, 0x6560d038a80dc7e0ULL},
+      {"kronecker", [](unsigned t) { return make_kronecker(17, 8, 7, t); },
+       971694, 0x07151cf187ffda8bULL},
+      {"ba",
+       [](unsigned t) { return make_barabasi_albert(100000, 4, 7, t); },
+       399772, 0xad738e6ef7bb469bULL},
+  };
+  for (const Pin& pin : pins) {
+    for (const unsigned threads : {1u, 4u}) {
+      const Graph g = pin.make(threads);
+      EXPECT_EQ(g.num_edges(), pin.edges)
+          << pin.name << " threads=" << threads;
+      EXPECT_EQ(g.fingerprint(), pin.fingerprint)
+          << pin.name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(Generators, RejectVertexCountsPastInt32) {
+  constexpr VertexId kMax = std::numeric_limits<VertexId>::max();
+  EXPECT_THROW(make_grid2d(65536, 65536), std::invalid_argument);
+  EXPECT_THROW(make_torus2d(65536, 65536), std::invalid_argument);
+  EXPECT_THROW(make_grid3d(2048, 2048, 1024), std::invalid_argument);
+  EXPECT_THROW(make_complete_bipartite(kMax, 1), std::invalid_argument);
+  EXPECT_THROW(make_ring_of_cliques(65536, 65536), std::invalid_argument);
+  EXPECT_THROW(make_barbell(kMax / 2 + 1, 1), std::invalid_argument);
+  EXPECT_THROW(make_lollipop(kMax, 1), std::invalid_argument);
 }
 
 TEST(Generators, CycleIndependentOfChunkCount) {

@@ -56,6 +56,38 @@ TEST(GraphPower, PreservesDisconnection) {
   EXPECT_EQ(connected_components(g3).count, 2);
 }
 
+TEST(GraphPower, FingerprintsPinned) {
+  // Recorded from the construction that sorted the power's whole edge
+  // list before scattering it into rows.
+  struct Pin {
+    const char* family;
+    std::int32_t t;
+    std::int64_t edges;
+    std::uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {"grid", 2, 5458, 0x21f599942c51b8caULL},
+      {"grid", 3, 10674, 0xb10e9a7f0b27c0c7ULL},
+      {"ring-of-cliques", 2, 5375, 0x28b85a88eaeae390ULL},
+      {"ring-of-cliques", 3, 11625, 0xcc68ea9ee7ae932eULL},
+      {"gnp-sparse", 2, 20155, 0xf5183e14d37e4beaULL},
+      {"gnp-sparse", 3, 106640, 0x0c551dcb3af03399ULL},
+      {"rgg", 2, 9505, 0x013fff9628bf4efbULL},
+      {"rgg", 3, 17848, 0x8f8e7a03df6b2a0fULL},
+      {"kronecker", 2, 44327, 0x2a7ab9973df256beULL},
+      {"kronecker", 3, 81847, 0xaeda32aaac3b4e04ULL},
+      {"ba", 2, 78697, 0x508d2782e5e719b8ULL},
+      {"ba", 3, 376187, 0x75c4c25f4f6f6d37ULL},
+  };
+  for (const Pin& pin : pins) {
+    const Graph base = family_by_name(pin.family).make(1000, 3);
+    const Graph g = graph_power(base, pin.t);
+    EXPECT_EQ(g.num_edges(), pin.edges) << pin.family << " t=" << pin.t;
+    EXPECT_EQ(g.fingerprint(), pin.fingerprint)
+        << pin.family << " t=" << pin.t;
+  }
+}
+
 TEST(GraphPower, RejectsZeroPower) {
   EXPECT_THROW(graph_power(make_path(3), 0), std::invalid_argument);
 }

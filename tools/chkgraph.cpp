@@ -8,11 +8,13 @@
 // degree-distribution summary. The library readers run the same parse and
 // the same checks, so a file chkgraph passes is a file load_graph loads,
 // and the fingerprint printed for it is the loaded graph's.
-// Exit status: 0 = valid, 1 = issues found, 2 = unreadable/unparseable.
+// Exit status: 0 = valid, 1 = issues found, 2 = unreadable/unparseable,
+// or a graph too large to allocate.
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -29,7 +31,7 @@ namespace {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::string format_flag;
   std::string path;
   for (int i = 1; i < argc; ++i) {
@@ -80,4 +82,6 @@ int main(int argc, char** argv) {
   std::cout << "fingerprint: " << std::hex << std::setfill('0')
             << std::setw(16) << g.fingerprint() << '\n';
   return 0;
+} catch (const std::bad_alloc&) {
+  parse_fail("cannot allocate the graph the file declares");
 }
